@@ -19,7 +19,7 @@ from .statevector import (
     StateVector,
     X,
     Z,
-    apply_gate_in_place,
+    apply_unchecked,
     check_operands,
     init_zero,
     phase,
@@ -63,8 +63,10 @@ class Circuit:
     """An ordered list of operations on ``num_qubits`` qubits.
 
     Equality is structural: same width, same registers, same op sequence.
-    The builder methods validate each op as it is added and return ``self``
-    so constructions chain.
+    An op is validated once, when it enters a circuit through ``add``,
+    ``append`` or the ``ops`` argument; ``extend`` of a circuit no wider
+    than this one, ``inverse`` and ``execute`` rely on that and do not check
+    again.  The builder methods return ``self`` so constructions chain.
     """
 
     num_qubits: int
@@ -115,9 +117,15 @@ class Circuit:
         return self
 
     def extend(self, fragment: "Circuit") -> "Circuit":
-        """Append another circuit's ops; widths need not match, ops must fit."""
-        for op in fragment.ops:
-            self.append(op)
+        """Append another circuit's ops; widths need not match, ops must fit.
+
+        All or nothing: if any op of a wider fragment does not fit, nothing
+        is appended.
+        """
+        if fragment.num_qubits > self.num_qubits:
+            for op in fragment.ops:
+                check_operands(self.num_qubits, op.gate, op.controls, op.targets)
+        self.ops.extend(fragment.ops)
         return self
 
     # --- single-gate sugar -------------------------------------------------
@@ -151,11 +159,9 @@ class Circuit:
 
 def inverse(circuit: Circuit) -> Circuit:
     """The exact inverse: each op inverted, order reversed."""
-    return Circuit(
-        circuit.num_qubits,
-        circuit.registers,
-        [op.inverse() for op in reversed(circuit.ops)],
-    )
+    inv = Circuit(circuit.num_qubits, circuit.registers)
+    inv.ops = [op.inverse() for op in reversed(circuit.ops)]
+    return inv
 
 
 def build_qft(qubits: Sequence[int]) -> Circuit:
@@ -198,7 +204,7 @@ def execute(
         raise ValueError(f"shots must be non-negative, got {shots}")
     state = init_zero(circuit.num_qubits, cap=cap)
     for op in circuit.ops:
-        apply_gate_in_place(state, op.gate, op.controls, op.targets)
+        apply_unchecked(state, op.gate, op.controls, op.targets)
     if shots == 0:
         return state, None
     if measured_qubits is None:

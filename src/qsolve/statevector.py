@@ -1,9 +1,11 @@
-"""Dense statevector simulation with bitmask gate kernels.
+"""Dense statevector simulation with strided-view gate kernels.
 
 Convention used everywhere in this package: qubit 0 is the most
 significant bit of a basis-state index, so the leftmost character of a
-measured bitstring is qubit 0.  Controlled gates of any arity are applied
-natively by index selection; they are never decomposed into smaller gates.
+measured bitstring is qubit 0.  Equivalently, qubit q is axis q of the
+amplitudes reshaped to ``(2,) * n``.  Controlled gates of any arity are
+applied natively on views of that array, with each control axis fixed at
+1; they are never decomposed into smaller gates.
 """
 
 from __future__ import annotations
@@ -126,22 +128,6 @@ def init_zero(num_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def _mask(num_qubits: int, qubit: int) -> int:
-    # qubit 0 is the most significant index bit
-    return 1 << (num_qubits - 1 - qubit)
-
-
-_BASIS_CACHE: dict[int, np.ndarray] = {}
-
-
-def _basis(dim: int) -> np.ndarray:
-    arr = _BASIS_CACHE.get(dim)
-    if arr is None:
-        arr = np.arange(dim, dtype=np.int64)
-        _BASIS_CACHE[dim] = arr
-    return arr
-
-
 def check_operands(
     num_qubits: int,
     gate: Gate,
@@ -172,55 +158,59 @@ def apply_gate_in_place(
     controls: Iterable[int] = (),
     targets: Iterable[int] = (),
 ) -> None:
-    """Apply a (multi-)controlled gate by direct index selection, mutating ``state``."""
+    """Apply a (multi-)controlled gate, mutating ``state``; operands are
+    validated first."""
     controls, targets = check_operands(state.num_qubits, gate, controls, targets)
-    amps = state.amps
-    idx = _basis(amps.shape[0])
-    cmask = 0
-    for q in controls:
-        cmask |= _mask(state.num_qubits, q)
-
-    if gate.name == "swap":
-        m1 = _mask(state.num_qubits, targets[0])
-        m2 = _mask(state.num_qubits, targets[1])
-        # pairs differing only in the two target bits, once per pair
-        i0 = idx[(idx & (cmask | m1 | m2)) == (cmask | m1)]
-        i1 = i0 ^ (m1 | m2)
-        tmp = amps[i0]
-        amps[i0] = amps[i1]
-        amps[i1] = tmp
-        return
-
-    t = _mask(state.num_qubits, targets[0])
-    if gate.name in ("z", "phase"):
-        # diagonal: only the control+target-all-ones slice changes
-        sel = (idx & (cmask | t)) == (cmask | t)
-        amps[sel] *= -1.0 if gate.name == "z" else np.exp(1j * gate.lam)
-        return
-
-    i0 = idx[(idx & (cmask | t)) == cmask]
-    i1 = i0 | t
-    if gate.name == "x":
-        tmp = amps[i0]
-        amps[i0] = amps[i1]
-        amps[i1] = tmp
-    else:  # h
-        a0 = amps[i0]
-        a1 = amps[i1]
-        amps[i0] = (a0 + a1) * _INV_SQRT2
-        amps[i1] = (a0 - a1) * _INV_SQRT2
+    apply_unchecked(state, gate, controls, targets)
 
 
-def apply_gate(
+def apply_unchecked(
     state: StateVector,
     gate: Gate,
-    controls: Iterable[int] = (),
-    targets: Iterable[int] = (),
-) -> StateVector:
-    """Functional variant of :func:`apply_gate_in_place`."""
-    out = state.copy()
-    apply_gate_in_place(out, gate, controls, targets)
-    return out
+    controls: Iterable[int],
+    targets: Sequence[int],
+) -> None:
+    """The gate kernel behind :func:`apply_gate_in_place`, for operands that
+    have already passed :func:`check_operands`.
+
+    Fixing every control axis at 1 and each target axis at 0 or 1 selects
+    basic-index views, so nothing is gathered or scattered.  The trailing
+    ``...`` keeps a view even when every axis is fixed: a bare integer
+    index would return a scalar copy and the update would be lost.
+    """
+    n = state.num_qubits
+    amps = state.amps.reshape((2,) * n)
+    index: list = [slice(None)] * n + [Ellipsis]
+    for q in controls:
+        index[q] = 1
+
+    def view(*bits: int) -> np.ndarray:
+        for q, bit in zip(targets, bits):
+            index[q] = bit
+        return amps[tuple(index)]
+
+    if gate.name == "swap":
+        _exchange(view(1, 0), view(0, 1))
+    elif gate.name in ("z", "phase"):
+        # diagonal: only the control+target-all-ones slice changes
+        ones = view(1)
+        ones *= -1.0 if gate.name == "z" else np.exp(1j * gate.lam)
+    elif gate.name == "x":
+        _exchange(view(0), view(1))
+    else:  # h
+        # sum, then scale: seeded output depends on these exact roundings
+        a0, a1 = view(0), view(1)
+        total, diff = a0 + a1, a0 - a1
+        total *= _INV_SQRT2
+        diff *= _INV_SQRT2
+        a0[...] = total
+        a1[...] = diff
+
+
+def _exchange(a: np.ndarray, b: np.ndarray) -> None:
+    tmp = a.copy()
+    a[...] = b
+    b[...] = tmp
 
 
 def probabilities(state: StateVector) -> np.ndarray:
@@ -245,22 +235,18 @@ def _check_subset(num_qubits: int, qubits: Sequence[int]) -> tuple[int, ...]:
 
 def bitstring(index: int, num_qubits: int, qubits: Sequence[int] | None = None) -> str:
     """Readout of ``index`` over ``qubits`` in the given order (default: all)."""
-    qs = range(num_qubits) if qubits is None else qubits
-    return "".join("1" if index & _mask(num_qubits, q) else "0" for q in qs)
+    bits = format(index, f"0{num_qubits}b")
+    return bits if qubits is None else "".join(bits[q] for q in qubits)
 
 
 def marginal_probabilities(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     """Readout distribution over a qubit subset; entry i is the probability
     of the subset bitstring with value i (first listed qubit = leftmost bit)."""
     qs = _check_subset(state.num_qubits, qubits)
-    p = probabilities(state)
-    idx = _basis(p.shape[0])
-    k = len(qs)
-    sub = np.zeros_like(idx)
-    for pos, q in enumerate(qs):
-        bit = (idx >> (state.num_qubits - 1 - q)) & 1
-        sub |= bit << (k - 1 - pos)
-    return np.bincount(sub, weights=p, minlength=1 << k)
+    rest = tuple(q for q in range(state.num_qubits) if q not in qs)
+    p = probabilities(state).reshape((2,) * state.num_qubits)
+    p = np.transpose(p, qs + rest).sum(axis=tuple(range(len(qs), state.num_qubits)))
+    return p.reshape(-1)
 
 
 def sample(
@@ -289,11 +275,9 @@ def sample(
     rng = np.random.default_rng(seed)
     draws = rng.choice(p.shape[0], size=shots, p=p)
     values, freq = np.unique(draws, return_counts=True)
+    keys = [bitstring(v, state.num_qubits, qs) for v in values.tolist()]
     counts: dict[str, int] = {}
     # distinct full-register outcomes may project onto the same subset key
-    for v, c in sorted(
-        zip(values, freq), key=lambda vc: bitstring(int(vc[0]), state.num_qubits, qs)
-    ):
-        key = bitstring(int(v), state.num_qubits, qs)
-        counts[key] = counts.get(key, 0) + int(c)
+    for key, c in sorted(zip(keys, freq.tolist())):
+        counts[key] = counts.get(key, 0) + c
     return Histogram(shots=shots, counts=counts)

@@ -35,12 +35,18 @@ from qsolve.qpe_tsp import (
     tour_length,
 )
 from qsolve.qpe_tsp import solve as tsp_solve
-from qsolve.statevector import Gate, StateVector, apply_gate, init_zero, norm
+from qsolve.statevector import Gate, StateVector, apply_gate_in_place, init_zero, norm
 from qsolve.circuit import build_qft
 from test_cli import CROSS_SUMS, TSP, UNIT_KAKURO, UNSAT
 from qsolve import cli
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+
+
+def apply_gate(state, gate, controls=(), targets=()) -> StateVector:
+    out = state.copy()
+    apply_gate_in_place(out, gate, controls, targets)
+    return out
 
 
 class Stopwatch:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +8,14 @@ from hypothesis import strategies as st
 
 import oracles
 import qsolve.circuit as qc
+import qsolve.statevector as sv
+from qsolve import cli, qpe_tsp
 from qsolve.circuit import Circuit, CircuitOp, QubitRegister
 from qsolve.errors import CircuitFormatError
+from qsolve.grover_sat import build_search_circuit, qubit_layout
 from qsolve.statevector import Gate, X, phase
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 @st.composite
@@ -80,6 +86,61 @@ def test_extend_appends_fragment_ops():
     assert len(circ.ops) == 3
     with pytest.raises(ValueError, match="out of range"):
         Circuit(2).extend(Circuit(3).x(2))
+
+
+def test_extend_is_all_or_nothing():
+    circ = Circuit(2)
+    with pytest.raises(ValueError, match="out of range"):
+        circ.extend(Circuit(4).x(0).x(3))
+    assert circ.ops == []
+
+
+# --- validation happens once per op --------------------------------------------------
+
+
+@pytest.fixture
+def operand_checks(monkeypatch):
+    """Counts every check_operands call made by the circuit and simulator modules."""
+    calls = [0]
+    real = sv.check_operands
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(qc, "check_operands", counting)
+    monkeypatch.setattr(sv, "check_operands", counting)
+    return calls
+
+
+def test_search_circuit_ops_are_validated_once(operand_checks, monkeypatch):
+    # every op is built by ``add``; extending, inverting and executing reuse it
+    adds = [0]
+    real_add = Circuit.add
+
+    def counting_add(self, *args, **kwargs):
+        adds[0] += 1
+        return real_add(self, *args, **kwargs)
+
+    monkeypatch.setattr(Circuit, "add", counting_add)
+    problem = cli.parse_problem(PROBLEMS / "kakuro_cross_sums.json").sat
+    circ = build_search_circuit(problem, qubit_layout(problem), 2)
+    qc.execute(circ)
+    assert 0 < operand_checks[0] == adds[0] < len(circ.ops)
+
+
+def test_tsp_solve_validates_each_executed_op_once(operand_checks, monkeypatch):
+    executed = [0]
+    real_execute = qpe_tsp.execute
+
+    def counting_execute(circuit, **kwargs):
+        executed[0] += len(circuit.ops)
+        return real_execute(circuit, **kwargs)
+
+    monkeypatch.setattr(qpe_tsp, "execute", counting_execute)
+    rows = [[0, 3, 4, 2, 7], [3, 0, 4, 6, 3], [4, 4, 0, 5, 8], [2, 6, 5, 0, 6], [7, 3, 8, 6, 0]]
+    qpe_tsp.solve(qpe_tsp.instance_from_rows(rows))
+    assert 0 < operand_checks[0] == executed[0]
 
 
 # --- inversion ---------------------------------------------------------------------

@@ -16,6 +16,12 @@ def basis_state(num_qubits: int, index: int) -> sv.StateVector:
     return sv.StateVector(num_qubits, amps)
 
 
+def apply_gate(state, gate, controls=(), targets=()) -> sv.StateVector:
+    out = state.copy()
+    sv.apply_gate_in_place(out, gate, controls, targets)
+    return out
+
+
 def random_state(num_qubits: int, seed: int) -> sv.StateVector:
     rng = np.random.default_rng(seed)
     dim = 1 << num_qubits
@@ -99,11 +105,19 @@ def test_statevector_rejects_wrong_length():
         sv.StateVector(2, np.zeros(3, dtype=complex))
 
 
+def test_kernel_updates_state_built_from_strided_amplitudes():
+    buffer = np.zeros(8, dtype=complex)
+    buffer[0] = 1.0
+    state = sv.StateVector(2, buffer[::2])
+    sv.apply_gate_in_place(state, sv.X, targets=(0,))
+    assert np.array_equal(state.amps, [0, 0, 1, 0])
+
+
 # --- bit ordering ----------------------------------------------------------------
 
 
 def test_qubit_zero_is_most_significant():
-    state = sv.apply_gate(sv.init_zero(3), sv.X, targets=(0,))
+    state = apply_gate(sv.init_zero(3), sv.X, targets=(0,))
     assert state.amps[0b100] == 1.0
     assert sv.bitstring(0b100, 3) == "100"
 
@@ -120,7 +134,7 @@ def test_bitstring_subset_order():
 def test_apply_gate_matches_reference_matrix(application, seed):
     n, gate, controls, targets = application
     state = random_state(n, seed)
-    result = sv.apply_gate(state, gate, controls, targets)
+    result = apply_gate(state, gate, controls, targets)
     expected = oracles.embedded_op(n, gate.name, gate.lam, controls, targets) @ state.amps
     assert np.max(np.abs(result.amps - expected)) < 1e-12
 
@@ -132,7 +146,7 @@ def test_apply_gate_is_unitary(application):
     dim = 1 << n
     built = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
-        built[:, col] = sv.apply_gate(basis_state(n, col), gate, controls, targets).amps
+        built[:, col] = apply_gate(basis_state(n, col), gate, controls, targets).amps
     assert np.max(np.abs(built.conj().T @ built - np.eye(dim))) < sv.UNITARY_TOL
 
 
@@ -141,7 +155,7 @@ def test_apply_gate_is_unitary(application):
 def test_apply_gate_preserves_norm(application, seed):
     n, gate, controls, targets = application
     state = random_state(n, seed)
-    result = sv.apply_gate(state, gate, controls, targets)
+    result = apply_gate(state, gate, controls, targets)
     assert abs(sv.norm(result) - 1.0) < sv.NORM_TOL
 
 
@@ -150,40 +164,40 @@ def test_apply_gate_preserves_norm(application, seed):
 def test_self_inverse_gates_round_trip(application, seed):
     n, gate, controls, targets = application
     state = random_state(n, seed)
-    there = sv.apply_gate(state, gate, controls, targets)
-    back = sv.apply_gate(there, gate.inverse(), controls, targets)
+    there = apply_gate(state, gate, controls, targets)
+    back = apply_gate(there, gate.inverse(), controls, targets)
     assert np.max(np.abs(back.amps - state.amps)) < 1e-12
 
 
 def test_multi_controlled_x_flips_only_full_control_patterns():
     for index in range(8):
-        out = sv.apply_gate(basis_state(3, index), sv.X, controls=(0, 1), targets=(2,))
+        out = apply_gate(basis_state(3, index), sv.X, controls=(0, 1), targets=(2,))
         expected = index ^ 1 if (index >> 1) == 0b11 else index
         assert out.amps[expected] == 1.0
 
 
 def test_multi_controlled_z_phases_only_all_ones():
     for index in range(8):
-        out = sv.apply_gate(basis_state(3, index), sv.Z, controls=(0, 1), targets=(2,))
+        out = apply_gate(basis_state(3, index), sv.Z, controls=(0, 1), targets=(2,))
         expected = -1.0 if index == 0b111 else 1.0
         assert out.amps[index] == expected
 
 
 def test_swap_exchanges_outer_qubits():
-    out = sv.apply_gate(basis_state(3, 0b100), sv.SWAP, targets=(0, 2))
+    out = apply_gate(basis_state(3, 0b100), sv.SWAP, targets=(0, 2))
     assert out.amps[0b001] == 1.0
 
 
 def test_controlled_swap_respects_control():
-    idle = sv.apply_gate(basis_state(3, 0b010), sv.SWAP, controls=(0,), targets=(1, 2))
+    idle = apply_gate(basis_state(3, 0b010), sv.SWAP, controls=(0,), targets=(1, 2))
     assert idle.amps[0b010] == 1.0
-    active = sv.apply_gate(basis_state(3, 0b110), sv.SWAP, controls=(0,), targets=(1, 2))
+    active = apply_gate(basis_state(3, 0b110), sv.SWAP, controls=(0,), targets=(1, 2))
     assert active.amps[0b101] == 1.0
 
 
 def test_apply_gate_leaves_input_untouched():
     state = sv.init_zero(2)
-    sv.apply_gate(state, sv.H, targets=(0,))
+    apply_gate(state, sv.H, targets=(0,))
     assert state.amps[0] == 1.0
 
 
@@ -193,15 +207,15 @@ def test_apply_gate_leaves_input_untouched():
 def test_operand_validation_errors():
     state = sv.init_zero(3)
     with pytest.raises(ValueError, match="overlap"):
-        sv.apply_gate(state, sv.X, controls=(1,), targets=(1,))
+        apply_gate(state, sv.X, controls=(1,), targets=(1,))
     with pytest.raises(ValueError, match="out of range"):
-        sv.apply_gate(state, sv.X, targets=(3,))
+        apply_gate(state, sv.X, targets=(3,))
     with pytest.raises(ValueError, match="duplicate"):
-        sv.apply_gate(state, sv.SWAP, targets=(1, 1))
+        apply_gate(state, sv.SWAP, targets=(1, 1))
     with pytest.raises(ValueError, match="target"):
-        sv.apply_gate(state, sv.X, targets=(0, 1))
+        apply_gate(state, sv.X, targets=(0, 1))
     with pytest.raises(ValueError, match="target"):
-        sv.apply_gate(state, sv.SWAP, targets=(0,))
+        apply_gate(state, sv.SWAP, targets=(0,))
 
 
 # --- probabilities and marginals ----------------------------------------------------
@@ -236,7 +250,7 @@ def test_probabilities_sum_to_one():
 def _uniform_state(num_qubits: int) -> sv.StateVector:
     state = sv.init_zero(num_qubits)
     for q in range(num_qubits):
-        state = sv.apply_gate(state, sv.H, targets=(q,))
+        state = apply_gate(state, sv.H, targets=(q,))
     return state
 
 

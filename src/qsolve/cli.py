@@ -418,8 +418,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run_solve(args)
-    except (QsolveError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (QsolveError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation; a bare one has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

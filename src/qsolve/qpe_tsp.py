@@ -15,11 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .circuit import Circuit, QubitRegister, build_qft, execute, inverse
 from .errors import ProblemValidationError, QubitBudgetError
-from .statevector import DEFAULT_QUBIT_CAP, StateVector, phase, probabilities
+from .statevector import DEFAULT_QUBIT_CAP, probabilities
 
 MIN_NODES = 3
 MAX_NODES = 8
@@ -159,21 +157,6 @@ def decode_successors(index: int, n_nodes: int) -> list[int]:
     return claims[::-1]
 
 
-def tour_from_encoding(index: int, n_nodes: int) -> Tour:
-    """Follow successor claims from node 1; raises if they do not close a
-    Hamiltonian cycle."""
-    claims = decode_successors(index, n_nodes)
-    tour = [1]
-    for _ in range(n_nodes - 1):
-        nxt = claims[tour[-1] - 1]
-        if not 1 <= nxt <= n_nodes or nxt in tour:
-            raise ValueError(f"index {index} does not encode a Hamiltonian cycle")
-        tour.append(nxt)
-    if claims[tour[-1] - 1] != 1:
-        raise ValueError(f"index {index} does not encode a Hamiltonian cycle")
-    return tuple(tour)
-
-
 @dataclass(frozen=True)
 class WeightPhaseDiagonal:
     """Diagonal operator on the successor register.
@@ -191,10 +174,6 @@ class WeightPhaseDiagonal:
     def n_nodes(self) -> int:
         return len(self.weights)
 
-    @property
-    def num_qubits(self) -> int:
-        return self.n_nodes * bits_per_node(self.n_nodes)
-
     def exponent(self, index: int) -> int:
         total = 0
         for node, claim in enumerate(decode_successors(index, self.n_nodes), start=1):
@@ -204,30 +183,6 @@ class WeightPhaseDiagonal:
 
     def eigenphase(self, index: int) -> float:
         return (self.exponent(index) % self.scale) / self.scale
-
-    def exponents(self) -> np.ndarray:
-        """The full diagonal's exponents, vectorized over all basis states."""
-        n = self.n_nodes
-        b = bits_per_node(n)
-        idx = np.arange(1 << self.num_qubits, dtype=np.int64)
-        total = np.zeros_like(idx)
-        for node in range(1, n + 1):
-            table = np.zeros(1 << b, dtype=np.int64)
-            for claim_minus_1 in range(1 << b):
-                claim = claim_minus_1 + 1
-                if claim <= n and claim != node:
-                    table[claim_minus_1] = self.weights[node - 1][claim - 1]
-            shift = (n - node) * b
-            total += table[(idx >> shift) & (1 << b) - 1]
-        return total
-
-    def apply_to(self, state: StateVector) -> StateVector:
-        if state.num_qubits != self.num_qubits:
-            raise ValueError(
-                f"operator acts on {self.num_qubits} qubits, state has {state.num_qubits}"
-            )
-        phases = np.exp(2j * np.pi * (self.exponents() % self.scale) / self.scale)
-        return StateVector(state.num_qubits, state.amps * phases)
 
 
 def build_phase_unitary(instance: TspInstance, scale: int) -> WeightPhaseDiagonal:
@@ -329,25 +284,35 @@ class TspReport:
 
 
 def solve(instance: TspInstance, config: TspConfig | None = None) -> TspReport:
-    """Estimate every canonical cycle's length through the phase register and
-    return the minimum (ties broken by lexicographic tour)."""
+    """Estimate every canonical cycle's length through the phase register,
+    one phase estimation per distinct exponent, and return the minimum (ties
+    broken by lexicographic tour)."""
     config = config or TspConfig()
     diags = validate_instance(instance)
     if diags:
         raise ProblemValidationError(diags)
     scale, m = phase_scale(instance)
     unitary = build_phase_unitary(instance, scale)
-    per_cycle: list[CycleResult] = []
-    for tour in enumerate_cycles(instance.n_nodes):
-        estimate = qpe(
-            unitary,
-            encode_eigenstate(tour, instance.n_nodes),
-            m,
-            shots=config.shots_per_cycle,
-            seed=config.seed,
-            cap=config.max_qubits,
-        )
-        per_cycle.append(CycleResult(tour, estimate, decode_phase(estimate, scale)))
+    tours = enumerate_cycles(instance.n_nodes)
+    eigenstates = [encode_eigenstate(tour, instance.n_nodes) for tour in tours]
+    exponents = [unitary.exponent(eigenstate) for eigenstate in eigenstates]
+    # a cycle's circuit, and so its seeded readout, depends only on its
+    # exponent: estimate the first eigenstate of each exponent once
+    estimates: dict[int, PhaseEstimate] = {}
+    for exponent, eigenstate in zip(exponents, eigenstates):
+        if exponent not in estimates:
+            estimates[exponent] = qpe(
+                unitary,
+                eigenstate,
+                m,
+                shots=config.shots_per_cycle,
+                seed=config.seed,
+                cap=config.max_qubits,
+            )
+    per_cycle = [
+        CycleResult(tour, estimates[e], decode_phase(estimates[e], scale))
+        for tour, e in zip(tours, exponents)
+    ]
     best = min(per_cycle, key=lambda r: (r.length, r.tour))
     return TspReport(
         best_tour=best.tour,

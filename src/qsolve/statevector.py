@@ -24,7 +24,6 @@ DEFAULT_QUBIT_CAP = 26
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-12
 PROB_ZERO_TOL = 1e-12
-ANCILLA_LEAK_TOL = 1e-9
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _GATE_NAMES = ("h", "x", "z", "phase", "swap")

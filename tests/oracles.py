@@ -1,7 +1,7 @@
 """Independent reference computations the test suite checks the package
 against.  Everything here is built from explicit matrices, projector
 algebra and brute-force enumeration, deliberately sharing no code with the
-package's bitmask kernels.
+package's simulator kernels or solvers.
 
 Index convention matches the package: qubit 0 is the first Kronecker
 factor, i.e. the most significant bit of a basis index.
@@ -146,6 +146,27 @@ def brute_force_tours(weights) -> list[tuple[tuple[int, ...], int]]:
         length = sum(weights[a - 1][b - 1] for a, b in zip(closed, closed[1:]))
         results.append((tour, length))
     return results
+
+
+def diagonal_exponents(weights) -> np.ndarray:
+    """Exponent of the TSP weight-phase diagonal at every basis state of the
+    successor register: the summed weight of the edges its successor claims
+    point along, where self-loops and claims past node n add nothing.
+
+    Node i's block of ceil(log2 n) bits holds its successor minus one, MSB
+    first, with node 1's block leftmost.
+    """
+    w = np.array(weights, dtype=np.int64)
+    n = w.shape[0]
+    b = math.ceil(math.log2(n))
+    # edge weight by (node, claimed successor - 1), zero where nothing is added
+    gain = np.zeros((n, 1 << b), dtype=np.int64)
+    gain[:, :n] = w
+    gain[np.arange(n), np.arange(n)] = 0
+    index = np.arange(1 << (n * b), dtype=np.int64)
+    shifts = b * np.arange(n - 1, -1, -1)
+    claims = (index[:, np.newaxis] >> shifts) & ((1 << b) - 1)
+    return gain[np.arange(n), claims].sum(axis=1)
 
 
 # --- independent full phase estimation -----------------------------------------

@@ -11,6 +11,7 @@ from qsolve.grover_sat import GroverConfig, NotEqual, SumEquals
 from qsolve.grover_sat import solve as grover_solve
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 UNIT_KAKURO = PROBLEMS / "kakuro_unit_sums.json"
 CROSS_SUMS = PROBLEMS / "kakuro_cross_sums.json"
@@ -274,6 +275,31 @@ def test_parse_failures_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", "--input", str(bad))
     assert code == 2
     assert ":1:" in err
+
+
+@pytest.mark.parametrize("problem", [CROSS_SUMS, TSP], ids=["sat", "tsp"])
+def test_out_of_memory_exits_two_without_traceback(capsys, monkeypatch, problem):
+    def refuse(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("qsolve.circuit.init_zero", refuse)
+    code, out, err = run_cli(capsys, "solve", "--input", str(problem))
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize("problem", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.stem)
+def test_solve_output_matches_golden(capsys, problem, output):
+    """Exit code and stdout at seed 0 are pinned byte for byte; a change to
+    either must be deliberate and regenerate the files in tests/golden/."""
+    name = f"{problem.stem}.{output}.out"
+    code, out, _ = run_cli(
+        capsys, "solve", "--input", str(problem), "--output", output, "--seed", "0"
+    )
+    assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+    assert out.encode() == (GOLDEN / name).read_bytes()
 
 
 def test_usage_errors_raise_system_exit_two():

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qsolve import qpe_tsp
 from qsolve.errors import ProblemValidationError, QubitBudgetError
 from qsolve.qpe_tsp import (
+    CycleResult,
     PhaseEstimate,
     TspConfig,
-    WeightPhaseDiagonal,
     bits_per_node,
     build_phase_unitary,
     canonical_tour,
@@ -22,12 +23,11 @@ from qsolve.qpe_tsp import (
     qpe,
     qpe_circuit,
     solve,
-    tour_from_encoding,
     tour_length,
     validate_instance,
 )
 from qsolve.circuit import execute
-from qsolve.statevector import StateVector, probabilities
+from qsolve.statevector import probabilities
 
 FOUR_CITIES = instance_from_rows(
     [[0, 2, 1, 3], [2, 0, 2, 1], [1, 2, 0, 4], [3, 1, 4, 0]]
@@ -168,17 +168,8 @@ def test_decode_successors_inverts_blocks():
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_tour_encoding_round_trip(n):
     for tour in enumerate_cycles(n):
-        assert tour_from_encoding(encode_eigenstate(tour, n), n) == tour
-
-
-def test_tour_from_encoding_rejects_non_cycles():
-    with pytest.raises(ValueError):
-        tour_from_encoding(0, 4)  # every node claims successor 1
-    # two 2-cycles: 1<->2 and 3<->4
-    broken = encode_eigenstate((1, 2, 3, 4), 4) & 0  # start from zero, build directly
-    broken = (1 << 6) | (0 << 4) | (3 << 2) | 2
-    with pytest.raises(ValueError):
-        tour_from_encoding(broken, 4)
+        successors = [tour[(tour.index(node) + 1) % n] for node in range(1, n + 1)]
+        assert decode_successors(encode_eigenstate(tour, n), n) == successors
 
 
 # --- the diagonal operator ------------------------------------------------------------
@@ -196,36 +187,18 @@ def test_diagonal_exponent_equals_tour_length_on_cycles():
 def test_diagonal_exponents_vectorized_matches_scalar():
     scale, _ = phase_scale(FOUR_CITIES)
     diag = build_phase_unitary(FOUR_CITIES, scale)
-    table = diag.exponents()
+    table = oracles.diagonal_exponents(FOUR_CITIES.weights)
     assert table.shape == (256,)
     for index in range(256):
         assert table[index] == diag.exponent(index)
 
 
-def test_diagonal_apply_to_multiplies_phases():
-    scale, _ = phase_scale(FOUR_CITIES)
-    diag = build_phase_unitary(FOUR_CITIES, scale)
-    rng = np.random.default_rng(5)
-    amps = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-    amps /= np.linalg.norm(amps)
-    state = StateVector(8, amps)
-    result = diag.apply_to(state)
-    expected = amps * np.exp(2j * np.pi * diag.exponents() / scale)
-    assert np.max(np.abs(result.amps - expected)) < 1e-12
-    with pytest.raises(ValueError):
-        diag.apply_to(StateVector(2, np.array([1, 0, 0, 0], dtype=complex)))
-
-
-def test_diagonal_fixes_encoded_cycles_up_to_phase():
-    scale, _ = phase_scale(FOUR_CITIES)
-    diag = build_phase_unitary(FOUR_CITIES, scale)
-    for tour in enumerate_cycles(4):
-        enc = encode_eigenstate(tour, 4)
-        amps = np.zeros(256, dtype=complex)
-        amps[enc] = 1.0
-        result = diag.apply_to(StateVector(8, amps))
-        expected = np.exp(2j * np.pi * diag.eigenphase(enc))
-        assert abs(result.amps[enc] - expected) < 1e-12
+@pytest.mark.parametrize("instance", [FOUR_CITIES, random_instance(5, 11)])
+def test_oracle_diagonal_equals_tour_length_on_encoded_cycles(instance):
+    table = oracles.diagonal_exponents(instance.weights)
+    for tour in enumerate_cycles(instance.n_nodes):
+        enc = encode_eigenstate(tour, instance.n_nodes)
+        assert table[enc] == tour_length(instance, tour)
 
 
 # --- phase estimation ------------------------------------------------------------------
@@ -249,7 +222,7 @@ def test_qpe_register_matches_textbook_joint_simulation(instance):
     distribution of full phase estimation on the joint register."""
     scale, m = phase_scale(instance)
     diag = build_phase_unitary(instance, scale)
-    exponents = diag.exponents()
+    exponents = oracles.diagonal_exponents(instance.weights)
     for tour in enumerate_cycles(instance.n_nodes):
         enc = encode_eigenstate(tour, instance.n_nodes)
         circ = qpe_circuit(diag, enc, m)
@@ -327,3 +300,42 @@ def test_solve_matches_brute_force(seed):
     brute = oracles.brute_force_tours(instance.weights)
     assert report.best_length == min(length for _, length in brute)
     assert [r.length for r in report.per_cycle] == [length for _, length in brute]
+
+
+ALL_ONES_5 = instance_from_rows([[0 if i == j else 1 for j in range(5)] for i in range(5)])
+
+
+@pytest.mark.parametrize(
+    "instance, cycles, distinct",
+    [(ALL_ONES_5, 12, 1), (random_instance(6, 3, max_weight=3), 60, 8), (FOUR_CITIES, 3, 3)],
+    ids=["all_ones_5", "ties_6", "four_cities"],
+)
+def test_solve_runs_one_estimate_per_distinct_exponent(monkeypatch, instance, cycles, distinct):
+    """Cycles sharing an exponent share one phase estimation, and every
+    cycle's result equals the per-cycle reference exactly."""
+    n = instance.n_nodes
+    config = TspConfig(shots_per_cycle=512, seed=3)
+    scale, m = phase_scale(instance)
+    unitary = build_phase_unitary(instance, scale)
+    tours = enumerate_cycles(n)
+
+    def reference(tour):
+        eigenstate = encode_eigenstate(tour, n)
+        estimate = qpe(unitary, eigenstate, m, shots=config.shots_per_cycle, seed=config.seed)
+        return CycleResult(tour, estimate, decode_phase(estimate, scale))
+
+    expected = [reference(t) for t in tours]
+    assert len(tours) == cycles
+    assert len({unitary.exponent(encode_eigenstate(t, n)) for t in tours}) == distinct
+
+    runs = []
+
+    def counting_execute(circuit, **kwargs):
+        runs.append(circuit)
+        return execute(circuit, **kwargs)
+
+    monkeypatch.setattr(qpe_tsp, "execute", counting_execute)
+    report = solve(instance, config)
+    assert len(runs) == distinct
+    assert report.per_cycle == expected
+

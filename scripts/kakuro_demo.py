@@ -7,16 +7,14 @@ from pathlib import Path
 
 import numpy as np
 
-from qsolve.circuit import execute
 from qsolve.cli import parse_problem
 from qsolve.grover_sat import (
     GroverConfig,
-    build_search_circuit,
     classical_check,
     decode_bitstring,
     encode_assignment,
-    iteration_schedule,
     qubit_layout,
+    schedule_states,
     solve,
 )
 
@@ -35,8 +33,7 @@ def amplification_table(problem, layout):
     print(f"  search qubits: {n}, total qubits: {layout.num_qubits}, "
           f"satisfying assignments: {len(satisfying)}")
     print(f"  {'iterations':>10}  {'p(all solutions)':>16}  {'p(best single)':>15}")
-    for iterations in iteration_schedule(n):
-        state, _ = execute(build_search_circuit(problem, layout, iterations))
+    for iterations, state in schedule_states(problem, layout):
         per_index = (np.abs(state.amps) ** 2).reshape(1 << n, -1).sum(axis=1)
         total = sum(per_index[i] for i in satisfying)
         best = max((per_index[i] for i in satisfying), default=0.0)

@@ -187,29 +187,29 @@ def build_qft(qubits: Sequence[int]) -> Circuit:
     return frag
 
 
+def apply_ops(state: StateVector, ops: Iterable[CircuitOp]) -> None:
+    """Apply ops, validated when they entered a circuit, in order and in place."""
+    for op in ops:
+        apply_unchecked(state, op.gate, op.controls, op.targets)
+
+
 def execute(
     circuit: Circuit,
     shots: int = 0,
     seed: int = 0,
-    measured_qubits: Sequence[int] | None = None,
     cap: int = DEFAULT_QUBIT_CAP,
 ) -> tuple[StateVector, Histogram | None]:
     """Run the circuit from the all-zeros state.
 
     shots=0 skips sampling entirely (the seed is never consumed) and
-    returns ``(state, None)``; otherwise the histogram covers
-    ``measured_qubits`` (default: all qubits in order).
+    returns ``(state, None)``; otherwise the histogram covers all qubits in
+    order.  To read out a subset, call ``sample`` on the returned state.
     """
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
     state = init_zero(circuit.num_qubits, cap=cap)
-    for op in circuit.ops:
-        apply_unchecked(state, op.gate, op.controls, op.targets)
-    if shots == 0:
-        return state, None
-    if measured_qubits is None:
-        measured_qubits = range(circuit.num_qubits)
-    return state, sample(state, shots, seed, measured_qubits)
+    apply_ops(state, circuit.ops)
+    return state, (sample(state, shots, seed) if shots else None)
 
 
 # --- text serialization ----------------------------------------------------
@@ -254,20 +254,20 @@ def _parse_int_list(text: str, lineno: int) -> tuple[int, ...]:
 
 def parse_text(text: str) -> Circuit:
     """Parse the v1 text format back into a circuit."""
-    lines = [ln for ln in text.splitlines()]
-    body = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
+    body = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
     if not body:
         raise CircuitFormatError("empty circuit text")
     lineno, header = body[0]
     match = re.fullmatch(re.escape(_FORMAT_HEADER) + r" qubits=(\d+)", header)
     if not match:
         raise CircuitFormatError(f"line {lineno}: bad header {header!r}")
-    circuit = Circuit(int(match.group(1)))
-    registers: list[QubitRegister] = []
-    in_registers = True
+    try:
+        circuit = Circuit(int(match.group(1)))
+    except ValueError as exc:
+        raise CircuitFormatError(f"line {lineno}: {exc}") from exc
     for lineno, line in body[1:]:
         if line.startswith("register "):
-            if not in_registers:
+            if circuit.ops:
                 raise CircuitFormatError(
                     f"line {lineno}: register lines must precede op lines"
                 )
@@ -276,16 +276,10 @@ def parse_text(text: str) -> Circuit:
                 raise CircuitFormatError(f"line {lineno}: bad register line {line!r}")
             try:
                 reg = QubitRegister(parts[1], int(parts[2]), int(parts[3]))
+                circuit = Circuit(circuit.num_qubits, (*circuit.registers, reg))
             except ValueError as exc:
                 raise CircuitFormatError(f"line {lineno}: {exc}") from exc
-            registers.append(reg)
             continue
-        if in_registers:
-            in_registers = False
-            try:
-                circuit = Circuit(circuit.num_qubits, tuple(registers))
-            except ValueError as exc:
-                raise CircuitFormatError(f"line {lineno}: {exc}") from exc
         match = _OP_RE.fullmatch(line)
         if not match:
             raise CircuitFormatError(f"line {lineno}: bad op line {line!r}")
@@ -307,6 +301,4 @@ def parse_text(text: str) -> Circuit:
             )
         except ValueError as exc:
             raise CircuitFormatError(f"line {lineno}: {exc}") from exc
-    if in_registers:
-        circuit = Circuit(circuit.num_qubits, tuple(registers))
     return circuit

@@ -11,13 +11,14 @@ solution count is unknown up front.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
-from .circuit import Circuit, QubitRegister, execute, inverse
+from .circuit import Circuit, QubitRegister, apply_ops, execute, inverse
 from .errors import ProblemValidationError, QubitBudgetError
-from .statevector import DEFAULT_QUBIT_CAP, Histogram, Z
+from .statevector import DEFAULT_QUBIT_CAP, Histogram, StateVector, Z, sample
 
 Assignment = dict[str, int]
 
@@ -99,7 +100,7 @@ def validate_problem(problem: SatProblem) -> list[str]:
         elif isinstance(c, EqualConst):
             if c.a not in widths:
                 diags.append(f"{where}: undeclared variable {c.a!r}")
-            elif not 0 <= c.value < (1 << widths[c.a]):
+            elif c.value < 0 or c.value.bit_length() > widths[c.a]:
                 diags.append(
                     f"{where}: value {c.value} outside the range of {c.a!r} "
                     f"(0..{(1 << widths[c.a]) - 1})"
@@ -110,7 +111,10 @@ def validate_problem(problem: SatProblem) -> list[str]:
             missing = [n for n in c.vars if n not in widths]
             for n in missing:
                 diags.append(f"{where}: undeclared variable {n!r}")
-            if c.vars and not missing:
+            # the range is computed only for a value wider than every operand
+            if c.vars and not missing and (
+                c.value < 0 or c.value.bit_length() > max(widths[n] for n in c.vars)
+            ):
                 top = sum((1 << widths[n]) - 1 for n in c.vars)
                 if not 0 <= c.value <= top:
                     diags.append(
@@ -172,13 +176,15 @@ def qubit_layout(problem: SatProblem, max_qubits: int = DEFAULT_QUBIT_CAP) -> Qu
     diags = validate_problem(problem)
     if diags:
         raise ProblemValidationError(diags)
+    search_width = problem.search_width
+    if search_width > max_qubits:
+        # refused before the sum ranges, which take memory in proportion to bits
+        raise QubitBudgetError(
+            f"the search register alone needs {search_width} qubits but the cap is {max_qubits}"
+        )
     widths = problem.widths()
-    var_ranges = []
-    offset = 0
-    for v in problem.vars:
-        var_ranges.append((v.name, offset, v.bits))
-        offset += v.bits
-    search_width = offset
+    offsets = itertools.accumulate((v.bits for v in problem.vars), initial=0)
+    var_ranges = tuple((v.name, offset, v.bits) for v, offset in zip(problem.vars, offsets))
     flag_qubits = tuple(range(search_width, search_width + len(problem.constraints)))
     scratch_offset = search_width + len(flag_qubits)
     scratch_width = 0
@@ -194,7 +200,7 @@ def qubit_layout(problem: SatProblem, max_qubits: int = DEFAULT_QUBIT_CAP) -> Qu
             f"but the cap is {max_qubits}"
         )
     return QubitLayout(
-        var_ranges=tuple(var_ranges),
+        var_ranges=var_ranges,
         search_width=search_width,
         flag_qubits=flag_qubits,
         scratch_offset=scratch_offset,
@@ -312,8 +318,7 @@ def build_oracle(problem: SatProblem, layout: QubitLayout) -> Circuit:
     compute = Circuit(layout.num_qubits)
     for c, flag in zip(problem.constraints, layout.flag_qubits):
         compute.extend(_constraint_fragment(layout, c, flag))
-    oracle = Circuit(layout.num_qubits)
-    oracle.extend(compute)
+    oracle = Circuit(layout.num_qubits).extend(compute)
     flags = layout.flag_qubits
     oracle.add(Z, controls=flags[:-1], targets=(flags[-1],))
     oracle.extend(inverse(compute))
@@ -351,7 +356,7 @@ def grover_iterations(num_qubits: int, num_solutions: int) -> int:
     return math.floor((math.pi / 4) * math.sqrt((1 << num_qubits) / num_solutions))
 
 
-def iteration_schedule(search_width: int, max_steps: int | None = None) -> list[int]:
+def iteration_schedule(search_width: int) -> list[int]:
     """Iteration counts ceil(sqrt(2)**j) for j = 0, 1, ..., deduplicated and
     ascending, capped by the single-solution optimum ceil((pi/4)*sqrt(2**n)).
 
@@ -374,8 +379,6 @@ def iteration_schedule(search_width: int, max_steps: int | None = None) -> list[
             steps.append(t)
         j += 1
     steps.append(cap)
-    if max_steps is not None:
-        steps = steps[:max_steps]
     return steps
 
 
@@ -397,22 +400,49 @@ def _build_registers(layout: QubitLayout) -> tuple[QubitRegister, ...]:
     return tuple(regs)
 
 
-def build_search_circuit(
-    problem: SatProblem, layout: QubitLayout, iterations: int
-) -> Circuit:
+def _uniform_preparation(layout: QubitLayout) -> Circuit:
+    circ = Circuit(layout.num_qubits, registers=_build_registers(layout))
+    for q in layout.search_qubits:
+        circ.h(q)
+    return circ
+
+
+def _round(problem: SatProblem, layout: QubitLayout) -> Circuit:
+    return build_oracle(problem, layout).extend(
+        build_diffuser(layout.search_width, layout.num_qubits)
+    )
+
+
+def build_search_circuit(problem: SatProblem, layout: QubitLayout, iterations: int) -> Circuit:
     """Uniform state preparation on the search register followed by
     ``iterations`` oracle + diffuser rounds."""
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
-    circ = Circuit(layout.num_qubits, registers=_build_registers(layout))
-    for q in layout.search_qubits:
-        circ.h(q)
-    oracle = build_oracle(problem, layout)
-    diffuser = build_diffuser(layout.search_width, layout.num_qubits)
+    circ = _uniform_preparation(layout)
+    round_ = _round(problem, layout)
     for _ in range(iterations):
-        circ.extend(oracle)
-        circ.extend(diffuser)
+        circ.extend(round_)
     return circ
+
+
+def schedule_states(
+    problem: SatProblem, layout: QubitLayout, cap: int = DEFAULT_QUBIT_CAP
+) -> Iterator[tuple[int, StateVector]]:
+    """Yield ``(t, state)`` for each round count t of :func:`iteration_schedule`.
+
+    One state is carried along: the round is synthesized once and each step
+    applies only the rounds the previous one lacks, in the op order of
+    ``build_search_circuit(problem, layout, t)``, so the state is bitwise
+    that circuit's.  The same object is yielded each time and changes when
+    the walk resumes.
+    """
+    round_ops = _round(problem, layout).ops
+    state, _ = execute(_uniform_preparation(layout), cap=cap)
+    done = 0
+    for t in iteration_schedule(layout.search_width):
+        apply_ops(state, round_ops * (t - done))
+        done = t
+        yield t, state
 
 
 # --- decode / encode ---------------------------------------------------------
@@ -445,11 +475,6 @@ def encode_assignment(assignment: Assignment, problem: SatProblem) -> str:
     return "".join(parts)
 
 
-def decode(histogram: Histogram, problem: SatProblem) -> list[Assignment]:
-    """Measured candidates by descending frequency, ties by bitstring."""
-    return [decode_bitstring(bits, problem) for bits, _ in histogram.most_common()]
-
-
 # --- solver -------------------------------------------------------------------
 
 
@@ -459,7 +484,6 @@ class GroverConfig:
     seed: int = 0
     # None means the unknown-solution-count default of 2 / 2**search_width
     frequency_threshold: float | None = None
-    max_schedule_steps: int | None = None
     max_qubits: int = DEFAULT_QUBIT_CAP
 
 
@@ -481,37 +505,27 @@ class SolveReport:
 def solve(problem: SatProblem, config: GroverConfig | None = None) -> SolveReport:
     """Search with a growing iteration schedule.
 
-    At each schedule step the circuit is rebuilt and run fresh with the same
-    seed; measured bitstrings at or above the frequency threshold are decoded
-    and kept only if they pass :func:`classical_check`.  The first step that
-    yields any verified assignment wins.  An exhausted schedule returns an
-    empty solution list: "no solution found" is a result, not an error.
+    One state is carried along the schedule (see :func:`schedule_states`)
+    and sampled with the same seed at every step; measured bitstrings at or
+    above the frequency threshold are decoded and kept only if they pass
+    :func:`classical_check`.  The first step that yields any verified
+    assignment wins.  An exhausted schedule returns an empty solution list:
+    "no solution found" is a result, not an error.
     """
     config = config or GroverConfig()
     if config.shots < 1:
         raise ValueError(f"shots must be positive, got {config.shots}")
     layout = qubit_layout(problem, config.max_qubits)
-    n = layout.search_width
     threshold = (
         config.frequency_threshold
         if config.frequency_threshold is not None
-        else 2.0 / (1 << n)
+        else 2.0 / (1 << layout.search_width)
     )
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"frequency threshold must be in (0, 1], got {threshold}")
     trace: list[tuple[int, int]] = []
-    histogram: Histogram | None = None
-    iterations_used = 0
-    for iterations in iteration_schedule(n, config.max_schedule_steps):
-        circuit = build_search_circuit(problem, layout, iterations)
-        _, histogram = execute(
-            circuit,
-            shots=config.shots,
-            seed=config.seed,
-            measured_qubits=layout.search_qubits,
-            cap=config.max_qubits,
-        )
-        assert histogram is not None
+    for iterations, state in schedule_states(problem, layout, config.max_qubits):
+        histogram = sample(state, config.shots, config.seed, layout.search_qubits)
         verified: list[tuple[int, str, Assignment]] = []
         for bits, count in histogram.counts.items():
             if count / config.shots < threshold:
@@ -520,21 +534,12 @@ def solve(problem: SatProblem, config: GroverConfig | None = None) -> SolveRepor
             if classical_check(assignment, problem):
                 verified.append((count, bits, assignment))
         trace.append((iterations, len(verified)))
-        iterations_used = iterations
         if verified:
-            verified.sort(key=lambda item: (-item[0], item[1]))
-            return SolveReport(
-                solutions=[a for _, _, a in verified],
-                iterations_used=iterations,
-                shots=config.shots,
-                frequency_threshold=threshold,
-                histogram=histogram,
-                schedule_trace=trace,
-            )
-    assert histogram is not None
+            break
+    verified.sort(key=lambda item: (-item[0], item[1]))
     return SolveReport(
-        solutions=[],
-        iterations_used=iterations_used,
+        solutions=[a for _, _, a in verified],
+        iterations_used=iterations,
         shots=config.shots,
         frequency_threshold=threshold,
         histogram=histogram,

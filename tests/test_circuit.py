@@ -213,12 +213,6 @@ def test_execute_zero_shots_skips_sampler(monkeypatch):
     assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-9
 
 
-def test_execute_measures_requested_subset():
-    circ = Circuit(3).x(1)
-    _, hist = qc.execute(circ, shots=50, seed=1, measured_qubits=(1,))
-    assert hist.counts == {"1": 50}
-
-
 def test_execute_rejects_negative_shots():
     with pytest.raises(ValueError):
         qc.execute(Circuit(1).h(0), shots=-1)
@@ -282,6 +276,20 @@ def test_round_trip_preserves_phase_angle_exactly():
 )
 def test_parse_text_rejects_malformed_input(text):
     with pytest.raises(CircuitFormatError):
+        qc.parse_text(text)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("qsolve-circuit v1 qubits=0\n", 1),
+        ("qsolve-circuit v1 qubits=2\nregister a 0 5\n", 2),
+        ("qsolve-circuit v1 qubits=2\nregister a 0 5\nh controls=[] targets=[0]\n", 2),
+    ],
+    ids=["zero_qubits", "bad_last_register", "bad_register_before_ops"],
+)
+def test_parse_text_locates_bad_width_and_registers(text, line):
+    with pytest.raises(CircuitFormatError, match=f"^line {line}: "):
         qc.parse_text(text)
 
 

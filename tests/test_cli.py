@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -287,6 +288,30 @@ def test_out_of_memory_exits_two_without_traceback(capsys, monkeypatch, problem)
     assert code == 2
     assert out == ""
     assert err == "error: out of memory\n"
+
+
+def test_huge_variable_widths_are_refused_without_allocating(capsys, tmp_path):
+    path = write_problem(
+        tmp_path,
+        {
+            "type": "sat",
+            "variables": [{"name": n, "bits": 100_000_000} for n in ("a", "b")],
+            "constraints": [
+                {"kind": "equal_const", "args": ["a"], "value": 5},
+                {"kind": "sum_equals", "args": ["a", "b"], "value": 3},
+            ],
+        },
+    )
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "solve", "--input", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err == "error: the search register alone needs 200000000 qubits but the cap is 26\n"
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("output", ["text", "json"])

@@ -1,5 +1,7 @@
+import itertools
 import math
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 import oracles
 from problem_gen import generate_corpus
+import qsolve.circuit as qc
+from qsolve import cli, grover_sat
 from qsolve.circuit import Circuit, execute
 from qsolve.errors import ProblemValidationError, QubitBudgetError
 from qsolve.grover_sat import (
@@ -21,19 +25,20 @@ from qsolve.grover_sat import (
     build_oracle,
     build_search_circuit,
     classical_check,
-    decode,
     decode_bitstring,
     encode_assignment,
     grover_iterations,
     iteration_schedule,
     qubit_layout,
+    schedule_states,
     solve,
     synth_equal_const,
     synth_not_equal,
     synth_sum_equals,
     validate_problem,
 )
-from qsolve.statevector import Histogram
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 UNIT_KAKURO = SatProblem(
     tuple(VarDecl(name, 1) for name in "abcd"),
@@ -92,6 +97,25 @@ def test_validate_reports_defects(problem, fragment):
     diags = validate_problem(problem)
     assert diags
     assert any(fragment in d for d in diags)
+
+
+@pytest.mark.parametrize("widths", [(1,), (2,), (1, 1), (1, 3), (3, 2, 2)])
+def test_range_diagnostics_follow_the_integer_bounds(widths):
+    decls = tuple(VarDecl(f"v{i}", w) for i, w in enumerate(widths))
+    top = sum((1 << w) - 1 for w in widths)
+    for value in range(-2, top + 3):
+        constraints = (SumEquals(tuple(d.name for d in decls), value), EqualConst("v0", value))
+        expected = []
+        if not 0 <= value <= top:
+            expected.append(
+                f"constraints[0]: value {value} outside the achievable sum range (0..{top})"
+            )
+        if not 0 <= value < 1 << widths[0]:
+            expected.append(
+                f"constraints[1]: value {value} outside the range of 'v0' "
+                f"(0..{(1 << widths[0]) - 1})"
+            )
+        assert validate_problem(SatProblem(decls, constraints)) == expected
 
 
 def test_validate_indexes_offending_constraint():
@@ -354,10 +378,6 @@ def test_iteration_schedule_strictly_increasing(n):
     assert schedule[-1] == math.ceil((math.pi / 4) * math.sqrt(1 << n))
 
 
-def test_iteration_schedule_step_limit():
-    assert iteration_schedule(8, max_steps=3) == [1, 2, 3]
-
-
 # --- amplification dynamics ------------------------------------------------------------
 
 
@@ -437,11 +457,64 @@ def test_solve_exhausts_schedule_on_contradiction():
     assert report.schedule_trace == [(1, 0), (2, 0)]
 
 
-def test_solve_respects_step_limit():
+def test_solve_synthesizes_the_oracle_once(monkeypatch):
+    calls = [0]
+    real_build_oracle = grover_sat.build_oracle
+
+    def counting_build_oracle(*args):
+        calls[0] += 1
+        return real_build_oracle(*args)
+
+    monkeypatch.setattr(grover_sat, "build_oracle", counting_build_oracle)
+    problem = SatProblem((VarDecl("a", 4),), (NotEqual("a", "a"),))
+    report = solve(problem)
+    assert report.schedule_trace == [(1, 0), (2, 0), (3, 0), (4, 0)]
+    assert calls[0] == 1
+
+
+def test_solve_applies_the_largest_round_count_not_the_sum(monkeypatch):
+    # a != a never holds, so the whole schedule [1, 2] runs: 2 rounds, not 1 + 2
     problem = SatProblem((VarDecl("a", 2),), (NotEqual("a", "a"),))
-    report = solve(problem, GroverConfig(max_schedule_steps=1))
-    assert report.schedule_trace == [(1, 0)]
-    assert report.iterations_used == 1
+    layout = qubit_layout(problem)
+    round_ops = len(build_oracle(problem, layout).ops) + len(
+        build_diffuser(layout.search_width, layout.num_qubits).ops
+    )
+    applied = [0]
+    real_apply = qc.apply_unchecked
+
+    def counting_apply(*args):
+        applied[0] += 1
+        return real_apply(*args)
+
+    monkeypatch.setattr(qc, "apply_unchecked", counting_apply)
+    report = solve(problem)
+    assert report.schedule_trace == [(1, 0), (2, 0)]
+    assert applied[0] == layout.search_width + 2 * round_ops
+
+
+def assert_walk_matches_fresh_circuits(problem, steps=None):
+    """The carried state at each schedule step is bitwise the state of the
+    search circuit for that round count, run from |0...0>."""
+    layout = qubit_layout(problem)
+    for t, state in itertools.islice(schedule_states(problem, layout), steps):
+        fresh, _ = execute(build_search_circuit(problem, layout, t))
+        assert state.amps.tobytes() == fresh.amps.tobytes(), f"differs after {t} rounds"
+
+
+@pytest.mark.parametrize("problem,specs", generate_corpus(12, seed=7))
+def test_schedule_states_match_fresh_circuits_on_random_problems(problem, specs):
+    assert_walk_matches_fresh_circuits(problem)
+
+
+SAT_PROBLEMS = [p for p in sorted(PROBLEMS.glob("*.json")) if cli.parse_problem(p).kind == "sat"]
+
+
+@pytest.mark.parametrize("path", SAT_PROBLEMS, ids=lambda p: p.stem)
+def test_schedule_states_match_fresh_circuits_on_bundled_problems(path):
+    # 19 qubits: each fresh reference round takes about a second, so only
+    # the first two steps (the first carried one included) are compared
+    steps = 2 if path.stem == "kakuro_cross_sums" else None
+    assert_walk_matches_fresh_circuits(cli.parse_problem(path).sat, steps)
 
 
 def test_solve_filters_unverified_candidates():
@@ -501,11 +574,3 @@ def test_decode_bitstring_validation():
 def test_encode_assignment_validation():
     with pytest.raises(ValueError):
         encode_assignment({"a": 2, "b": 0, "c": 0, "d": 0}, UNIT_KAKURO)
-
-
-def test_decode_ranks_histogram():
-    hist = Histogram(30, {"0110": 10, "1001": 15, "0000": 5})
-    ranked = decode(hist, UNIT_KAKURO)
-    assert ranked[0] == {"a": 1, "b": 0, "c": 0, "d": 1}
-    assert ranked[1] == {"a": 0, "b": 1, "c": 1, "d": 0}
-    assert ranked[2] == {"a": 0, "b": 0, "c": 0, "d": 0}

@@ -2,74 +2,5 @@
 backed by a dense statevector simulator."""
 
 from . import circuit, cli, errors, grover_sat, qpe_tsp, statevector
-from .circuit import (
-    Circuit,
-    CircuitOp,
-    QubitRegister,
-    build_qft,
-    execute,
-    export_text,
-    inverse,
-    parse_text,
-)
-from .errors import (
-    AlgorithmMismatchError,
-    CircuitFormatError,
-    ProblemFileError,
-    ProblemValidationError,
-    QsolveError,
-    QubitBudgetError,
-)
-from .grover_sat import (
-    EqualConst,
-    GroverConfig,
-    NotEqual,
-    SatProblem,
-    SumEquals,
-    VarDecl,
-    grover_iterations,
-    iteration_schedule,
-)
-from .qpe_tsp import TspConfig, TspInstance, WeightPhaseDiagonal
-from .statevector import Gate, Histogram, StateVector, init_zero
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlgorithmMismatchError",
-    "Circuit",
-    "CircuitFormatError",
-    "CircuitOp",
-    "EqualConst",
-    "Gate",
-    "GroverConfig",
-    "Histogram",
-    "NotEqual",
-    "ProblemFileError",
-    "ProblemValidationError",
-    "QsolveError",
-    "QubitBudgetError",
-    "QubitRegister",
-    "SatProblem",
-    "StateVector",
-    "SumEquals",
-    "TspConfig",
-    "TspInstance",
-    "VarDecl",
-    "WeightPhaseDiagonal",
-    "build_qft",
-    "circuit",
-    "cli",
-    "errors",
-    "execute",
-    "export_text",
-    "grover_iterations",
-    "grover_sat",
-    "init_zero",
-    "inverse",
-    "iteration_schedule",
-    "parse_text",
-    "qpe_tsp",
-    "statevector",
-    "__version__",
-]

@@ -18,7 +18,6 @@ from .statevector import (
     SWAP,
     StateVector,
     X,
-    Z,
     apply_unchecked,
     check_operands,
     init_zero,
@@ -95,12 +94,6 @@ class Circuit:
         for op in self.ops:
             check_operands(self.num_qubits, op.gate, op.controls, op.targets)
 
-    def register(self, name: str) -> QubitRegister:
-        for reg in self.registers:
-            if reg.name == name:
-                return reg
-        raise KeyError(f"no register named {name!r}")
-
     def append(self, op: CircuitOp) -> "Circuit":
         check_operands(self.num_qubits, op.gate, op.controls, op.targets)
         self.ops.append(op)
@@ -136,9 +129,6 @@ class Circuit:
     def x(self, qubit: int) -> "Circuit":
         return self.add(X, targets=(qubit,))
 
-    def z(self, qubit: int) -> "Circuit":
-        return self.add(Z, targets=(qubit,))
-
     def swap(self, a: int, b: int) -> "Circuit":
         return self.add(SWAP, targets=(a, b))
 
@@ -147,9 +137,6 @@ class Circuit:
 
     def mcx(self, controls: Iterable[int], target: int) -> "Circuit":
         return self.add(X, controls=controls, targets=(target,))
-
-    def mcz(self, controls: Iterable[int], target: int) -> "Circuit":
-        return self.add(Z, controls=controls, targets=(target,))
 
     def phase_on(
         self, lam: float, qubit: int, controls: Iterable[int] = ()

@@ -119,15 +119,16 @@ def parse_problem(path) -> ParsedProblem:
     with a message locating the offending element."""
     path = Path(path)
     try:
-        text = path.read_text()
+        data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ProblemFileError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an integer past the int-to-str digit limit, or nesting too deep
+        raise ProblemFileError(f"{path}: unreadable JSON: {str(exc).partition(';')[0]}") from exc
     where = str(path)
     obj = _as_object(data, where)
     kind = _as_str(_get(obj, "type", where), f"{where}.type")
@@ -190,91 +191,6 @@ def select_algorithm(problem_kind: str, requested: str = "auto") -> str:
 
 
 # --- report rendering ----------------------------------------------------------
-
-SAT_REPORT_SCHEMA = {
-    "type": "object",
-    "required": [
-        "problem_type",
-        "algorithm",
-        "found",
-        "solutions",
-        "iterations_used",
-        "shots",
-        "frequency_threshold",
-        "schedule_trace",
-        "histogram",
-    ],
-    "properties": {
-        "problem_type": {"const": "sat"},
-        "algorithm": {"const": "grover"},
-        "found": {"type": "boolean"},
-        "solutions": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": {"type": "integer", "minimum": 0},
-            },
-        },
-        "iterations_used": {"type": "integer", "minimum": 0},
-        "shots": {"type": "integer", "minimum": 1},
-        "frequency_threshold": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "schedule_trace": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "integer", "minimum": 0},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-        "histogram": {
-            "type": "object",
-            "propertyNames": {"pattern": "^[01]+$"},
-            "additionalProperties": {"type": "integer", "minimum": 1},
-        },
-    },
-    "additionalProperties": False,
-}
-
-TSP_REPORT_SCHEMA = {
-    "type": "object",
-    "required": [
-        "problem_type",
-        "algorithm",
-        "best_tour",
-        "best_tour_display",
-        "best_length",
-        "precision_bits",
-        "scale",
-        "per_cycle",
-    ],
-    "properties": {
-        "problem_type": {"const": "tsp"},
-        "algorithm": {"const": "qpe"},
-        "best_tour": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "best_tour_display": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "best_length": {"type": "integer", "minimum": 0},
-        "precision_bits": {"type": "integer", "minimum": 1},
-        "scale": {"type": "integer", "minimum": 2},
-        "per_cycle": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["tour", "length", "raw", "phase", "probability"],
-                "properties": {
-                    "tour": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                    "length": {"type": "integer", "minimum": 0},
-                    "raw": {"type": "integer", "minimum": 0},
-                    "phase": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                    "probability": {"type": "number", "minimum": 0, "maximum": 1},
-                },
-                "additionalProperties": False,
-            },
-        },
-    },
-    "additionalProperties": False,
-}
-
 
 def sat_report_json(problem: SatProblem, report) -> dict:
     return {

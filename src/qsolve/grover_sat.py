@@ -100,10 +100,10 @@ def validate_problem(problem: SatProblem) -> list[str]:
         elif isinstance(c, EqualConst):
             if c.a not in widths:
                 diags.append(f"{where}: undeclared variable {c.a!r}")
-            elif c.value < 0 or c.value.bit_length() > widths[c.a]:
+            elif widths[c.a] >= 1 and (c.value < 0 or c.value.bit_length() > widths[c.a]):
                 diags.append(
                     f"{where}: value {c.value} outside the range of {c.a!r} "
-                    f"(0..{(1 << widths[c.a]) - 1})"
+                    f"(0..{_sum_top([widths[c.a]])})"
                 )
         elif isinstance(c, SumEquals):
             if not c.vars:
@@ -111,18 +111,28 @@ def validate_problem(problem: SatProblem) -> list[str]:
             missing = [n for n in c.vars if n not in widths]
             for n in missing:
                 diags.append(f"{where}: undeclared variable {n!r}")
+            ws = [widths[n] for n in c.vars if n in widths]
             # the range is computed only for a value wider than every operand
-            if c.vars and not missing and (
-                c.value < 0 or c.value.bit_length() > max(widths[n] for n in c.vars)
+            if ws and not missing and min(ws) >= 1 and (
+                c.value < 0
+                or (c.value.bit_length() > max(ws) and c.value > sum((1 << w) - 1 for w in ws))
             ):
-                top = sum((1 << widths[n]) - 1 for n in c.vars)
-                if not 0 <= c.value <= top:
-                    diags.append(
-                        f"{where}: value {c.value} outside the achievable sum range (0..{top})"
-                    )
+                top = _sum_top(ws)
+                diags.append(
+                    f"{where}: value {c.value} outside the achievable sum range (0..{top})"
+                )
         else:
             diags.append(f"{where}: unknown constraint type {type(c).__name__}")
     return diags
+
+
+def _sum_top(widths: Sequence[int]) -> str:
+    """sum(2**w - 1 for w in widths), whose widths are all at least 1 (a
+    smaller one has its own diagnostic): in decimal up to 64 bits, and
+    beyond as ``2**w+...-k``, so a wide bound is never built."""
+    if max(widths) <= 64:
+        return str(sum((1 << w) - 1 for w in widths))
+    return "+".join(f"2**{w}" for w in widths) + f"-{len(widths)}"
 
 
 def classical_check(assignment: Assignment, problem: SatProblem) -> bool:

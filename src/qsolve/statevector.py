@@ -20,9 +20,6 @@ from .errors import QubitBudgetError
 
 DEFAULT_QUBIT_CAP = 26
 
-# amplitude / probability tolerances used across the package
-NORM_TOL = 1e-9
-UNITARY_TOL = 1e-12
 PROB_ZERO_TOL = 1e-12
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -47,21 +44,6 @@ class Gate:
     @property
     def num_targets(self) -> int:
         return 2 if self.name == "swap" else 1
-
-    def matrix(self) -> np.ndarray:
-        """The gate's unitary on its own targets (2x2, or 4x4 for swap)."""
-        if self.name == "h":
-            return np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
-        if self.name == "x":
-            return np.array([[0, 1], [1, 0]], dtype=complex)
-        if self.name == "z":
-            return np.array([[1, 0], [0, -1]], dtype=complex)
-        if self.name == "phase":
-            return np.array([[1, 0], [0, np.exp(1j * self.lam)]], dtype=complex)
-        return np.array(
-            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-            dtype=complex,
-        )
 
     def inverse(self) -> "Gate":
         if self.name == "phase":
@@ -93,9 +75,6 @@ class StateVector:
                 f"expected {1 << self.num_qubits} amplitudes for "
                 f"{self.num_qubits} qubits, got shape {self.amps.shape}"
             )
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amps.copy())
 
 
 @dataclass(frozen=True)
@@ -220,32 +199,10 @@ def norm(state: StateVector) -> float:
     return float(np.sqrt(probabilities(state).sum()))
 
 
-def _check_subset(num_qubits: int, qubits: Sequence[int]) -> tuple[int, ...]:
-    qs = tuple(int(q) for q in qubits)
-    if not qs:
-        raise ValueError("qubit subset must not be empty")
-    if len(set(qs)) != len(qs):
-        raise ValueError(f"duplicate qubits in subset {qs}")
-    for q in qs:
-        if not 0 <= q < num_qubits:
-            raise ValueError(f"qubit {q} out of range for a {num_qubits}-qubit register")
-    return qs
-
-
 def bitstring(index: int, num_qubits: int, qubits: Sequence[int] | None = None) -> str:
     """Readout of ``index`` over ``qubits`` in the given order (default: all)."""
     bits = format(index, f"0{num_qubits}b")
     return bits if qubits is None else "".join(bits[q] for q in qubits)
-
-
-def marginal_probabilities(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
-    """Readout distribution over a qubit subset; entry i is the probability
-    of the subset bitstring with value i (first listed qubit = leftmost bit)."""
-    qs = _check_subset(state.num_qubits, qubits)
-    rest = tuple(q for q in range(state.num_qubits) if q not in qs)
-    p = probabilities(state).reshape((2,) * state.num_qubits)
-    p = np.transpose(p, qs + rest).sum(axis=tuple(range(len(qs), state.num_qubits)))
-    return p.reshape(-1)
 
 
 def sample(
@@ -262,9 +219,15 @@ def sample(
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
-    qs = _check_subset(
-        state.num_qubits, range(state.num_qubits) if qubits is None else qubits
-    )
+    n = state.num_qubits
+    qs = tuple(int(q) for q in (range(n) if qubits is None else qubits))
+    if not qs:
+        raise ValueError("qubit subset must not be empty")
+    if len(set(qs)) != len(qs):
+        raise ValueError(f"duplicate qubits in subset {qs}")
+    for q in qs:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for a {n}-qubit register")
     p = probabilities(state)
     p = np.where(p < PROB_ZERO_TOL, 0.0, p)
     total = p.sum()
@@ -274,7 +237,7 @@ def sample(
     rng = np.random.default_rng(seed)
     draws = rng.choice(p.shape[0], size=shots, p=p)
     values, freq = np.unique(draws, return_counts=True)
-    keys = [bitstring(v, state.num_qubits, qs) for v in values.tolist()]
+    keys = [bitstring(v, n, qs) for v in values.tolist()]
     counts: dict[str, int] = {}
     # distinct full-register outcomes may project onto the same subset key
     for key, c in sorted(zip(keys, freq.tolist())):

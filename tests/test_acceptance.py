@@ -44,7 +44,7 @@ PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def apply_gate(state, gate, controls=(), targets=()) -> StateVector:
-    out = state.copy()
+    out = StateVector(state.num_qubits, state.amps.copy())
     apply_gate_in_place(out, gate, controls, targets)
     return out
 

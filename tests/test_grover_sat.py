@@ -397,7 +397,7 @@ def test_search_circuit_registers():
     layout = qubit_layout(CROSS_SUM_KAKURO)
     circ = build_search_circuit(CROSS_SUM_KAKURO, layout, 1)
     assert [r.name for r in circ.registers] == ["a", "b", "c", "d", "flags", "scratch"]
-    assert circ.register("scratch").width == 3
+    assert circ.registers[-1].width == 3
 
 
 def test_search_circuit_register_names_avoid_collisions():

@@ -34,7 +34,7 @@ def amplification_table(problem, layout):
           f"satisfying assignments: {len(satisfying)}")
     print(f"  {'iterations':>10}  {'p(all solutions)':>16}  {'p(best single)':>15}")
     for iterations, state in schedule_states(problem, layout):
-        per_index = (np.abs(state.amps) ** 2).reshape(1 << n, -1).sum(axis=1)
+        per_index = np.abs(state.amps) ** 2
         total = sum(per_index[i] for i in satisfying)
         best = max((per_index[i] for i in satisfying), default=0.0)
         print(f"  {iterations:>10}  {total:>16.6f}  {best:>15.6f}")

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CircuitFormatError
@@ -59,18 +59,18 @@ class CircuitOp:
 
 @dataclass
 class Circuit:
-    """An ordered list of operations on ``num_qubits`` qubits.
+    """An ordered tuple of operations on ``num_qubits`` qubits.
 
     Equality is structural: same width, same registers, same op sequence.
-    An op is validated once, when it enters a circuit through ``add``,
-    ``append`` or the ``ops`` argument; ``extend`` of a circuit no wider
-    than this one, ``inverse`` and ``execute`` rely on that and do not check
-    again.  The builder methods return ``self`` so constructions chain.
+    An op is validated once, when it enters a circuit through ``add`` or
+    the ``ops`` argument; ``extend`` of a circuit no wider than this one,
+    ``inverse`` and ``execute`` rely on that and do not check again.  The
+    builder methods return ``self`` so constructions chain.
     """
 
     num_qubits: int
     registers: tuple[QubitRegister, ...] = ()
-    ops: list[CircuitOp] = field(default_factory=list)
+    ops: tuple[CircuitOp, ...] = ()
 
     def __post_init__(self):
         if self.num_qubits < 1:
@@ -90,14 +90,9 @@ class Circuit:
                 if q in claimed:
                     raise ValueError(f"register {reg.name!r} overlaps qubit {q}")
                 claimed.add(q)
-        self.ops = list(self.ops)
+        self.ops = tuple(self.ops)
         for op in self.ops:
             check_operands(self.num_qubits, op.gate, op.controls, op.targets)
-
-    def append(self, op: CircuitOp) -> "Circuit":
-        check_operands(self.num_qubits, op.gate, op.controls, op.targets)
-        self.ops.append(op)
-        return self
 
     def add(
         self,
@@ -106,7 +101,7 @@ class Circuit:
         targets: Iterable[int] = (),
     ) -> "Circuit":
         controls, targets = check_operands(self.num_qubits, gate, controls, targets)
-        self.ops.append(CircuitOp(gate, controls, targets))
+        self.ops += (CircuitOp(gate, controls, targets),)
         return self
 
     def extend(self, fragment: "Circuit") -> "Circuit":
@@ -118,7 +113,7 @@ class Circuit:
         if fragment.num_qubits > self.num_qubits:
             for op in fragment.ops:
                 check_operands(self.num_qubits, op.gate, op.controls, op.targets)
-        self.ops.extend(fragment.ops)
+        self.ops += fragment.ops
         return self
 
     # --- single-gate sugar -------------------------------------------------
@@ -147,7 +142,7 @@ class Circuit:
 def inverse(circuit: Circuit) -> Circuit:
     """The exact inverse: each op inverted, order reversed."""
     inv = Circuit(circuit.num_qubits, circuit.registers)
-    inv.ops = [op.inverse() for op in reversed(circuit.ops)]
+    inv.ops = tuple(op.inverse() for op in reversed(circuit.ops))
     return inv
 
 

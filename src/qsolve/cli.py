@@ -288,6 +288,14 @@ def _run_solve(args) -> int:
         raise UsageError(f"--shots must be positive, got {args.shots}")
     if args.max_qubits < 1:
         raise UsageError(f"--max-qubits must be positive, got {args.max_qubits}")
+    # draws take 8 bytes a shot, a state at the cap 16 * 2**max_qubits; the first
+    # test keeps a cap wider than the shot count from building 2**max_qubits
+    if args.max_qubits < args.shots.bit_length() and 8 * args.shots > 16 << args.max_qubits:
+        raise UsageError(
+            f"--shots {args.shots} needs more memory than a {args.max_qubits}-qubit state"
+        )
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.threshold is not None and not 0.0 < args.threshold <= 1.0:
         raise UsageError(f"--threshold must be in (0, 1], got {args.threshold}")
     parsed = parse_problem(args.input)

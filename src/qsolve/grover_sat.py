@@ -16,9 +16,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
-from .circuit import Circuit, QubitRegister, apply_ops, execute, inverse
+import numpy as np
+
+from .circuit import Circuit, CircuitOp, QubitRegister, apply_ops, execute, inverse
 from .errors import ProblemValidationError, QubitBudgetError
-from .statevector import DEFAULT_QUBIT_CAP, Histogram, StateVector, Z, sample
+from .statevector import DEFAULT_QUBIT_CAP, H, Histogram, StateVector, X, Z, sample
 
 Assignment = dict[str, int]
 
@@ -318,6 +320,14 @@ def _constraint_fragment(layout: QubitLayout, c: Constraint, flag: int) -> Circu
 # --- oracle, diffuser, schedule ---------------------------------------------
 
 
+def _compute(problem: SatProblem, layout: QubitLayout) -> Circuit:
+    """Every constraint's flag-flip fragment, in constraint order."""
+    compute = Circuit(layout.num_qubits)
+    for c, flag in zip(problem.constraints, layout.flag_qubits):
+        compute.extend(_constraint_fragment(layout, c, flag))
+    return compute
+
+
 def build_oracle(problem: SatProblem, layout: QubitLayout) -> Circuit:
     """Phase oracle: -1 on search states satisfying every constraint, +1
     elsewhere, with all flags and scratch restored to zero.
@@ -325,9 +335,7 @@ def build_oracle(problem: SatProblem, layout: QubitLayout) -> Circuit:
     Compute every flag, phase-flip on the all-flags-set subspace, uncompute.
     With a single constraint the phase flip is a plain Z on its flag.
     """
-    compute = Circuit(layout.num_qubits)
-    for c, flag in zip(problem.constraints, layout.flag_qubits):
-        compute.extend(_constraint_fragment(layout, c, flag))
+    compute = _compute(problem, layout)
     oracle = Circuit(layout.num_qubits).extend(compute)
     flags = layout.flag_qubits
     oracle.add(Z, controls=flags[:-1], targets=(flags[-1],))
@@ -335,13 +343,31 @@ def build_oracle(problem: SatProblem, layout: QubitLayout) -> Circuit:
     return oracle
 
 
-def build_diffuser(search_width: int, num_qubits: int | None = None) -> Circuit:
+def _marked(problem: SatProblem, layout: QubitLayout) -> np.ndarray:
+    """True on each search assignment whose flags the compute block all sets.
+
+    The block is X gates with any controls, which permute basis states, so
+    on |x, 0> the oracle is the sign -1 exactly there and resets every
+    ancilla.  Its ops run once on a boolean column of 2**search_width
+    values per qubit."""
+    columns = [np.zeros(1 << layout.search_width, dtype=bool) for _ in range(layout.num_qubits)]
+    for q in layout.search_qubits:
+        columns[q].reshape(1 << q, 2, -1)[:, 1] = True  # qubit 0 is the MSB
+    for op in _compute(problem, layout).ops:
+        if op.gate != X:
+            raise ValueError(f"the compute block must be X gates only, got {op.gate.name!r}")
+        # the AND of no columns is True: an uncontrolled X flips its target
+        columns[op.targets[0]] ^= np.logical_and.reduce([columns[c] for c in op.controls])
+    return np.logical_and.reduce([columns[f] for f in layout.flag_qubits])
+
+
+def build_diffuser(search_width: int) -> Circuit:
     """Reflection about the uniform superposition of the search register
     (up to a global phase): H X on every search qubit, a search-wide
     controlled Z, then X H back."""
     if search_width < 1:
         raise ValueError(f"search register needs at least one qubit, got {search_width}")
-    frag = Circuit(num_qubits or search_width)
+    frag = Circuit(search_width)
     for q in range(search_width):
         frag.h(q)
     for q in range(search_width):
@@ -410,47 +436,38 @@ def _build_registers(layout: QubitLayout) -> tuple[QubitRegister, ...]:
     return tuple(regs)
 
 
-def _uniform_preparation(layout: QubitLayout) -> Circuit:
-    circ = Circuit(layout.num_qubits, registers=_build_registers(layout))
-    for q in layout.search_qubits:
-        circ.h(q)
-    return circ
-
-
-def _round(problem: SatProblem, layout: QubitLayout) -> Circuit:
-    return build_oracle(problem, layout).extend(
-        build_diffuser(layout.search_width, layout.num_qubits)
-    )
-
-
 def build_search_circuit(problem: SatProblem, layout: QubitLayout, iterations: int) -> Circuit:
     """Uniform state preparation on the search register followed by
     ``iterations`` oracle + diffuser rounds."""
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
-    circ = _uniform_preparation(layout)
-    round_ = _round(problem, layout)
+    circ = Circuit(layout.num_qubits, registers=_build_registers(layout))
+    for q in layout.search_qubits:
+        circ.h(q)
+    round_ = build_oracle(problem, layout).extend(build_diffuser(layout.search_width))
     for _ in range(iterations):
         circ.extend(round_)
     return circ
 
 
-def schedule_states(
-    problem: SatProblem, layout: QubitLayout, cap: int = DEFAULT_QUBIT_CAP
-) -> Iterator[tuple[int, StateVector]]:
+def schedule_states(problem: SatProblem, layout: QubitLayout) -> Iterator[tuple[int, StateVector]]:
     """Yield ``(t, state)`` for each round count t of :func:`iteration_schedule`.
 
-    One state is carried along: the round is synthesized once and each step
-    applies only the rounds the previous one lacks, in the op order of
-    ``build_search_circuit(problem, layout, t)``, so the state is bitwise
-    that circuit's.  The same object is yielded each time and changes when
-    the walk resumes.
-    """
-    round_ops = _round(problem, layout).ops
-    state, _ = execute(_uniform_preparation(layout), cap=cap)
+    ``state`` is the search register alone: bitwise the flags-and-scratch-0
+    slice of the state of ``build_search_circuit(problem, layout, t)``,
+    which is 0 elsewhere.  A round is the oracle's sign (:func:`_marked`)
+    and the diffuser's ops.  The same object is yielded each time and
+    changes when the walk resumes."""
+    s = layout.search_width
+    marked = _marked(problem, layout)
+    diffuser_ops = build_diffuser(s).ops
+    # qubit_layout has held the whole layout, wider than this, to the cap
+    state, _ = execute(Circuit(s, ops=[CircuitOp(H, targets=(q,)) for q in range(s)]), cap=s)
     done = 0
-    for t in iteration_schedule(layout.search_width):
-        apply_ops(state, round_ops * (t - done))
+    for t in iteration_schedule(s):
+        for _ in range(t - done):
+            state.amps[marked] *= -1.0
+            apply_ops(state, diffuser_ops)
         done = t
         yield t, state
 
@@ -534,8 +551,8 @@ def solve(problem: SatProblem, config: GroverConfig | None = None) -> SolveRepor
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"frequency threshold must be in (0, 1], got {threshold}")
     trace: list[tuple[int, int]] = []
-    for iterations, state in schedule_states(problem, layout, config.max_qubits):
-        histogram = sample(state, config.shots, config.seed, layout.search_qubits)
+    for iterations, state in schedule_states(problem, layout):
+        histogram = sample(state, config.shots, config.seed)
         verified: list[tuple[int, str, Assignment]] = []
         for bits, count in histogram.counts.items():
             if count / config.shots < threshold:

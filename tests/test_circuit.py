@@ -38,10 +38,14 @@ def circuits(draw, max_qubits=4, max_ops=10):
 # --- construction and validation ------------------------------------------------
 
 
-def test_append_rejects_out_of_range_target():
-    circ = Circuit(2)
+def test_ops_argument_rejects_out_of_range_target():
     with pytest.raises(ValueError, match="out of range"):
-        circ.append(CircuitOp(X, targets=(5,)))
+        Circuit(3, ops=[CircuitOp(X, targets=(5,))])
+
+
+def test_ops_cannot_be_appended_to_unchecked():
+    with pytest.raises(AttributeError):
+        Circuit(3).ops.append(CircuitOp(X, targets=(-2,)))
 
 
 def test_builder_methods_record_ops_in_order():
@@ -92,7 +96,7 @@ def test_extend_is_all_or_nothing():
     circ = Circuit(2)
     with pytest.raises(ValueError, match="out of range"):
         circ.extend(Circuit(4).x(0).x(3))
-    assert circ.ops == []
+    assert circ.ops == ()
 
 
 # --- validation happens once per op --------------------------------------------------

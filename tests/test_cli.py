@@ -267,6 +267,47 @@ def test_bad_option_values_exit_two(capsys):
     assert "--shots" in err
 
 
+def test_negative_seed_exits_two(capsys):
+    code, out, err = run_cli(capsys, "solve", "--input", str(TSP), "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("problem", [UNIT_KAKURO, TSP], ids=["sat", "tsp"])
+def test_shots_past_the_state_budget_are_refused_before_solving(capsys, monkeypatch, problem):
+    def never(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cli, "grover_solve", never)
+    monkeypatch.setattr(cli, "tsp_solve", never)
+    for shots, max_qubits in ((10**15, 26), (8193, 12)):
+        code, out, err = run_cli(
+            capsys, "solve", "--input", str(problem),
+            "--shots", str(shots), "--max-qubits", str(max_qubits),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --shots ") and err.count("\n") == 1
+    monkeypatch.undo()
+    # 8 * 8192 bytes of draws is exactly the 16 * 2**12 bytes of a 12-qubit state
+    code, _, err = run_cli(
+        capsys, "solve", "--input", str(problem), "--shots", "8192", "--max-qubits", "12"
+    )
+    assert (code, err) == (0, "")
+    # a cap far wider than the shot count is compared without building 2**cap
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(
+            capsys, "solve", "--input", str(problem), "--max-qubits", str(10**7)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert peak < 1 << 20
+
+
 def test_parse_failures_exit_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, "solve", "--input", str(tmp_path / "missing.json"))
     assert code == 2

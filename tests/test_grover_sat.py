@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from math import isqrt
 from pathlib import Path
 
@@ -207,7 +208,7 @@ def test_not_equal_fragment_exhaustive():
 def test_not_equal_same_variable_is_empty():
     problem = SatProblem((VarDecl("a", 2),), (NotEqual("a", "a"),))
     layout = qubit_layout(problem)
-    assert synth_not_equal(layout, "a", "a", layout.flag_qubits[0]).ops == []
+    assert synth_not_equal(layout, "a", "a", layout.flag_qubits[0]).ops == ()
 
 
 def test_equal_const_fragment_exhaustive():
@@ -320,12 +321,6 @@ def test_diffuser_is_reflection_about_uniform_state(n):
     uniform_projector = np.full((1 << n, 1 << n), 1.0 / (1 << n))
     expected = np.eye(1 << n) - 2.0 * uniform_projector
     assert np.max(np.abs(mat - expected)) < 1e-12
-
-
-def test_diffuser_pads_to_requested_width():
-    frag = build_diffuser(2, num_qubits=5)
-    assert frag.num_qubits == 5
-    assert all(q < 2 for op in frag.ops for q in (*op.controls, *op.targets))
 
 
 # --- iteration counts -----------------------------------------------------------------
@@ -459,13 +454,13 @@ def test_solve_exhausts_schedule_on_contradiction():
 
 def test_solve_synthesizes_the_oracle_once(monkeypatch):
     calls = [0]
-    real_build_oracle = grover_sat.build_oracle
+    real_compute = grover_sat._compute
 
-    def counting_build_oracle(*args):
+    def counting_compute(*args):
         calls[0] += 1
-        return real_build_oracle(*args)
+        return real_compute(*args)
 
-    monkeypatch.setattr(grover_sat, "build_oracle", counting_build_oracle)
+    monkeypatch.setattr(grover_sat, "_compute", counting_compute)
     problem = SatProblem((VarDecl("a", 4),), (NotEqual("a", "a"),))
     report = solve(problem)
     assert report.schedule_trace == [(1, 0), (2, 0), (3, 0), (4, 0)]
@@ -473,12 +468,11 @@ def test_solve_synthesizes_the_oracle_once(monkeypatch):
 
 
 def test_solve_applies_the_largest_round_count_not_the_sum(monkeypatch):
-    # a != a never holds, so the whole schedule [1, 2] runs: 2 rounds, not 1 + 2
+    # a != a never holds, so the whole schedule [1, 2] runs: 2 rounds, not 1 + 2;
+    # a round is one sign flip and the diffuser's kernel calls
     problem = SatProblem((VarDecl("a", 2),), (NotEqual("a", "a"),))
     layout = qubit_layout(problem)
-    round_ops = len(build_oracle(problem, layout).ops) + len(
-        build_diffuser(layout.search_width, layout.num_qubits).ops
-    )
+    round_ops = len(build_diffuser(layout.search_width).ops)
     applied = [0]
     real_apply = qc.apply_unchecked
 
@@ -492,13 +486,64 @@ def test_solve_applies_the_largest_round_count_not_the_sum(monkeypatch):
     assert applied[0] == layout.search_width + 2 * round_ops
 
 
+def test_solve_refuses_a_compute_block_that_is_not_only_x(monkeypatch):
+    real_synth = grover_sat.synth_not_equal
+    built = [0]
+    real_init_zero = qc.init_zero
+
+    def synth_with_h(layout, a, b, flag):
+        return real_synth(layout, a, b, flag).h(0)
+
+    def counting_init_zero(*args, **kwargs):
+        built[0] += 1
+        return real_init_zero(*args, **kwargs)
+
+    monkeypatch.setattr(grover_sat, "synth_not_equal", synth_with_h)
+    monkeypatch.setattr(qc, "init_zero", counting_init_zero)
+    with pytest.raises(ValueError, match="X gates only, got .h."):
+        solve(UNIT_KAKURO)
+    assert built[0] == 0
+
+
+# 15 search + 4 flag + 6 scratch = 25 qubits: a 512 MiB state at full width
+WIDE_SPECS = (
+    ("not_equal", "a", "b"),
+    ("not_equal", "c", "d"),
+    ("sum_equals", tuple("abcde"), 20),
+    ("equal_const", "e", 4),
+)
+WIDE = SatProblem(
+    tuple(VarDecl(name, 3) for name in "abcde"),
+    (NotEqual("a", "b"), NotEqual("c", "d"), SumEquals(tuple("abcde"), 20), EqualConst("e", 4)),
+)
+
+
+def test_wide_layout_is_searched_on_the_search_register_alone():
+    layout = qubit_layout(WIDE)
+    assert (layout.search_width, len(layout.flag_qubits), layout.scratch_width) == (15, 4, 6)
+    tracemalloc.start()
+    try:
+        report = solve(WIDE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    accepted = oracles.enumerate_satisfying(WIDE.widths(), WIDE_SPECS)
+    assert report.iterations_used == 1
+    assert report.solutions
+    assert all(solution in accepted for solution in report.solutions)
+    assert peak < 32 << 20
+
+
 def assert_walk_matches_fresh_circuits(problem, steps=None):
-    """The carried state at each schedule step is bitwise the state of the
-    search circuit for that round count, run from |0...0>."""
+    """The carried search-register state at each schedule step is bitwise
+    the flags-and-scratch-zero column of the search circuit's state for that
+    round count, run from |0...0>, and every other column is exactly 0."""
     layout = qubit_layout(problem)
     for t, state in itertools.islice(schedule_states(problem, layout), steps):
         fresh, _ = execute(build_search_circuit(problem, layout, t))
-        assert state.amps.tobytes() == fresh.amps.tobytes(), f"differs after {t} rounds"
+        table = fresh.amps.reshape(1 << layout.search_width, -1)
+        assert state.amps.tobytes() == table[:, 0].tobytes(), f"differs after {t} rounds"
+        assert not table[:, 1:].any(), f"ancillas set after {t} rounds"
 
 
 @pytest.mark.parametrize("problem,specs", generate_corpus(12, seed=7))

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Estimate every tour length of a travelling-salesman instance through the
-phase register and cross-check the minimum against direct enumeration."""
+phase register and cross-check the minimum against direct enumeration.
+Exits 1 when the two minima differ."""
 
 import argparse
 import itertools
+import sys
 from pathlib import Path
 
 from qsolve.cli import parse_problem
@@ -51,9 +53,10 @@ def main():
     print(f"\nshortest tour: {list(display_tour(report.best_tour))} "
           f"length {report.best_length}")
     _, brute_length = brute_force_best(instance)
-    status = "agrees" if brute_length == report.best_length else "DISAGREES"
-    print(f"direct enumeration minimum: {brute_length} ({status})")
+    agrees = brute_length == report.best_length
+    print(f"direct enumeration minimum: {brute_length} ({'agrees' if agrees else 'DISAGREES'})")
+    return 0 if agrees else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

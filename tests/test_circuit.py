@@ -135,13 +135,13 @@ def test_search_circuit_ops_are_validated_once(operand_checks, monkeypatch):
 
 def test_tsp_solve_validates_each_executed_op_once(operand_checks, monkeypatch):
     executed = [0]
-    real_execute = qpe_tsp.execute
+    real_apply = qc.apply_unchecked
 
-    def counting_execute(circuit, **kwargs):
-        executed[0] += len(circuit.ops)
-        return real_execute(circuit, **kwargs)
+    def counting_apply(*args):
+        executed[0] += 1
+        return real_apply(*args)
 
-    monkeypatch.setattr(qpe_tsp, "execute", counting_execute)
+    monkeypatch.setattr(qc, "apply_unchecked", counting_apply)
     rows = [[0, 3, 4, 2, 7], [3, 0, 4, 6, 3], [4, 4, 0, 5, 8], [2, 6, 5, 0, 6], [7, 3, 8, 6, 0]]
     qpe_tsp.solve(qpe_tsp.instance_from_rows(rows))
     assert 0 < operand_checks[0] == executed[0]

@@ -1,10 +1,13 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qsolve import qpe_tsp
+from qsolve import circuit as qc
 from qsolve.errors import ProblemValidationError, QubitBudgetError
 from qsolve.qpe_tsp import (
     CycleResult,
@@ -19,19 +22,29 @@ from qsolve.qpe_tsp import (
     encode_eigenstate,
     enumerate_cycles,
     instance_from_rows,
+    estimate_phases,
     phase_scale,
-    qpe,
     qpe_circuit,
     solve,
     tour_length,
     validate_instance,
 )
-from qsolve.circuit import execute
+from qsolve.circuit import build_qft, execute, inverse
 from qsolve.statevector import probabilities
 
 FOUR_CITIES = instance_from_rows(
     [[0, 2, 1, 3], [2, 0, 2, 1], [1, 2, 0, 4], [3, 1, 4, 0]]
 )
+
+
+def reference_estimate(unitary, eigenstate, precision_bits, shots=4096, seed=0):
+    """One eigenstate's phase estimate from its own circuit: the modal readout
+    of ``execute`` (count ties broken by bitstring) and its exact probability."""
+    circuit = qpe_circuit(unitary, eigenstate, precision_bits)
+    state, histogram = execute(circuit, shots=shots, seed=seed)
+    raw = int(histogram.most_common()[0][0], 2)
+    phase = raw / (1 << precision_bits)
+    return PhaseEstimate(raw, precision_bits, phase, float(probabilities(state)[raw]))
 
 
 def random_instance(n, seed, max_weight=9):
@@ -234,18 +247,26 @@ def test_qpe_register_matches_textbook_joint_simulation(instance):
 def test_qpe_reads_exact_dyadic_phase_with_certainty():
     scale, m = phase_scale(FOUR_CITIES)
     diag = build_phase_unitary(FOUR_CITIES, scale)
-    for tour in enumerate_cycles(4):
-        estimate = qpe(diag, encode_eigenstate(tour, 4), m, shots=256, seed=0)
-        assert estimate.raw == tour_length(FOUR_CITIES, tour)
+    tours = enumerate_cycles(4)
+    lengths = [tour_length(FOUR_CITIES, tour) for tour in tours]
+    batched = estimate_phases(lengths, scale, m, TspConfig(shots_per_cycle=256, seed=0))
+    for tour, length, batch_estimate in zip(tours, lengths, batched):
+        estimate = reference_estimate(diag, encode_eigenstate(tour, 4), m, shots=256, seed=0)
+        assert batch_estimate == estimate
+        assert estimate.raw == length
         assert estimate.probability > 1.0 - 1e-9
         assert estimate.phase == estimate.raw / scale
 
 
-def test_qpe_enforces_qubit_cap():
-    scale, m = phase_scale(FOUR_CITIES)
-    diag = build_phase_unitary(FOUR_CITIES, scale)
-    with pytest.raises(QubitBudgetError):
-        qpe(diag, 0, m, cap=m - 1)
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_batch_reads_every_exponent_residue_as_its_own_circuit(m):
+    """All 2**m residues in one batch; at m <= 2 a phase op fixes every qubit
+    axis of a row, the one case where the kernel may round a row apart."""
+    scale = 1 << m
+    batched = estimate_phases(range(scale), scale, m, TspConfig(shots_per_cycle=64, seed=5))
+    for e, estimate in zip(range(scale), batched):
+        unitary = SimpleNamespace(exponent=lambda _, e=e: e, scale=scale)
+        assert estimate == reference_estimate(unitary, 0, m, shots=64, seed=5)
 
 
 def test_decode_phase_rounds_scaled_phase():
@@ -289,7 +310,7 @@ def test_solve_rejects_invalid_instances():
 
 
 def test_solve_respects_qubit_cap():
-    with pytest.raises(QubitBudgetError):
+    with pytest.raises(QubitBudgetError, match="4 precision qubits requested but the cap is 3"):
         solve(FOUR_CITIES, TspConfig(max_qubits=3))
 
 
@@ -303,16 +324,25 @@ def test_solve_matches_brute_force(seed):
 
 
 ALL_ONES_5 = instance_from_rows([[0 if i == j else 1 for j in range(5)] for i in range(5)])
+# one and two precision qubits: a phase op there fixes every qubit axis of a row
+ONE_BIT = instance_from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+TWO_BITS = instance_from_rows([[0, 1, 1, 0], [1, 0, 0, 0], [1, 0, 0, 1], [0, 0, 1, 0]])
 
 
 @pytest.mark.parametrize(
     "instance, cycles, distinct",
-    [(ALL_ONES_5, 12, 1), (random_instance(6, 3, max_weight=3), 60, 8), (FOUR_CITIES, 3, 3)],
-    ids=["all_ones_5", "ties_6", "four_cities"],
+    [
+        (ALL_ONES_5, 12, 1),
+        (random_instance(6, 3, max_weight=3), 60, 8),
+        (FOUR_CITIES, 3, 3),
+        (ONE_BIT, 3, 2),
+        (TWO_BITS, 3, 3),
+    ],
+    ids=["all_ones_5", "ties_6", "four_cities", "one_bit", "two_bits"],
 )
 def test_solve_runs_one_estimate_per_distinct_exponent(monkeypatch, instance, cycles, distinct):
-    """Cycles sharing an exponent share one phase estimation, and every
-    cycle's result equals the per-cycle reference exactly."""
+    """All distinct exponents share one pass of the ops, and every cycle's
+    result equals the reference of its own circuit exactly."""
     n = instance.n_nodes
     config = TspConfig(shots_per_cycle=512, seed=3)
     scale, m = phase_scale(instance)
@@ -321,21 +351,55 @@ def test_solve_runs_one_estimate_per_distinct_exponent(monkeypatch, instance, cy
 
     def reference(tour):
         eigenstate = encode_eigenstate(tour, n)
-        estimate = qpe(unitary, eigenstate, m, shots=config.shots_per_cycle, seed=config.seed)
+        estimate = reference_estimate(unitary, eigenstate, m, config.shots_per_cycle, config.seed)
         return CycleResult(tour, estimate, decode_phase(estimate, scale))
 
     expected = [reference(t) for t in tours]
     assert len(tours) == cycles
     assert len({unitary.exponent(encode_eigenstate(t, n)) for t in tours}) == distinct
 
-    runs = []
+    calls = [0]
+    real_apply = qc.apply_unchecked
 
-    def counting_execute(circuit, **kwargs):
-        runs.append(circuit)
-        return execute(circuit, **kwargs)
+    def counting_apply(*args):
+        calls[0] += 1
+        return real_apply(*args)
 
-    monkeypatch.setattr(qpe_tsp, "execute", counting_execute)
+    monkeypatch.setattr(qc, "apply_unchecked", counting_apply)
     report = solve(instance, config)
-    assert len(runs) == distinct
+    # the H layer and the inverse Fourier transform, once, however many rows
+    assert calls[0] == m + len(inverse(build_qft(range(m))).ops)
     assert report.per_cycle == expected
+
+
+def test_solve_in_chunks_matches_one_batch_and_holds_one_state_at_the_cap(monkeypatch):
+    """A qubit cap one above the precision register allows two rows per pass:
+    the readouts must not change, and the batch must never hold more than the
+    16 * 2**max_qubits bytes of one state at the cap."""
+    instance = random_instance(6, 1, max_weight=300)
+    _, m = phase_scale(instance)
+    cap = m + 1
+    whole = solve(instance, TspConfig(shots_per_cycle=256))
+    assert len({r.length for r in whole.per_cycle}) > 2
+
+    held = []
+    real_apply = qc.apply_unchecked
+
+    def measuring_apply(state, gate, controls, targets):
+        if gate.name == "h" and targets == (0,):
+            # first and last op of a pass: numpy array data of at least one row
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+            )
+            held.append(sum(t.size for t in snapshot.traces if t.size >= 16 << m))
+        return real_apply(state, gate, controls, targets)
+
+    monkeypatch.setattr(qc, "apply_unchecked", measuring_apply)
+    tracemalloc.start()
+    try:
+        chunked = solve(instance, TspConfig(shots_per_cycle=256, max_qubits=cap))
+    finally:
+        tracemalloc.stop()
+    assert chunked.per_cycle == whole.per_cycle
+    assert max(held) == 16 << cap
 

@@ -89,6 +89,10 @@ def test_init_zero_enforces_qubit_cap():
 def test_statevector_rejects_wrong_length():
     with pytest.raises(ValueError):
         sv.StateVector(2, np.zeros(3, dtype=complex))
+    with pytest.raises(ValueError):
+        sv.StateVector(2, np.zeros((2, 3), dtype=complex))
+    with pytest.raises(ValueError):
+        sv.StateVector(2, np.zeros((2, 2, 4), dtype=complex))
 
 
 def test_kernel_updates_state_built_from_strided_amplitudes():
@@ -123,6 +127,22 @@ def test_apply_gate_matches_reference_matrix(application, seed):
     result = apply_gate(state, gate, controls, targets)
     expected = oracles.embedded_op(n, gate.name, gate.lam, controls, targets) @ state.amps
     assert np.max(np.abs(result.amps - expected)) < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(gate_applications(), st.integers(0, 2**32 - 1))
+def test_batch_rows_advance_bitwise_as_single_states(application, seed):
+    n, gate, controls, targets = application
+    rows = [random_state(n, seed + k) for k in range(3)]
+    batch = sv.StateVector(n, np.stack([row.amps for row in rows]))
+    sv.apply_gate_in_place(batch, gate, controls, targets)
+    for got, row in zip(batch.amps, rows):
+        alone = apply_gate(row, gate, controls, targets).amps
+        if gate.name == "phase" and len(controls) + 1 == n:
+            # one amplitude per row: numpy may round the product differently
+            assert np.max(np.abs(got - alone)) < 1e-15
+        else:
+            assert got.tobytes() == alone.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

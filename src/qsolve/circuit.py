@@ -1,15 +1,13 @@
 """Circuit representation: named registers, an ordered gate list, structural
-inversion, a Fourier-transform builder, execution, and a line-oriented text
-format that round-trips exactly."""
+inversion, a Fourier-transform builder, execution, and export to a
+line-oriented text format."""
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CircuitFormatError
 from .statevector import (
     DEFAULT_QUBIT_CAP,
     Gate,
@@ -35,7 +33,7 @@ class QubitRegister:
     width: int
 
     def __post_init__(self):
-        if not self.name or not re.fullmatch(r"[A-Za-z_]\w*", self.name):
+        if not self.name.isidentifier():
             raise ValueError(f"register name {self.name!r} is not an identifier")
         if self.offset < 0 or self.width < 1:
             raise ValueError(f"bad register extent: offset={self.offset} width={self.width}")
@@ -194,24 +192,17 @@ def execute(
     return state, (sample(state, shots, seed) if shots else None)
 
 
-# --- text serialization ----------------------------------------------------
-
-_FORMAT_HEADER = "qsolve-circuit v1"
-
-_OP_RE = re.compile(
-    r"(?P<kind>[a-z]+)(?:\((?P<lam>[^)]*)\))?"
-    r" controls=\[(?P<controls>[^\]]*)\] targets=\[(?P<targets>[^\]]*)\]"
-)
+# --- text export -------------------------------------------------------------
 
 
 def export_text(circuit: Circuit) -> str:
     """Render a circuit in the v1 text format.
 
     One header line, one line per register, then one line per op in order.
-    Phase angles are written with ``repr`` so parsing returns the identical
-    float and export/parse round-trips exactly.
+    Controls are written sorted; phase angles are written with ``repr``, the
+    shortest text that reads back as the identical float.
     """
-    lines = [f"{_FORMAT_HEADER} qubits={circuit.num_qubits}"]
+    lines = [f"qsolve-circuit v1 qubits={circuit.num_qubits}"]
     for reg in circuit.registers:
         lines.append(f"register {reg.name} {reg.offset} {reg.width}")
     for op in circuit.ops:
@@ -222,65 +213,3 @@ def export_text(circuit: Circuit) -> str:
         tgt = ",".join(str(q) for q in op.targets)
         lines.append(f"{kind} controls=[{ctrl}] targets=[{tgt}]")
     return "\n".join(lines) + "\n"
-
-
-def _parse_int_list(text: str, lineno: int) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise CircuitFormatError(f"line {lineno}: bad qubit list [{text}]") from exc
-
-
-def parse_text(text: str) -> Circuit:
-    """Parse the v1 text format back into a circuit."""
-    body = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
-    if not body:
-        raise CircuitFormatError("empty circuit text")
-    lineno, header = body[0]
-    match = re.fullmatch(re.escape(_FORMAT_HEADER) + r" qubits=(\d+)", header)
-    if not match:
-        raise CircuitFormatError(f"line {lineno}: bad header {header!r}")
-    try:
-        circuit = Circuit(int(match.group(1)))
-    except ValueError as exc:
-        raise CircuitFormatError(f"line {lineno}: {exc}") from exc
-    for lineno, line in body[1:]:
-        if line.startswith("register "):
-            if circuit.ops:
-                raise CircuitFormatError(
-                    f"line {lineno}: register lines must precede op lines"
-                )
-            parts = line.split()
-            if len(parts) != 4:
-                raise CircuitFormatError(f"line {lineno}: bad register line {line!r}")
-            try:
-                reg = QubitRegister(parts[1], int(parts[2]), int(parts[3]))
-                circuit = Circuit(circuit.num_qubits, (*circuit.registers, reg))
-            except ValueError as exc:
-                raise CircuitFormatError(f"line {lineno}: {exc}") from exc
-            continue
-        match = _OP_RE.fullmatch(line)
-        if not match:
-            raise CircuitFormatError(f"line {lineno}: bad op line {line!r}")
-        kind = match.group("kind")
-        lam_text = match.group("lam")
-        try:
-            if kind == "phase":
-                if lam_text is None:
-                    raise ValueError("phase needs an angle")
-                gate = phase(float(lam_text))
-            elif lam_text is not None:
-                raise ValueError(f"gate {kind!r} takes no angle")
-            else:
-                gate = Gate(kind)
-            circuit.add(
-                gate,
-                controls=_parse_int_list(match.group("controls"), lineno),
-                targets=_parse_int_list(match.group("targets"), lineno),
-            )
-        except ValueError as exc:
-            raise CircuitFormatError(f"line {lineno}: {exc}") from exc
-    return circuit

@@ -313,7 +313,7 @@ def _run_solve(args) -> int:
         if args.dump_circuit:
             layout = qubit_layout(parsed.sat, args.max_qubits)
             circuit = build_search_circuit(parsed.sat, layout, report.iterations_used)
-            Path(args.dump_circuit).write_text(export_text(circuit))
+            Path(args.dump_circuit).write_text(export_text(circuit), encoding="utf-8")
         if args.output == "json":
             _emit_json(sat_report_json(parsed.sat, report), sys.stdout)
         else:
@@ -329,7 +329,7 @@ def _run_solve(args) -> int:
         unitary = build_phase_unitary(parsed.tsp, report.scale)
         eigenstate = encode_eigenstate(report.best_tour, parsed.tsp.n_nodes)
         circuit = qpe_circuit(unitary, eigenstate, report.precision_bits)
-        Path(args.dump_circuit).write_text(export_text(circuit))
+        Path(args.dump_circuit).write_text(export_text(circuit), encoding="utf-8")
     if args.output == "json":
         _emit_json(tsp_report_json(report), sys.stdout)
     else:

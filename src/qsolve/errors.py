@@ -26,7 +26,3 @@ class ProblemFileError(QsolveError):
 
 class AlgorithmMismatchError(QsolveError):
     """The requested algorithm cannot solve the given problem type."""
-
-
-class CircuitFormatError(QsolveError):
-    """Text describing a circuit does not conform to the export format."""

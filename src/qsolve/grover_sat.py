@@ -20,7 +20,7 @@ import numpy as np
 
 from .circuit import Circuit, CircuitOp, QubitRegister, apply_ops, execute, inverse
 from .errors import ProblemValidationError, QubitBudgetError
-from .statevector import DEFAULT_QUBIT_CAP, H, Histogram, StateVector, X, Z, sample
+from .statevector import DEFAULT_QUBIT_CAP, H, Histogram, StateVector, X, Z, sample, zeros
 
 Assignment = dict[str, int]
 
@@ -350,7 +350,7 @@ def _marked(problem: SatProblem, layout: QubitLayout) -> np.ndarray:
     on |x, 0> the oracle is the sign -1 exactly there and resets every
     ancilla.  Its ops run once on a boolean column of 2**search_width
     values per qubit."""
-    columns = [np.zeros(1 << layout.search_width, dtype=bool) for _ in range(layout.num_qubits)]
+    columns = [zeros((1 << layout.search_width,), bool) for _ in range(layout.num_qubits)]
     for q in layout.search_qubits:
         columns[q].reshape(1 << q, 2, -1)[:, 1] = True  # qubit 0 is the MSB
     for op in _compute(problem, layout).ops:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .circuit import Circuit, CircuitOp, QubitRegister, apply_ops, build_qft, inverse
 from .errors import ProblemValidationError, QubitBudgetError
-from .statevector import DEFAULT_QUBIT_CAP, H, StateVector, probabilities, sample
+from .statevector import DEFAULT_QUBIT_CAP, H, StateVector, probabilities, sample, zeros
 
 MIN_NODES = 3
 MAX_NODES = 8
@@ -166,7 +166,7 @@ class WeightPhaseDiagonal:
     Basis state x picks up exp(2*pi*i * E(x) / scale) where E(x) sums the
     weight of every edge a successor block points along (self-loops and
     out-of-range claims contribute nothing).  Encoded cycles are eigenstates
-    with eigenphase tour_length / scale.
+    whose phase is tour_length / scale.
     """
 
     weights: tuple[tuple[int, ...], ...]
@@ -182,9 +182,6 @@ class WeightPhaseDiagonal:
             if claim <= self.n_nodes and claim != node:
                 total += self.weights[node - 1][claim - 1]
         return total
-
-    def eigenphase(self, index: int) -> float:
-        return (self.exponent(index) % self.scale) / self.scale
 
 
 def build_phase_unitary(instance: TspInstance, scale: int) -> WeightPhaseDiagonal:
@@ -236,7 +233,7 @@ def estimate_phases(
     batch run through a single pass of the ops.  Each row reads out its modal
     bitstring at ``config.seed`` (count ties broken by bitstring)."""
     m = precision_bits
-    batch = StateVector(m, np.zeros((len(exponents), 1 << m), dtype=np.complex128))
+    batch = StateVector(m, zeros((len(exponents), 1 << m), np.complex128))
     batch.amps[:, 0] = 1.0
     apply_ops(batch, Circuit(m, ops=[CircuitOp(H, targets=(j,)) for j in range(m)]).ops)
     # the kickback, with the phase kernel's scalar np.exp so rows match bit for bit

@@ -11,6 +11,7 @@ applied natively on views of that array, with each control axis fixed at
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -90,6 +91,15 @@ class Histogram:
         return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
+def zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """``np.zeros``, refusing with a MemoryError, before allocating, an array
+    whose bytes numpy cannot address (numpy raises a ValueError there)."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes > sys.maxsize:
+        raise MemoryError(f"an array of shape {shape} needs {nbytes} bytes, past the address space")
+    return np.zeros(shape, dtype)
+
+
 def init_zero(num_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
     """The all-zeros computational basis state.
 
@@ -102,7 +112,7 @@ def init_zero(num_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
         raise QubitBudgetError(
             f"{num_qubits} qubits requested but the simulator cap is {cap}"
         )
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amps = zeros((1 << num_qubits,), np.complex128)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
 

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsolve import cli
-from qsolve.circuit import parse_text
+from qsolve import cli, grover_sat, qpe_tsp
+from qsolve.circuit import export_text
 from qsolve.errors import AlgorithmMismatchError, ProblemFileError
-from qsolve.grover_sat import GroverConfig, NotEqual, SumEquals
+from qsolve.grover_sat import GroverConfig, NotEqual, SumEquals, build_search_circuit, qubit_layout
 from qsolve.grover_sat import solve as grover_solve
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -364,6 +364,49 @@ def test_huge_variable_widths_are_refused_without_allocating(capsys, tmp_path):
     assert peak < 1 << 20
 
 
+# a 59-qubit precision register (3 nodes, one 2**58 edge) and a 64-bit search
+# register: numpy cannot address either, and raises ValueError if asked
+WIDE_PROBLEMS = {
+    "tsp_59": {"type": "tsp", "adjacency": [[0, 2**58, 1], [2**58, 0, 1], [1, 1, 0]]},
+    "sat_64": {
+        "type": "sat",
+        "variables": [{"name": "a", "bits": 64}],
+        "constraints": [{"kind": "equal_const", "args": ["a"], "value": 5}],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_PROBLEMS))
+def test_registers_too_wide_for_numpy_exit_two_without_allocating(capsys, tmp_path, name):
+    path = write_problem(tmp_path, WIDE_PROBLEMS[name])
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "solve", "--input", str(path), "--max-qubits", "100")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_PROBLEMS))
+def test_solvers_raise_memory_error_on_registers_too_wide_for_numpy(tmp_path, name):
+    parsed = cli.parse_problem(write_problem(tmp_path, WIDE_PROBLEMS[name]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError):
+            if parsed.kind == "sat":
+                grover_sat.solve(parsed.sat, GroverConfig(max_qubits=100))
+            else:
+                qpe_tsp.solve(parsed.tsp, qpe_tsp.TspConfig(max_qubits=100))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def sat_file(tmp_path, bits, constraint) -> Path:
     """One variable ``a`` of width ``bits`` plus a 2-bit ``b``, one constraint."""
     variables = [{"name": "a", "bits": bits}, {"name": "b", "bits": 2}]
@@ -499,6 +542,46 @@ SAT_FILES = st.fixed_dictionaries(
         "constraints": or_junk(st.lists(or_junk(CONSTRAINTS), max_size=3)),
     }
 )
+IDENTIFIERS = st.one_of(
+    st.sampled_from(["a", "é", "flags"]),  # "flags" also names the flag register
+    st.text(st.characters(categories=["L", "Nd", "Pc"]), min_size=1, max_size=3).filter(
+        str.isidentifier
+    ),
+)
+
+
+@st.composite
+def declared_sat_files(draw):
+    """SAT files whose constraints name only declared variables, so that many
+    reach the solver and the circuit dump; names include non-ASCII ones."""
+    names = draw(st.lists(IDENTIFIERS, min_size=1, max_size=3, unique=True))
+    declared = st.sampled_from(names)
+    constraint = st.one_of(
+        st.fixed_dictionaries(
+            {"kind": st.just("not_equal"), "args": st.lists(declared, min_size=2, max_size=2)}
+        ),
+        st.fixed_dictionaries(
+            {
+                "kind": st.just("equal_const"),
+                "args": st.lists(declared, min_size=1, max_size=1),
+                "value": st.integers(0, 3),
+            }
+        ),
+        st.fixed_dictionaries(
+            {
+                "kind": st.just("sum_equals"),
+                "args": st.lists(declared, min_size=1, max_size=3),
+                "value": st.integers(0, 6),
+            }
+        ),
+    )
+    return {
+        "type": "sat",
+        "variables": [{"name": n, "bits": draw(st.integers(1, 2))} for n in names],
+        "constraints": draw(st.lists(constraint, min_size=1, max_size=3)),
+    }
+
+
 TSP_FILES = st.fixed_dictionaries(
     {
         "type": st.just("tsp"),
@@ -517,27 +600,30 @@ def encode(doc) -> bytes:
 
 
 PROBLEM_BYTES = mostly(
-    st.one_of(SAT_FILES, TSP_FILES).map(encode),
+    st.one_of(SAT_FILES, declared_sat_files(), TSP_FILES).map(encode),
     st.one_of(JUNK.map(encode), st.binary(max_size=8)),
     4,
 )
 
 
 @settings(max_examples=100, deadline=None)
-@given(PROBLEM_BYTES)
-def test_random_problem_files_never_escape_the_cli(tmp_path_factory, content):
+@given(PROBLEM_BYTES, st.booleans())
+def test_random_problem_files_never_escape_the_cli(tmp_path_factory, content, dump):
     path = tmp_path_factory.getbasetemp() / "random_problem.json"
     path.write_bytes(content)
+    circuit = tmp_path_factory.getbasetemp() / "random_circuit.txt"
+    circuit.unlink(missing_ok=True)
+    argv = ["solve", "--input", str(path), "--max-qubits", "12", "--shots", "64"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(
-            ["solve", "--input", str(path), "--max-qubits", "12", "--shots", "64"]
-        )
+        code = cli.main(argv + (["--dump-circuit", str(circuit)] if dump else []))
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ")
     else:
         assert err.getvalue() == ""
+        if dump:
+            assert circuit.read_text(encoding="utf-8").startswith("qsolve-circuit v1 ")
 
 
 @pytest.mark.parametrize("output", ["text", "json"])
@@ -570,12 +656,16 @@ def test_dump_circuit_grover(capsys, tmp_path):
         capsys, "solve", "--input", str(UNIT_KAKURO), "--dump-circuit", str(dump)
     )
     assert code == 0
-    circuit = parse_text(dump.read_text())
-    assert circuit.num_qubits == 7
-    assert [r.name for r in circuit.registers] == ["a", "b", "c", "d", "flags"]
     # the dump reflects the iteration count the solver actually stopped at
-    report = grover_solve(cli.parse_problem(UNIT_KAKURO).sat, GroverConfig())
-    flips = sum(1 for op in circuit.ops if op.gate.name == "z" and op.controls)
+    problem = cli.parse_problem(UNIT_KAKURO).sat
+    report = grover_solve(problem, GroverConfig())
+    reference = build_search_circuit(problem, qubit_layout(problem), report.iterations_used)
+    assert dump.read_bytes() == export_text(reference).encode()
+    lines = dump.read_text().splitlines()
+    assert lines[0] == "qsolve-circuit v1 qubits=7"
+    registers = [line.split()[1] for line in lines if line.startswith("register ")]
+    assert registers == ["a", "b", "c", "d", "flags"]
+    flips = sum(1 for line in lines if line.startswith("z controls=[") and "[]" not in line)
     assert flips == 2 * report.iterations_used  # one oracle + one diffuser flip each
 
 
@@ -585,9 +675,34 @@ def test_dump_circuit_tsp(capsys, tmp_path):
         capsys, "solve", "--input", str(TSP), "--dump-circuit", str(dump)
     )
     assert code == 0
-    circuit = parse_text(dump.read_text())
-    assert circuit.num_qubits == 4
-    assert circuit.registers[0].name == "precision"
+    instance = cli.parse_problem(TSP).tsp
+    report = qpe_tsp.solve(instance)
+    unitary = qpe_tsp.build_phase_unitary(instance, report.scale)
+    eigenstate = qpe_tsp.encode_eigenstate(report.best_tour, instance.n_nodes)
+    reference = qpe_tsp.qpe_circuit(unitary, eigenstate, report.precision_bits)
+    assert dump.read_bytes() == export_text(reference).encode()
+    lines = dump.read_text().splitlines()
+    assert lines[:2] == ["qsolve-circuit v1 qubits=4", "register precision 0 4"]
+
+
+def test_non_ascii_variable_names_solve_and_dump(capsys, tmp_path):
+    path = write_problem(
+        tmp_path,
+        {
+            "type": "sat",
+            "variables": [{"name": "é", "bits": 2}, {"name": "b", "bits": 2}],
+            "constraints": [
+                {"kind": "equal_const", "args": ["é"], "value": 2},
+                {"kind": "equal_const", "args": ["b"], "value": 1},
+            ],
+        },
+    )
+    assert run_cli(capsys, "solve", "--input", str(path)) == (0, "é = 2\nb = 1\n", "")
+    dump = tmp_path / "circuit.txt"
+    assert run_cli(capsys, "solve", "--input", str(path), "--dump-circuit", str(dump)) == (
+        0, "é = 2\nb = 1\n", ""
+    )
+    assert dump.read_text(encoding="utf-8").splitlines()[1] == "register é 0 2"
 
 
 def test_dump_circuit_unwritable_path_exits_two(capsys, tmp_path):

@@ -1,6 +1,13 @@
 """Quantum-circuit solvers for small constraint and routing problems,
 backed by a dense statevector simulator."""
 
+import os
+import sys
+
+# qsolve makes no BLAS call, so OpenBLAS need not start a thread per core
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import circuit, cli, errors, grover_sat, qpe_tsp, statevector
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ reported as one-line diagnostics on stderr, never as tracebacks.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -340,6 +341,9 @@ def _run_solve(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        # reports are UTF-8 whatever the locale, like problem files and dumps
+        sys.stdout.reconfigure(encoding="utf-8")
     try:
         return _run_solve(args)
     except (QsolveError, OSError, MemoryError) as exc:

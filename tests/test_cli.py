@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from qsolve.grover_sat import solve as grover_solve
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 UNIT_KAKURO = PROBLEMS / "kakuro_unit_sums.json"
 CROSS_SUMS = PROBLEMS / "kakuro_cross_sums.json"
@@ -703,6 +707,30 @@ def test_non_ascii_variable_names_solve_and_dump(capsys, tmp_path):
         0, "é = 2\nb = 1\n", ""
     )
     assert dump.read_text(encoding="utf-8").splitlines()[1] == "register é 0 2"
+
+
+def test_text_report_is_utf8_under_an_ascii_locale(tmp_path):
+    path = write_problem(
+        tmp_path,
+        {
+            "type": "sat",
+            "variables": [{"name": "é", "bits": 2}, {"name": "b", "bits": 2}],
+            "constraints": [
+                {"kind": "equal_const", "args": ["é"], "value": 1},
+                {"kind": "equal_const", "args": ["b"], "value": 2},
+            ],
+        },
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-m", "qsolve", "solve", "--input", str(path)],
+        capture_output=True, env=env,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "é = 1\nb = 2\n".encode("utf-8"), b""
+    )
 
 
 def test_dump_circuit_unwritable_path_exits_two(capsys, tmp_path):

@@ -8,6 +8,7 @@ import sys
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import circuit, cli, errors, grover_sat, qpe_tsp, statevector
+# each solver module is imported by the first problem that names it
+from . import cli
 
 __version__ = "0.1.0"

@@ -13,32 +13,16 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .circuit import export_text
 from .errors import AlgorithmMismatchError, ProblemFileError, QsolveError
-from .grover_sat import (
-    EqualConst,
-    GroverConfig,
-    NotEqual,
-    SatProblem,
-    SumEquals,
-    VarDecl,
-    build_search_circuit,
-    qubit_layout,
-    validate_problem,
-)
-from .grover_sat import solve as grover_solve
-from .qpe_tsp import (
-    TspConfig,
-    TspInstance,
-    build_phase_unitary,
-    display_tour,
-    encode_eigenstate,
-    qpe_circuit,
-    validate_instance,
-)
-from .qpe_tsp import solve as tsp_solve
 from .statevector import DEFAULT_QUBIT_CAP
+
+# a child imports only the solver its problem names, in that problem's branch
+if TYPE_CHECKING:
+    from .grover_sat import SatProblem
+    from .qpe_tsp import TspInstance
 
 
 class UsageError(QsolveError):
@@ -91,6 +75,8 @@ def _as_int(value, where: str) -> int:
 
 
 def _parse_constraint(raw, where: str):
+    from .grover_sat import EqualConst, NotEqual, SumEquals
+
     obj = _as_object(raw, where)
     kind = _as_str(_get(obj, "kind", where), f"{where}.kind")
     raw_args = _as_list(_get(obj, "args", where), f"{where}.args")
@@ -135,6 +121,8 @@ def parse_problem(path) -> ParsedProblem:
     kind = _as_str(_get(obj, "type", where), f"{where}.type")
 
     if kind == "sat":
+        from .grover_sat import SatProblem, VarDecl, validate_problem
+
         decls = []
         for i, raw in enumerate(_as_list(_get(obj, "variables", where), f"{where}.variables")):
             vwhere = f"{where}.variables[{i}]"
@@ -158,6 +146,8 @@ def parse_problem(path) -> ParsedProblem:
         return ParsedProblem("sat", sat=problem)
 
     if kind == "tsp":
+        from .qpe_tsp import TspInstance, validate_instance
+
         rows = []
         for i, raw in enumerate(_as_list(_get(obj, "adjacency", where), f"{where}.adjacency")):
             rwhere = f"{where}.adjacency[{i}]"
@@ -193,63 +183,69 @@ def select_algorithm(problem_kind: str, requested: str = "auto") -> str:
 
 # --- report rendering ----------------------------------------------------------
 
-def sat_report_json(problem: SatProblem, report) -> dict:
-    return {
-        "problem_type": "sat",
-        "algorithm": "grover",
-        "found": report.found,
-        "solutions": [
-            {v.name: assignment[v.name] for v in problem.vars}
-            for assignment in report.solutions
-        ],
-        "iterations_used": report.iterations_used,
-        "shots": report.shots,
-        "frequency_threshold": report.frequency_threshold,
-        "schedule_trace": [[t, k] for t, k in report.schedule_trace],
-        "histogram": dict(report.histogram.counts),
-    }
-
-
-def tsp_report_json(report) -> dict:
-    return {
-        "problem_type": "tsp",
-        "algorithm": "qpe",
-        "best_tour": list(report.best_tour),
-        "best_tour_display": list(display_tour(report.best_tour)),
-        "best_length": report.best_length,
-        "precision_bits": report.precision_bits,
-        "scale": report.scale,
-        "per_cycle": [
+def _render_sat(problem: SatProblem, report, output: str, out) -> None:
+    if output == "json":
+        _emit_json(
             {
-                "tour": list(r.tour),
-                "length": r.length,
-                "raw": r.estimate.raw,
-                "phase": r.estimate.phase,
-                "probability": r.estimate.probability,
-            }
-            for r in report.per_cycle
-        ],
-    }
+                "problem_type": "sat",
+                "algorithm": "grover",
+                "found": report.found,
+                "solutions": [
+                    {v.name: assignment[v.name] for v in problem.vars}
+                    for assignment in report.solutions
+                ],
+                "iterations_used": report.iterations_used,
+                "shots": report.shots,
+                "frequency_threshold": report.frequency_threshold,
+                "schedule_trace": [[t, k] for t, k in report.schedule_trace],
+                "histogram": dict(report.histogram.counts),
+            },
+            out,
+        )
+    elif not report.found:
+        out.write("no solution found\n")
+    else:
+        blocks = [
+            "\n".join(f"{v.name} = {assignment[v.name]}" for v in problem.vars)
+            for assignment in report.solutions
+        ]
+        out.write("\n\n".join(blocks) + "\n")
+
+
+def _render_tsp(report, output: str, out) -> None:
+    from .qpe_tsp import display_tour
+
+    shown = list(display_tour(report.best_tour))
+    if output == "json":
+        _emit_json(
+            {
+                "problem_type": "tsp",
+                "algorithm": "qpe",
+                "best_tour": list(report.best_tour),
+                "best_tour_display": shown,
+                "best_length": report.best_length,
+                "precision_bits": report.precision_bits,
+                "scale": report.scale,
+                "per_cycle": [
+                    {
+                        "tour": list(r.tour),
+                        "length": r.length,
+                        "raw": r.estimate.raw,
+                        "phase": r.estimate.phase,
+                        "probability": r.estimate.probability,
+                    }
+                    for r in report.per_cycle
+                ],
+            },
+            out,
+        )
+    else:
+        out.write(f"{shown} length {report.best_length}\n")
 
 
 def _emit_json(payload: dict, out) -> None:
-    json.dump(payload, out, indent=2)
-    out.write("\n")
-
-
-def _render_sat_text(problem: SatProblem, report, out) -> None:
-    if not report.found:
-        out.write("no solution found\n")
-        return
-    blocks = [
-        "\n".join(f"{v.name} = {assignment[v.name]}" for v in problem.vars)
-        for assignment in report.solutions
-    ]
-    out.write("\n\n".join(blocks) + "\n")
-
-
-def _render_tsp_text(report, out) -> None:
-    out.write(f"{list(display_tour(report.best_tour))} length {report.best_length}\n")
+    # one write: json.dump with indent sends thousands of chunks to ``out``
+    out.write(json.dumps(payload, indent=2) + "\n")
 
 
 # --- entry point ----------------------------------------------------------------
@@ -303,38 +299,36 @@ def _run_solve(args) -> int:
     algorithm = select_algorithm(parsed.kind, args.algorithm)
 
     if algorithm == "grover":
+        from . import grover_sat
+
         assert parsed.sat is not None
-        config = GroverConfig(
+        config = grover_sat.GroverConfig(
             shots=args.shots,
             seed=args.seed,
             frequency_threshold=args.threshold,
             max_qubits=args.max_qubits,
         )
-        report = grover_solve(parsed.sat, config)
+        report = grover_sat.solve(parsed.sat, config)
         if args.dump_circuit:
-            layout = qubit_layout(parsed.sat, args.max_qubits)
-            circuit = build_search_circuit(parsed.sat, layout, report.iterations_used)
+            layout = grover_sat.qubit_layout(parsed.sat, args.max_qubits)
+            circuit = grover_sat.build_search_circuit(parsed.sat, layout, report.iterations_used)
             Path(args.dump_circuit).write_text(export_text(circuit), encoding="utf-8")
-        if args.output == "json":
-            _emit_json(sat_report_json(parsed.sat, report), sys.stdout)
-        else:
-            _render_sat_text(parsed.sat, report, sys.stdout)
+        _render_sat(parsed.sat, report, args.output, sys.stdout)
         return 0 if report.found else 1
 
+    from . import qpe_tsp
+
     assert parsed.tsp is not None
-    config = TspConfig(
+    config = qpe_tsp.TspConfig(
         shots_per_cycle=args.shots, seed=args.seed, max_qubits=args.max_qubits
     )
-    report = tsp_solve(parsed.tsp, config)
+    report = qpe_tsp.solve(parsed.tsp, config)
     if args.dump_circuit:
-        unitary = build_phase_unitary(parsed.tsp, report.scale)
-        eigenstate = encode_eigenstate(report.best_tour, parsed.tsp.n_nodes)
-        circuit = qpe_circuit(unitary, eigenstate, report.precision_bits)
+        unitary = qpe_tsp.build_phase_unitary(parsed.tsp, report.scale)
+        eigenstate = qpe_tsp.encode_eigenstate(report.best_tour, parsed.tsp.n_nodes)
+        circuit = qpe_tsp.qpe_circuit(unitary, eigenstate, report.precision_bits)
         Path(args.dump_circuit).write_text(export_text(circuit), encoding="utf-8")
-    if args.output == "json":
-        _emit_json(tsp_report_json(report), sys.stdout)
-    else:
-        _render_tsp_text(report, sys.stdout)
+    _render_tsp(report, args.output, sys.stdout)
     return 0
 
 

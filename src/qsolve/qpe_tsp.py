@@ -19,7 +19,15 @@ import numpy as np
 
 from .circuit import Circuit, CircuitOp, QubitRegister, apply_ops, build_qft, inverse
 from .errors import ProblemValidationError, QubitBudgetError
-from .statevector import DEFAULT_QUBIT_CAP, H, StateVector, probabilities, sample, zeros
+from .statevector import (
+    DEFAULT_QUBIT_CAP,
+    H,
+    StateVector,
+    draw_outcomes,
+    probabilities,
+    sorted_draws,
+    zeros,
+)
 
 MIN_NODES = 3
 MAX_NODES = 8
@@ -243,10 +251,12 @@ def estimate_phases(
         factors = np.array([np.exp(1j * row[j]) for row in angles])
         amps[(slice(None),) * (j + 1) + (1,)] *= factors.reshape((-1,) + (1,) * (m - 1))
     apply_ops(batch, inverse(build_qft(range(m))).ops)
+    draws = sorted_draws(config.shots_per_cycle, config.seed)
     estimates = []
     for row in batch.amps:
         state = StateVector(m, row)
-        raw = int(sample(state, config.shots_per_cycle, config.seed).most_common()[0][0], 2)
+        # argmax takes the first maximum: count ties go to the lowest bitstring
+        raw = int(np.bincount(draw_outcomes(state, draws), minlength=1 << m).argmax())
         estimates.append(PhaseEstimate(raw, m, raw / (1 << m), float(probabilities(state)[raw])))
     return estimates
 

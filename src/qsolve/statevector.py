@@ -217,6 +217,36 @@ def bitstring(index: int, num_qubits: int, qubits: Sequence[int] | None = None) 
     return bits if qubits is None else "".join(bits[q] for q in qubits)
 
 
+def sorted_draws(shots: int, seed: int) -> np.ndarray:
+    """The ``shots`` uniforms ``Generator.choice`` draws at ``seed``, sorted.
+
+    They depend on nothing else, so one draw serves every register sampled
+    at that seed, and sorting them leaves every histogram as it was.
+    """
+    return np.sort(np.random.default_rng(seed).random(shots))
+
+
+def draw_outcomes(state: StateVector, draws: np.ndarray) -> np.ndarray:
+    """The basis-state index each draw of :func:`sorted_draws` selects.
+
+    Probabilities below ``PROB_ZERO_TOL`` are clamped to zero before
+    normalizing, so numerically-dead outcomes can never fire.  The inverse
+    CDF is ``Generator.choice``'s, so a draw selects what ``choice`` would;
+    sorted draws give sorted outcomes.
+    """
+    cdf = probabilities(state)
+    cdf[cdf < PROB_ZERO_TOL] = 0.0
+    total = cdf.sum()
+    if not math.isfinite(total):
+        raise ValueError("state has non-finite probabilities")
+    if total <= 0.0:
+        raise ValueError("state has no measurable probability mass")
+    cdf /= total
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(draws, side="right")
+
+
 def sample(
     state: StateVector,
     shots: int,
@@ -225,9 +255,8 @@ def sample(
 ) -> Histogram:
     """Draw ``shots`` basis-state measurements of a qubit subset.
 
-    Probabilities below ``PROB_ZERO_TOL`` are clamped to zero before
-    normalizing, so numerically-dead outcomes can never fire.  The same
-    seed always yields the same histogram.
+    Outcomes come from :func:`draw_outcomes`, so the same seed always
+    yields the same histogram.
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
@@ -240,16 +269,10 @@ def sample(
     for q in qs:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for a {n}-qubit register")
-    p = probabilities(state)
-    p = np.where(p < PROB_ZERO_TOL, 0.0, p)
-    total = p.sum()
-    if total <= 0.0:
-        raise ValueError("state has no measurable probability mass")
-    p /= total
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(p.shape[0], size=shots, p=p)
-    values, freq = np.unique(draws, return_counts=True)
-    keys = [bitstring(v, n, qs) for v in values.tolist()]
+    outcomes = draw_outcomes(state, sorted_draws(shots, seed))
+    starts = np.flatnonzero(np.diff(outcomes, prepend=-1))
+    freq = np.diff(starts, append=shots)
+    keys = [bitstring(v, n, qs) for v in outcomes[starts].tolist()]
     counts: dict[str, int] = {}
     # distinct full-register outcomes may project onto the same subset key
     for key, c in sorted(zip(keys, freq.tolist())):

@@ -198,3 +198,26 @@ def reference_qpe_distribution(
     inv_qft = dft_matrix(m).conj().T
     joint = inv_qft @ joint
     return (np.abs(joint) ** 2).sum(axis=1)
+
+
+# --- seeded sampling ----------------------------------------------------------------
+
+
+def choice_histogram(amps, shots: int, seed: int, qubits=None, zero_tol: float = 1e-12) -> dict:
+    """Seeded measurement counts drawn the direct way: probabilities below
+    ``zero_tol`` clamped to zero, normalized, ``Generator.choice`` over the
+    basis indices, counted with ``np.unique``, and full-register outcomes
+    that read the same on ``qubits`` merged.  Keys are sorted bitstrings."""
+    amps = np.asarray(amps, dtype=complex)
+    n = amps.shape[0].bit_length() - 1
+    p = np.abs(amps) ** 2
+    p = np.where(p < zero_tol, 0.0, p)
+    p /= p.sum()
+    draws = np.random.default_rng(seed).choice(p.shape[0], size=shots, p=p)
+    values, freq = np.unique(draws, return_counts=True)
+    counts: dict = {}
+    for value, count in zip(values.tolist(), freq.tolist()):
+        bits = format(value, f"0{n}b")
+        key = bits if qubits is None else "".join(bits[q] for q in qubits)
+        counts[key] = counts.get(key, 0) + count
+    return dict(sorted(counts.items()))

@@ -288,8 +288,8 @@ def test_shots_past_the_state_budget_are_refused_before_solving(capsys, monkeypa
     def never(*args, **kwargs):
         raise AssertionError("the solver ran")
 
-    monkeypatch.setattr(cli, "grover_solve", never)
-    monkeypatch.setattr(cli, "tsp_solve", never)
+    monkeypatch.setattr(grover_sat, "solve", never)
+    monkeypatch.setattr(qpe_tsp, "solve", never)
     for shots, max_qubits in ((10**15, 26), (8193, 12)):
         code, out, err = run_cli(
             capsys, "solve", "--input", str(problem),
@@ -731,6 +731,24 @@ def test_text_report_is_utf8_under_an_ascii_locale(tmp_path):
     assert (result.returncode, result.stdout, result.stderr) == (
         0, "é = 1\nb = 2\n".encode("utf-8"), b""
     )
+
+
+@pytest.mark.parametrize(
+    "problem, solver, other",
+    [(TSP, "qsolve.qpe_tsp", "qsolve.grover_sat"), (UNIT_KAKURO, "qsolve.grover_sat", "qsolve.qpe_tsp")],
+    ids=["tsp", "sat"],
+)
+def test_a_solve_process_imports_only_the_solver_its_problem_names(problem, solver, other):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qsolve", "solve", "--input", str(problem)],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    imported = {line.rpartition("|")[2].strip() for line in result.stderr.splitlines()}
+    assert solver in imported
+    assert other not in imported
 
 
 def test_dump_circuit_unwritable_path_exits_two(capsys, tmp_path):

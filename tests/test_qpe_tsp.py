@@ -39,10 +39,11 @@ FOUR_CITIES = instance_from_rows(
 
 def reference_estimate(unitary, eigenstate, precision_bits, shots=4096, seed=0):
     """One eigenstate's phase estimate from its own circuit: the modal readout
-    of ``execute`` (count ties broken by bitstring) and its exact probability."""
-    circuit = qpe_circuit(unitary, eigenstate, precision_bits)
-    state, histogram = execute(circuit, shots=shots, seed=seed)
-    raw = int(histogram.most_common()[0][0], 2)
+    of the oracle's seeded histogram of its state (count ties broken by
+    bitstring) and its exact probability."""
+    state, _ = execute(qpe_circuit(unitary, eigenstate, precision_bits), shots=0)
+    counts = oracles.choice_histogram(state.amps, shots, seed)
+    raw = int(min(counts, key=lambda bits: (-counts[bits], bits)), 2)
     phase = raw / (1 << precision_bits)
     return PhaseEstimate(raw, precision_bits, phase, float(probabilities(state)[raw]))
 
@@ -267,6 +268,20 @@ def test_batch_reads_every_exponent_residue_as_its_own_circuit(m):
     for e, estimate in zip(range(scale), batched):
         unitary = SimpleNamespace(exponent=lambda _, e=e: e, scale=scale)
         assert estimate == reference_estimate(unitary, 0, m, shots=64, seed=5)
+
+
+@pytest.mark.parametrize("shots", [1, 2, 3, 64, 4096])
+@pytest.mark.parametrize("m", range(1, 10))
+def test_batch_readout_is_the_oracle_mode_of_each_row(m, shots):
+    """A scale that is not a power of two leaves phases between readouts, so
+    each row spreads over several outcomes and small shot counts tie."""
+    scale = 3 * (1 << m) // 2 + 1
+    exponents = range(0, scale, max(1, scale // 9))
+    config = TspConfig(shots_per_cycle=shots, seed=m * shots)
+    batched = estimate_phases(exponents, scale, m, config)
+    for e, estimate in zip(exponents, batched):
+        unitary = SimpleNamespace(exponent=lambda _, e=e: e, scale=scale)
+        assert estimate == reference_estimate(unitary, 0, m, shots, config.seed)
 
 
 def test_decode_phase_rounds_scaled_phase():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,63 @@ def test_sample_argument_validation():
         sv.sample(state, 10, seed=0, qubits=(0, 0))
     with pytest.raises(ValueError):
         sv.sample(state, 10, seed=0, qubits=(2,))
+
+
+def sampling_case(seed: int):
+    """A generated (state, shots, seed, qubits) case: 1-12 qubits whose
+    amplitudes are dense, sparse with exact zeros, mostly below the zero
+    clamp (in mass enough to move the readout if it were not clamped), or tie
+    in magnitude on a random support; 1-4096 shots; all qubits or a subset
+    in any order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 13))
+    size = 1 << n
+    kind = seed % 4
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    if kind > 0:
+        live = rng.choice(size, size=int(rng.integers(1, min(size, 9) + 1)), replace=False)
+        if kind == 1:
+            amps[np.setdiff1d(np.arange(size), live)] = 0.0
+        elif kind == 2:
+            p = 10.0 ** rng.uniform(-14, -12, size)
+            p[live] = 10.0 ** rng.uniform(-11.9, -10, live.size)
+            amps = np.sqrt(p) * np.exp(2j * np.pi * rng.random(size))
+        else:
+            amps = np.zeros(size, dtype=complex)
+            amps[live] = np.exp(2j * np.pi * rng.random(live.size))
+    shots = int(rng.choice([1, 2, 3, 64, 4096, int(rng.integers(1, 4097))]))
+    subset = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+    qubits = None if rng.random() < 0.3 else tuple(subset.tolist())
+    return sv.StateVector(n, amps), shots, int(rng.integers(0, 1000)), qubits
+
+
+@pytest.mark.parametrize("kind", range(4), ids=["dense", "exact_zeros", "below_clamp", "tied"])
+def test_sample_matches_the_choice_oracle(kind):
+    for seed in range(kind, 1000, 4):
+        state, shots, sample_seed, qubits = sampling_case(seed)
+        hist = sv.sample(state, shots, sample_seed, qubits)
+        expected = oracles.choice_histogram(state.amps, shots, sample_seed, qubits)
+        assert list(hist.counts.items()) == list(expected.items()), seed
+        assert hist.shots == shots
+
+
+@pytest.mark.parametrize("bad", [0.0, 1e-7, np.nan, np.inf])
+def test_sample_refuses_a_state_without_finite_measurable_mass(bad):
+    state = sv.StateVector(2, np.array([bad, 0.0, 0.0, 0.0], dtype=complex))
+    with pytest.raises(ValueError):
+        sv.sample(state, 10, seed=0)
+
+
+def test_sample_holds_no_more_than_a_tenth_beyond_the_state():
+    n = 20
+    state = sv.StateVector(n, np.full(1 << n, 2.0 ** (-n / 2), dtype=complex))
+    tracemalloc.start()
+    try:
+        sv.sample(state, 4096, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * state.amps.nbytes
 
 
 def test_histogram_most_common_orders_by_count_then_key():

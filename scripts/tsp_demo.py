@@ -45,10 +45,10 @@ def main():
 
     report = solve(instance, TspConfig(shots_per_cycle=args.shots, seed=args.seed))
     print(f"{'cycle':<22} {'eigenstate':>10} {'raw':>4} {'phase':>8} {'length':>7}")
-    for result in report.per_cycle:
-        enc = encode_eigenstate(result.tour, instance.n_nodes)
-        print(f"{str(list(result.tour)):<22} {enc:>10} {result.estimate.raw:>4} "
-              f"{result.estimate.phase:>8.4f} {result.length:>7}")
+    for tour, length, estimate in zip(report.tours, report.lengths, report.estimates):
+        enc = encode_eigenstate(tour, instance.n_nodes)
+        print(f"{str(list(tour)):<22} {enc:>10} {estimate.raw:>4} "
+              f"{estimate.phase:>8.4f} {length:>7}")
 
     print(f"\nshortest tour: {list(display_tour(report.best_tour))} "
           f"length {report.best_length}")

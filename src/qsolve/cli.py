@@ -228,13 +228,13 @@ def _render_tsp(report, output: str, out) -> None:
                 "scale": report.scale,
                 "per_cycle": [
                     {
-                        "tour": list(r.tour),
-                        "length": r.length,
-                        "raw": r.estimate.raw,
-                        "phase": r.estimate.phase,
-                        "probability": r.estimate.probability,
+                        "tour": list(tour),
+                        "length": length,
+                        "raw": estimate.raw,
+                        "phase": estimate.phase,
+                        "probability": estimate.probability,
                     }
-                    for r in report.per_cycle
+                    for tour, length, estimate in zip(report.tours, report.lengths, report.estimates)
                 ],
             },
             out,

@@ -380,18 +380,6 @@ def build_diffuser(search_width: int) -> Circuit:
     return frag
 
 
-def grover_iterations(num_qubits: int, num_solutions: int) -> int:
-    """floor((pi/4) * sqrt(2**n / k)): the amplification optimum when the
-    solution count k is known."""
-    if num_qubits < 1:
-        raise ValueError(f"need at least one qubit, got {num_qubits}")
-    if not 1 <= num_solutions <= (1 << num_qubits):
-        raise ValueError(
-            f"solution count must be in 1..{1 << num_qubits}, got {num_solutions}"
-        )
-    return math.floor((math.pi / 4) * math.sqrt((1 << num_qubits) / num_solutions))
-
-
 def iteration_schedule(search_width: int) -> list[int]:
     """Iteration counts ceil(sqrt(2)**j) for j = 0, 1, ..., deduplicated and
     ascending, capped by the single-solution optimum ceil((pi/4)*sqrt(2**n)).

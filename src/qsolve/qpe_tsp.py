@@ -50,10 +50,6 @@ class TspInstance:
         return self.weights[a - 1][b - 1]
 
 
-def instance_from_rows(rows: Sequence[Sequence[int]]) -> TspInstance:
-    return TspInstance(tuple(tuple(int(x) for x in row) for row in rows))
-
-
 def validate_instance(instance: TspInstance) -> list[str]:
     """Every semantic violation as a readable diagnostic; empty means valid."""
     diags: list[str] = []
@@ -93,20 +89,6 @@ def enumerate_cycles(n_nodes: int) -> list[Tour]:
         if rest[0] < rest[-1]:
             tours.append((1, *rest))
     return tours
-
-
-def canonical_tour(tour: Sequence[int]) -> Tour:
-    """Rotate/reverse a cycle into canonical form."""
-    n = len(tour)
-    start = tour.index(1) if 1 in tour else 0
-    rotated = tuple(tour[(start + i) % n] for i in range(n))
-    if rotated[0] != 1:
-        raise ValueError(f"tour {tuple(tour)} does not visit node 1")
-    if sorted(rotated) != list(range(1, n + 1)):
-        raise ValueError(f"tour {tuple(tour)} is not a permutation of 1..{n}")
-    if rotated[1] > rotated[-1]:
-        rotated = (1, *reversed(rotated[1:]))
-    return rotated
 
 
 def display_tour(tour: Sequence[int]) -> Tour:
@@ -276,18 +258,13 @@ class TspConfig:
     max_qubits: int = DEFAULT_QUBIT_CAP
 
 
-@dataclass(frozen=True)
-class CycleResult:
-    tour: Tour
-    estimate: PhaseEstimate
-    length: int
-
-
 @dataclass
 class TspReport:
     best_tour: Tour
     best_length: int
-    per_cycle: list[CycleResult]
+    tours: list[Tour]  # every canonical cycle, in enumerate_cycles order
+    lengths: list[int]
+    estimates: list[PhaseEstimate]  # cycles of one exponent share one estimate
     precision_bits: int
     scale: int
 
@@ -297,6 +274,8 @@ def solve(instance: TspInstance, config: TspConfig | None = None) -> TspReport:
     one phase estimation per distinct exponent, and return the minimum (ties
     broken by lexicographic tour)."""
     config = config or TspConfig()
+    if config.shots_per_cycle < 1:
+        raise ValueError(f"shots must be positive, got {config.shots_per_cycle}")
     diags = validate_instance(instance)
     if diags:
         raise ProblemValidationError(diags)
@@ -306,23 +285,25 @@ def solve(instance: TspInstance, config: TspConfig | None = None) -> TspReport:
     tours = enumerate_cycles(instance.n_nodes)
     table = np.array(tours) - 1
     exponents = np.array(instance.weights)[table, np.roll(table, -1, axis=1)].sum(axis=1).tolist()
-    # a cycle's seeded readout depends only on its exponent: estimate each
-    # distinct exponent once, in batches no larger than one state at the cap
+    # a cycle's seeded readout depends only on its exponent: estimate and
+    # decode each distinct exponent once, in batches no larger than one state
+    # at the cap
     distinct = list(dict.fromkeys(exponents))
     chunk = 1 << min(config.max_qubits - m, len(distinct).bit_length())
     estimates: dict[int, PhaseEstimate] = {}
     for start in range(0, len(distinct), chunk):
         rows = distinct[start : start + chunk]
         estimates.update(zip(rows, estimate_phases(rows, scale, m, config)))
-    per_cycle = [
-        CycleResult(tour, estimates[e], decode_phase(estimates[e], scale))
-        for tour, e in zip(tours, exponents)
-    ]
-    best = min(per_cycle, key=lambda r: (r.length, r.tour))
+    decoded = {e: decode_phase(estimate, scale) for e, estimate in estimates.items()}
+    lengths = [decoded[e] for e in exponents]
+    # tours are in lexicographic order, so the first minimum breaks ties
+    best = lengths.index(min(lengths))
     return TspReport(
-        best_tour=best.tour,
-        best_length=best.length,
-        per_cycle=per_cycle,
+        best_tour=tours[best],
+        best_length=lengths[best],
+        tours=tours,
+        lengths=lengths,
+        estimates=[estimates[e] for e in exponents],
         precision_bits=m,
         scale=scale,
     )

@@ -207,10 +207,6 @@ def probabilities(state: StateVector) -> np.ndarray:
     return np.abs(state.amps) ** 2
 
 
-def norm(state: StateVector) -> float:
-    return float(np.sqrt(probabilities(state).sum()))
-
-
 def bitstring(index: int, num_qubits: int, qubits: Sequence[int] | None = None) -> str:
     """Readout of ``index`` over ``qubits`` in the given order (default: all)."""
     bits = format(index, f"0{num_qubits}b")

@@ -89,6 +89,12 @@ def dft_matrix(num_qubits: int) -> np.ndarray:
     return np.exp(2j * np.pi * grid / dim) / math.sqrt(dim)
 
 
+def grover_iterations(num_qubits: int, num_solutions: int) -> int:
+    """floor((pi/4) * sqrt(2**n / k)): the amplification optimum when the
+    solution count k is known."""
+    return math.floor((math.pi / 4) * math.sqrt((1 << num_qubits) / num_solutions))
+
+
 def amplification_probability(search_qubits: int, num_solutions: int, iterations: int) -> float:
     """Total success probability after ``iterations`` oracle+diffuser rounds,
     from the closed-form rotation picture."""
@@ -146,6 +152,16 @@ def brute_force_tours(weights) -> list[tuple[tuple[int, ...], int]]:
         length = sum(weights[a - 1][b - 1] for a, b in zip(closed, closed[1:]))
         results.append((tour, length))
     return results
+
+
+def canonical_tour(tour) -> tuple[int, ...]:
+    """Rotate a cycle to start at node 1, then reverse it if its second node
+    is larger than its last."""
+    start = tour.index(1)
+    rotated = (*tour[start:], *tour[:start])
+    if rotated[1] > rotated[-1]:
+        rotated = (1, *reversed(rotated[1:]))
+    return rotated
 
 
 def diagonal_exponents(weights) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Deterministic random constraint-problem generator for corpus tests.
+"""Deterministic random constraint-problem generator for corpus tests, and
+TSP instances built from plain weight rows.
 
 Each generated problem comes with an independent plain-tuple description
 of its constraints so tests can evaluate satisfaction without touching the
@@ -8,8 +9,13 @@ package's own constraint types.
 import random
 
 from qsolve.grover_sat import EqualConst, NotEqual, SatProblem, SumEquals, VarDecl
+from qsolve.qpe_tsp import TspInstance
 
 MAX_SEARCH_QUBITS = 10
+
+
+def instance_from_rows(rows) -> TspInstance:
+    return TspInstance(tuple(tuple(int(x) for x in row) for row in rows))
 
 
 def generate_problem(rng: random.Random):

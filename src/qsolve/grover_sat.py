@@ -20,7 +20,7 @@ import numpy as np
 
 from .circuit import Circuit, CircuitOp, QubitRegister, apply_ops, execute, inverse
 from .errors import ProblemValidationError, QubitBudgetError
-from .statevector import DEFAULT_QUBIT_CAP, H, Histogram, StateVector, X, Z, sample, zeros
+from .statevector import DEFAULT_QUBIT_CAP, H, Histogram, X, Z, sample, zeros
 
 Assignment = dict[str, int]
 
@@ -438,7 +438,7 @@ def build_search_circuit(problem: SatProblem, layout: QubitLayout, iterations: i
     return circ
 
 
-def schedule_states(problem: SatProblem, layout: QubitLayout) -> Iterator[tuple[int, StateVector]]:
+def schedule_states(problem: SatProblem, layout: QubitLayout) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(t, state)`` for each round count t of :func:`iteration_schedule`.
 
     ``state`` is the search register alone: bitwise the flags-and-scratch-0
@@ -454,7 +454,7 @@ def schedule_states(problem: SatProblem, layout: QubitLayout) -> Iterator[tuple[
     done = 0
     for t in iteration_schedule(s):
         for _ in range(t - done):
-            state.amps[marked] *= -1.0
+            state[marked] *= -1.0
             apply_ops(state, diffuser_ops)
         done = t
         yield t, state
@@ -494,15 +494,6 @@ def encode_assignment(assignment: Assignment, problem: SatProblem) -> str:
 
 
 @dataclass
-class GroverConfig:
-    shots: int = 4096
-    seed: int = 0
-    # None means the unknown-solution-count default of 2 / 2**search_width
-    frequency_threshold: float | None = None
-    max_qubits: int = DEFAULT_QUBIT_CAP
-
-
-@dataclass
 class SolveReport:
     solutions: list[Assignment]
     iterations_used: int
@@ -517,7 +508,14 @@ class SolveReport:
         return bool(self.solutions)
 
 
-def solve(problem: SatProblem, config: GroverConfig | None = None) -> SolveReport:
+def solve(
+    problem: SatProblem,
+    *,
+    shots: int = 4096,
+    seed: int = 0,
+    frequency_threshold: float | None = None,
+    max_qubits: int = DEFAULT_QUBIT_CAP,
+) -> SolveReport:
     """Search with a growing iteration schedule.
 
     One state is carried along the schedule (see :func:`schedule_states`)
@@ -525,25 +523,25 @@ def solve(problem: SatProblem, config: GroverConfig | None = None) -> SolveRepor
     above the frequency threshold are decoded and kept only if they pass
     :func:`classical_check`.  The first step that yields any verified
     assignment wins.  An exhausted schedule returns an empty solution list:
-    "no solution found" is a result, not an error.
+    "no solution found" is a result, not an error.  A ``frequency_threshold``
+    of None means the unknown-solution-count default, 2 / 2**search_width.
     """
-    config = config or GroverConfig()
-    if config.shots < 1:
-        raise ValueError(f"shots must be positive, got {config.shots}")
-    layout = qubit_layout(problem, config.max_qubits)
-    threshold = (
-        config.frequency_threshold
-        if config.frequency_threshold is not None
-        else 2.0 / (1 << layout.search_width)
-    )
+    if shots < 1:
+        raise ValueError(f"shots must be positive, got {shots}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    layout = qubit_layout(problem, max_qubits)
+    threshold = frequency_threshold
+    if threshold is None:
+        threshold = 2.0 / (1 << layout.search_width)
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"frequency threshold must be in (0, 1], got {threshold}")
     trace: list[tuple[int, int]] = []
     for iterations, state in schedule_states(problem, layout):
-        histogram = sample(state, config.shots, config.seed)
+        histogram = sample(state, shots, seed)
         verified: list[tuple[int, str, Assignment]] = []
         for bits, count in histogram.counts.items():
-            if count / config.shots < threshold:
+            if count / shots < threshold:
                 continue
             assignment = decode_bitstring(bits, problem)
             if classical_check(assignment, problem):
@@ -555,7 +553,7 @@ def solve(problem: SatProblem, config: GroverConfig | None = None) -> SolveRepor
     return SolveReport(
         solutions=[a for _, _, a in verified],
         iterations_used=iterations,
-        shots=config.shots,
+        shots=shots,
         frequency_threshold=threshold,
         histogram=histogram,
         schedule_trace=trace,

@@ -22,7 +22,6 @@ from .errors import ProblemValidationError, QubitBudgetError
 from .statevector import (
     DEFAULT_QUBIT_CAP,
     H,
-    StateVector,
     draw_outcomes,
     probabilities,
     sorted_draws,
@@ -217,29 +216,29 @@ def qpe_circuit(unitary: WeightPhaseDiagonal, eigenstate: int, precision_bits: i
 
 
 def estimate_phases(
-    exponents: Sequence[int], scale: int, precision_bits: int, config: TspConfig
+    exponents: Sequence[int], scale: int, precision_bits: int, shots: int, seed: int
 ) -> list[PhaseEstimate]:
     """:func:`qpe_circuit` for one eigenstate of each exponent, as rows of one
     batch run through a single pass of the ops.  Each row reads out its modal
-    bitstring at ``config.seed`` (count ties broken by bitstring)."""
+    bitstring over ``shots`` draws at ``seed`` (count ties broken by
+    bitstring)."""
     m = precision_bits
-    batch = StateVector(m, zeros((len(exponents), 1 << m), np.complex128))
-    batch.amps[:, 0] = 1.0
+    batch = zeros((len(exponents), 1 << m), np.complex128)
+    batch[:, 0] = 1.0
     apply_ops(batch, Circuit(m, ops=[CircuitOp(H, targets=(j,)) for j in range(m)]).ops)
     # the kickback, with the phase kernel's scalar np.exp so rows match bit for bit
-    amps = batch.amps.reshape((-1,) + (2,) * m)
+    amps = batch.reshape((-1,) + (2,) * m)
     angles = [kickback_angles(e, scale, m) for e in exponents]
     for j in range(m):
         factors = np.array([np.exp(1j * row[j]) for row in angles])
         amps[(slice(None),) * (j + 1) + (1,)] *= factors.reshape((-1,) + (1,) * (m - 1))
     apply_ops(batch, inverse(build_qft(range(m))).ops)
-    draws = sorted_draws(config.shots_per_cycle, config.seed)
+    draws = sorted_draws(shots, seed)
     estimates = []
-    for row in batch.amps:
-        state = StateVector(m, row)
+    for row in batch:
         # argmax takes the first maximum: count ties go to the lowest bitstring
-        raw = int(np.bincount(draw_outcomes(state, draws), minlength=1 << m).argmax())
-        estimates.append(PhaseEstimate(raw, m, raw / (1 << m), float(probabilities(state)[raw])))
+        raw = int(np.bincount(draw_outcomes(row, draws), minlength=1 << m).argmax())
+        estimates.append(PhaseEstimate(raw, m, raw / (1 << m), float(probabilities(row)[raw])))
     return estimates
 
 
@@ -249,13 +248,6 @@ def decode_phase(estimate: PhaseEstimate, scale: int) -> int:
 
 
 # --- solver -------------------------------------------------------------------
-
-
-@dataclass
-class TspConfig:
-    shots_per_cycle: int = 4096
-    seed: int = 0
-    max_qubits: int = DEFAULT_QUBIT_CAP
 
 
 @dataclass
@@ -269,19 +261,26 @@ class TspReport:
     scale: int
 
 
-def solve(instance: TspInstance, config: TspConfig | None = None) -> TspReport:
+def solve(
+    instance: TspInstance,
+    *,
+    shots: int = 4096,
+    seed: int = 0,
+    max_qubits: int = DEFAULT_QUBIT_CAP,
+) -> TspReport:
     """Estimate every canonical cycle's length through the phase register,
-    one phase estimation per distinct exponent, and return the minimum (ties
-    broken by lexicographic tour)."""
-    config = config or TspConfig()
-    if config.shots_per_cycle < 1:
-        raise ValueError(f"shots must be positive, got {config.shots_per_cycle}")
+    one phase estimation of ``shots`` draws per distinct exponent, and
+    return the minimum (ties broken by lexicographic tour)."""
+    if shots < 1:
+        raise ValueError(f"shots must be positive, got {shots}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     diags = validate_instance(instance)
     if diags:
         raise ProblemValidationError(diags)
     scale, m = phase_scale(instance)
-    if m > config.max_qubits:
-        raise QubitBudgetError(f"{m} precision qubits requested but the cap is {config.max_qubits}")
+    if m > max_qubits:
+        raise QubitBudgetError(f"{m} precision qubits requested but the cap is {max_qubits}")
     tours = enumerate_cycles(instance.n_nodes)
     table = np.array(tours) - 1
     exponents = np.array(instance.weights)[table, np.roll(table, -1, axis=1)].sum(axis=1).tolist()
@@ -289,11 +288,11 @@ def solve(instance: TspInstance, config: TspConfig | None = None) -> TspReport:
     # decode each distinct exponent once, in batches no larger than one state
     # at the cap
     distinct = list(dict.fromkeys(exponents))
-    chunk = 1 << min(config.max_qubits - m, len(distinct).bit_length())
+    chunk = 1 << min(max_qubits - m, len(distinct).bit_length())
     estimates: dict[int, PhaseEstimate] = {}
     for start in range(0, len(distinct), chunk):
         rows = distinct[start : start + chunk]
-        estimates.update(zip(rows, estimate_phases(rows, scale, m, config)))
+        estimates.update(zip(rows, estimate_phases(rows, scale, m, shots, seed)))
     decoded = {e: decode_phase(estimate, scale) for e, estimate in estimates.items()}
     lengths = [decoded[e] for e in exponents]
     # tours are in lexicographic order, so the first minimum breaks ties

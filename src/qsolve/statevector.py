@@ -62,23 +62,6 @@ def phase(lam: float) -> Gate:
     return Gate("phase", float(lam))
 
 
-@dataclass
-class StateVector:
-    """Amplitudes of an ``num_qubits``-qubit register, index 0 = all zeros,
-    or a ``(rows, 2**num_qubits)`` batch of such registers, one per row."""
-
-    num_qubits: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        self.amps = np.asarray(self.amps, dtype=np.complex128)
-        if self.amps.ndim > 2 or self.amps.shape[-1:] != (1 << self.num_qubits,):
-            raise ValueError(
-                f"expected {1 << self.num_qubits} amplitudes for "
-                f"{self.num_qubits} qubits, got shape {self.amps.shape}"
-            )
-
-
 @dataclass(frozen=True)
 class Histogram:
     """Measurement outcome counts keyed by bitstring, keys sorted."""
@@ -100,7 +83,19 @@ def zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
     return np.zeros(shape, dtype)
 
 
-def init_zero(num_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def _qubit_count(state: np.ndarray) -> int:
+    """n for a state: ``2**n`` complex128 amplitudes, index 0 = all zeros,
+    or a ``(rows, 2**n)`` batch of such states, one per row."""
+    size = state.shape[-1] if state.ndim in (1, 2) else 0
+    if state.dtype != np.complex128 or size < 1 or size & (size - 1):
+        raise ValueError(
+            "expected complex128 amplitudes of shape (2**n,) or (rows, 2**n), "
+            f"got {state.dtype} of shape {state.shape}"
+        )
+    return size.bit_length() - 1
+
+
+def init_zero(num_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
     """The all-zeros computational basis state.
 
     Refuses to allocate more than ``cap`` qubits: a dense register takes
@@ -112,9 +107,9 @@ def init_zero(num_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
         raise QubitBudgetError(
             f"{num_qubits} qubits requested but the simulator cap is {cap}"
         )
-    amps = zeros((1 << num_qubits,), np.complex128)
-    amps[0] = 1.0
-    return StateVector(num_qubits, amps)
+    state = zeros((1 << num_qubits,), np.complex128)
+    state[0] = 1.0
+    return state
 
 
 def check_operands(
@@ -142,19 +137,19 @@ def check_operands(
 
 
 def apply_gate_in_place(
-    state: StateVector,
+    state: np.ndarray,
     gate: Gate,
     controls: Iterable[int] = (),
     targets: Iterable[int] = (),
 ) -> None:
-    """Apply a (multi-)controlled gate, mutating ``state``; operands are
-    validated first."""
-    controls, targets = check_operands(state.num_qubits, gate, controls, targets)
+    """Apply a (multi-)controlled gate, mutating ``state``; the state and the
+    operands are validated first."""
+    controls, targets = check_operands(_qubit_count(state), gate, controls, targets)
     apply_unchecked(state, gate, controls, targets)
 
 
 def apply_unchecked(
-    state: StateVector,
+    state: np.ndarray,
     gate: Gate,
     controls: Iterable[int],
     targets: Sequence[int],
@@ -168,8 +163,8 @@ def apply_unchecked(
     advances bitwise as it would alone, except a complex phase on one
     amplitude (every qubit axis fixed), which numpy rounds differently.
     """
-    n = state.num_qubits
-    amps = state.amps.reshape((-1,) + (2,) * n)
+    n = state.shape[-1].bit_length() - 1
+    amps = state.reshape((-1,) + (2,) * n)
     index: list = [slice(None)] * (n + 1)
     for q in controls:
         index[q + 1] = 1
@@ -203,8 +198,8 @@ def _exchange(a: np.ndarray, b: np.ndarray) -> None:
     b[...] = tmp
 
 
-def probabilities(state: StateVector) -> np.ndarray:
-    return np.abs(state.amps) ** 2
+def probabilities(state: np.ndarray) -> np.ndarray:
+    return np.abs(state) ** 2
 
 
 def bitstring(index: int, num_qubits: int, qubits: Sequence[int] | None = None) -> str:
@@ -222,7 +217,7 @@ def sorted_draws(shots: int, seed: int) -> np.ndarray:
     return np.sort(np.random.default_rng(seed).random(shots))
 
 
-def draw_outcomes(state: StateVector, draws: np.ndarray) -> np.ndarray:
+def draw_outcomes(state: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """The basis-state index each draw of :func:`sorted_draws` selects.
 
     Probabilities below ``PROB_ZERO_TOL`` are clamped to zero before
@@ -244,7 +239,7 @@ def draw_outcomes(state: StateVector, draws: np.ndarray) -> np.ndarray:
 
 
 def sample(
-    state: StateVector,
+    state: np.ndarray,
     shots: int,
     seed: int,
     qubits: Sequence[int] | None = None,
@@ -256,7 +251,7 @@ def sample(
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
-    n = state.num_qubits
+    n = _qubit_count(state)
     qs = tuple(int(q) for q in (range(n) if qubits is None else qubits))
     if not qs:
         raise ValueError("qubit subset must not be empty")

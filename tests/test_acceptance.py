@@ -14,7 +14,6 @@ import oracles
 from problem_gen import generate_corpus, instance_from_rows
 from qsolve.circuit import Circuit, execute
 from qsolve.grover_sat import (
-    GroverConfig,
     build_oracle,
     build_search_circuit,
     decode_bitstring,
@@ -22,7 +21,6 @@ from qsolve.grover_sat import (
 )
 from qsolve.grover_sat import solve as grover_solve
 from qsolve.qpe_tsp import (
-    TspConfig,
     build_phase_unitary,
     decode_phase,
     encode_eigenstate,
@@ -31,7 +29,7 @@ from qsolve.qpe_tsp import (
     tour_length,
 )
 from qsolve.qpe_tsp import solve as tsp_solve
-from qsolve.statevector import Gate, StateVector, apply_gate_in_place, init_zero
+from qsolve.statevector import Gate, apply_gate_in_place, init_zero
 from qsolve.circuit import build_qft
 from test_cli import CROSS_SUMS, TSP, UNIT_KAKURO, UNSAT
 from test_qpe_tsp import reference_estimate
@@ -40,8 +38,8 @@ from qsolve import cli
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
-def apply_gate(state, gate, controls=(), targets=()) -> StateVector:
-    out = StateVector(state.num_qubits, state.amps.copy())
+def apply_gate(state, gate, controls=(), targets=()) -> np.ndarray:
+    out = state.copy()
     apply_gate_in_place(out, gate, controls, targets)
     return out
 
@@ -68,7 +66,7 @@ def test_criterion_1_unit_sum_kakuro_amplitudes():
 
         layout = qubit_layout(problem)
         state, _ = execute(build_search_circuit(problem, layout, 2))
-        per_index = (np.abs(state.amps) ** 2).reshape(16, -1).sum(axis=1)
+        per_index = (np.abs(state) ** 2).reshape(16, -1).sum(axis=1)
         theta = math.asin(math.sqrt(2 / 16))
         marked_each = math.sin(5 * theta) ** 2 / 2
         unmarked_each = (1 - math.sin(5 * theta) ** 2) / 14
@@ -125,7 +123,7 @@ def test_criterion_4_oracle_diagonal_on_generated_corpus():
             circ.extend(build_oracle(problem, layout))
             state, _ = execute(circ)
             n = layout.search_width
-            table = state.amps.reshape(1 << n, -1)
+            table = state.reshape(1 << n, -1)
             if table.shape[1] > 1:
                 assert float(np.max(np.abs(table[:, 1:]))) < 1e-9, "ancilla leakage"
             signs = table[:, 0] * math.sqrt(1 << n)
@@ -170,7 +168,7 @@ def test_criterion_6_random_instances_match_brute_force():
                 eigenstate = encode_eigenstate(tour, n)
                 estimate = reference_estimate(unitary, eigenstate, m, shots=512, seed=seed)
                 assert decode_phase(estimate, scale) == tour_length(instance, tour)
-            report = tsp_solve(instance, TspConfig(seed=seed))
+            report = tsp_solve(instance, seed=seed)
             brute_best = min(length for _, length in oracles.brute_force_tours(weights))
             assert report.best_length == brute_best
     assert watch.elapsed < 60.0
@@ -199,15 +197,15 @@ def test_criterion_7_simulator_property_suite():
         for col in range(dim):
             amps = np.zeros(dim, dtype=complex)
             amps[col] = 1.0
-            built[:, col] = apply_gate(StateVector(n, amps), gate, controls, targets).amps
+            built[:, col] = apply_gate(amps, gate, controls, targets)
         assert np.max(np.abs(built - mat)) < 1e-12
 
         amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        state = StateVector(n, amps / np.linalg.norm(amps))
+        state = amps / np.linalg.norm(amps)
         once = apply_gate(state, gate, controls, targets)
-        assert abs(np.linalg.norm(once.amps) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(once) - 1.0) < 1e-9
         back = apply_gate(once, gate.inverse(), controls, targets)
-        assert np.max(np.abs(back.amps - state.amps)) < 1e-12
+        assert np.max(np.abs(back - state)) < 1e-12
 
     for m in range(1, 6):
         frag = build_qft(range(m))
@@ -217,7 +215,7 @@ def test_criterion_7_simulator_property_suite():
     for _ in range(30):
         q = int(rng.integers(0, 4))
         state = apply_gate(state, Gate("h"), targets=(q,))
-    assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-9
+    assert abs(np.linalg.norm(state) - 1.0) < 1e-9
     print("PASS criterion 7: kernels match explicit matrices, stay unitary, "
           "invert exactly; fourier transform matches the DFT up to 5 qubits")
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from qsolve import cli, grover_sat, qpe_tsp
 from qsolve.circuit import export_text
 from qsolve.errors import AlgorithmMismatchError, ProblemFileError
-from qsolve.grover_sat import GroverConfig, NotEqual, SumEquals, build_search_circuit, qubit_layout
+from qsolve.grover_sat import NotEqual, SumEquals, build_search_circuit, qubit_layout
 from qsolve.grover_sat import solve as grover_solve
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -402,9 +402,9 @@ def test_solvers_raise_memory_error_on_registers_too_wide_for_numpy(tmp_path, na
     try:
         with pytest.raises(MemoryError):
             if parsed.kind == "sat":
-                grover_sat.solve(parsed.sat, GroverConfig(max_qubits=100))
+                grover_sat.solve(parsed.sat, max_qubits=100)
             else:
-                qpe_tsp.solve(parsed.tsp, qpe_tsp.TspConfig(max_qubits=100))
+                qpe_tsp.solve(parsed.tsp, max_qubits=100)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -662,7 +662,7 @@ def test_dump_circuit_grover(capsys, tmp_path):
     assert code == 0
     # the dump reflects the iteration count the solver actually stopped at
     problem = cli.parse_problem(UNIT_KAKURO).sat
-    report = grover_solve(problem, GroverConfig())
+    report = grover_solve(problem)
     reference = build_search_circuit(problem, qubit_layout(problem), report.iterations_used)
     assert dump.read_bytes() == export_text(reference).encode()
     lines = dump.read_text().splitlines()

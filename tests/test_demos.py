@@ -1,5 +1,5 @@
 """The demo scripts' stdout, byte for byte, against reports pinned in
-tests/golden/."""
+tests/golden/, and their refusal of bad input."""
 
 import hashlib
 import os
@@ -15,13 +15,17 @@ GOLDEN = ROOT / "tests" / "golden"
 TSP_N8_DEMO_SHA256 = "098f4639de3df51c21abfd1036234c51f79d9e5a0d8b27619cd26a601b1d29b3"
 
 
-def run_demo(script, *args) -> bytes:
+def demo_process(script, *args) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True, env=env,
     )
+
+
+def run_demo(script, *args) -> bytes:
+    result = demo_process(script, *args)
     assert (result.returncode, result.stderr) == (0, b"")
     return result.stdout
 
@@ -35,3 +39,34 @@ def test_demo_prints_its_golden_report(script):
 def test_tsp_demo_on_eight_nodes_prints_its_pinned_report():
     out = run_demo("tsp_demo.py", "--input", str(GOLDEN / "tsp_n8_seed0.json"))
     assert hashlib.sha256(out).hexdigest() == TSP_N8_DEMO_SHA256
+
+
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        ("tsp_demo.py", ["--seed", "-1"], "--seed must be non-negative, got -1"),
+        ("tsp_demo.py", ["--shots", "0"], "--shots must be positive, got 0"),
+        ("tsp_demo.py", ["--shots", "-5"], "--shots must be positive, got -5"),
+        ("kakuro_demo.py", ["--seed", "-1"], "--seed must be non-negative, got -1"),
+        ("kakuro_demo.py", ["--shots", "0"], "--shots must be positive, got 0"),
+        ("kakuro_demo.py", ["--shots", "-5"], "--shots must be positive, got -5"),
+        (
+            "tsp_demo.py",
+            ["--input", str(ROOT / "problems" / "kakuro_unit_sums.json")],
+            "a 'sat' problem, not a tour problem",
+        ),
+        ("tsp_demo.py", ["--input", str(ROOT / "problems" / "missing.json")], "missing.json"),
+    ],
+    ids=[
+        "tsp_seed_-1", "tsp_shots_0", "tsp_shots_-5",
+        "kakuro_seed_-1", "kakuro_shots_0", "kakuro_shots_-5",
+        "tsp_sat_file", "tsp_missing_file",
+    ],
+)
+def test_demo_refuses_bad_input_before_any_output(script, args, message):
+    result = demo_process(script, *args)
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert b"Traceback" not in result.stderr
+    last = result.stderr.decode().splitlines()[-1]
+    assert "error: " in last and message in last

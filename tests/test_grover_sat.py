@@ -17,7 +17,6 @@ from qsolve.circuit import Circuit, execute
 from qsolve.errors import ProblemValidationError, QubitBudgetError
 from qsolve.grover_sat import (
     EqualConst,
-    GroverConfig,
     NotEqual,
     SatProblem,
     SumEquals,
@@ -178,13 +177,13 @@ def _run_on_basis(layout, fragment, values: dict) -> int:
         for i, q in enumerate(qubits):
             if (value >> (width - 1 - i)) & 1:
                 circ.x(q)
-    prep_index_amps, _ = execute(circ)
-    prep_index = int(np.flatnonzero(prep_index_amps.amps)[0])
+    prepared, _ = execute(circ)
+    prep_index = int(np.flatnonzero(prepared)[0])
     circ.extend(fragment)
     state, _ = execute(circ)
-    hot = np.flatnonzero(np.abs(state.amps) > 1e-9)
+    hot = np.flatnonzero(np.abs(state) > 1e-9)
     assert hot.shape == (1,), "fragment must map basis states to basis states"
-    assert abs(abs(state.amps[hot[0]]) - 1.0) < 1e-9
+    assert abs(abs(state[hot[0]]) - 1.0) < 1e-9
     return int(hot[0]), prep_index
 
 
@@ -277,7 +276,7 @@ def _oracle_signs_and_leak(problem):
     state, _ = execute(circ)
     n = layout.search_width
     ancilla_bits = layout.num_qubits - n
-    table = state.amps.reshape(1 << n, 1 << ancilla_bits)
+    table = state.reshape(1 << n, 1 << ancilla_bits)
     leak = float(np.max(np.abs(table[:, 1:]))) if ancilla_bits else 0.0
     signs = table[:, 0] * math.sqrt(1 << n)
     return signs, leak
@@ -371,7 +370,7 @@ def test_marked_probability_follows_closed_form(iterations):
     layout = qubit_layout(UNIT_KAKURO)
     circ = build_search_circuit(UNIT_KAKURO, layout, iterations)
     state, _ = execute(circ)
-    table = (np.abs(state.amps) ** 2).reshape(16, -1).sum(axis=1)
+    table = (np.abs(state) ** 2).reshape(16, -1).sum(axis=1)
     marked = table[0b0110] + table[0b1001]
     expected = oracles.amplification_probability(4, 2, iterations)
     assert abs(marked - expected) < 1e-9
@@ -426,8 +425,8 @@ def test_solve_orders_solutions_by_count_then_bitstring():
 
 
 def test_solve_is_deterministic():
-    first = solve(UNIT_KAKURO, GroverConfig(seed=42))
-    second = solve(UNIT_KAKURO, GroverConfig(seed=42))
+    first = solve(UNIT_KAKURO, seed=42)
+    second = solve(UNIT_KAKURO, seed=42)
     assert first.solutions == second.solutions
     assert first.histogram == second.histogram
     assert first.schedule_trace == second.schedule_trace
@@ -531,8 +530,8 @@ def assert_walk_matches_fresh_circuits(problem, steps=None):
     layout = qubit_layout(problem)
     for t, state in itertools.islice(schedule_states(problem, layout), steps):
         fresh, _ = execute(build_search_circuit(problem, layout, t))
-        table = fresh.amps.reshape(1 << layout.search_width, -1)
-        assert state.amps.tobytes() == table[:, 0].tobytes(), f"differs after {t} rounds"
+        table = fresh.reshape(1 << layout.search_width, -1)
+        assert state.tobytes() == table[:, 0].tobytes(), f"differs after {t} rounds"
         assert not table[:, 1:].any(), f"ancillas set after {t} rounds"
 
 
@@ -554,24 +553,29 @@ def test_schedule_states_match_fresh_circuits_on_bundled_problems(path):
 
 def test_solve_filters_unverified_candidates():
     # a tiny threshold lets every measured bitstring through to verification
-    report = solve(UNIT_KAKURO, GroverConfig(frequency_threshold=1e-9))
+    report = solve(UNIT_KAKURO, frequency_threshold=1e-9)
     assert len(report.solutions) == 2
     assert all(classical_check(a, UNIT_KAKURO) for a in report.solutions)
 
 
 def test_solve_with_unreachable_threshold_finds_nothing():
-    report = solve(UNIT_KAKURO, GroverConfig(frequency_threshold=1.0))
+    report = solve(UNIT_KAKURO, frequency_threshold=1.0)
     assert not report.found
     assert len(report.schedule_trace) == len(iteration_schedule(4))
 
 
 def test_solve_config_validation():
     with pytest.raises(ValueError):
-        solve(UNIT_KAKURO, GroverConfig(shots=0))
+        solve(UNIT_KAKURO, shots=0)
     with pytest.raises(ValueError):
-        solve(UNIT_KAKURO, GroverConfig(frequency_threshold=1.5))
+        solve(UNIT_KAKURO, frequency_threshold=1.5)
     with pytest.raises(QubitBudgetError):
-        solve(CROSS_SUM_KAKURO, GroverConfig(max_qubits=10))
+        solve(CROSS_SUM_KAKURO, max_qubits=10)
+
+
+def test_solve_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        solve(UNIT_KAKURO, seed=-1)
 
 
 # --- encode / decode -------------------------------------------------------------------

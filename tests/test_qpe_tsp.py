@@ -12,7 +12,6 @@ from qsolve import circuit as qc
 from qsolve.errors import ProblemValidationError, QubitBudgetError
 from qsolve.qpe_tsp import (
     PhaseEstimate,
-    TspConfig,
     bits_per_node,
     build_phase_unitary,
     decode_phase,
@@ -40,7 +39,7 @@ def reference_estimate(unitary, eigenstate, precision_bits, shots=4096, seed=0):
     of the oracle's seeded histogram of its state (count ties broken by
     bitstring) and its exact probability."""
     state, _ = execute(qpe_circuit(unitary, eigenstate, precision_bits), shots=0)
-    counts = oracles.choice_histogram(state.amps, shots, seed)
+    counts = oracles.choice_histogram(state, shots, seed)
     raw = int(min(counts, key=lambda bits: (-counts[bits], bits)), 2)
     phase = raw / (1 << precision_bits)
     return PhaseEstimate(raw, precision_bits, phase, float(probabilities(state)[raw]))
@@ -244,7 +243,7 @@ def test_qpe_reads_exact_dyadic_phase_with_certainty():
     diag = build_phase_unitary(FOUR_CITIES, scale)
     tours = enumerate_cycles(4)
     lengths = [tour_length(FOUR_CITIES, tour) for tour in tours]
-    batched = estimate_phases(lengths, scale, m, TspConfig(shots_per_cycle=256, seed=0))
+    batched = estimate_phases(lengths, scale, m, shots=256, seed=0)
     for tour, length, batch_estimate in zip(tours, lengths, batched):
         estimate = reference_estimate(diag, encode_eigenstate(tour, 4), m, shots=256, seed=0)
         assert batch_estimate == estimate
@@ -258,7 +257,7 @@ def test_batch_reads_every_exponent_residue_as_its_own_circuit(m):
     """All 2**m residues in one batch; at m <= 2 a phase op fixes every qubit
     axis of a row, the one case where the kernel may round a row apart."""
     scale = 1 << m
-    batched = estimate_phases(range(scale), scale, m, TspConfig(shots_per_cycle=64, seed=5))
+    batched = estimate_phases(range(scale), scale, m, shots=64, seed=5)
     for e, estimate in zip(range(scale), batched):
         unitary = SimpleNamespace(exponent=lambda _, e=e: e, scale=scale)
         assert estimate == reference_estimate(unitary, 0, m, shots=64, seed=5)
@@ -271,11 +270,11 @@ def test_batch_readout_is_the_oracle_mode_of_each_row(m, shots):
     each row spreads over several outcomes and small shot counts tie."""
     scale = 3 * (1 << m) // 2 + 1
     exponents = range(0, scale, max(1, scale // 9))
-    config = TspConfig(shots_per_cycle=shots, seed=m * shots)
-    batched = estimate_phases(exponents, scale, m, config)
+    seed = m * shots
+    batched = estimate_phases(exponents, scale, m, shots, seed)
     for e, estimate in zip(exponents, batched):
         unitary = SimpleNamespace(exponent=lambda _, e=e: e, scale=scale)
-        assert estimate == reference_estimate(unitary, 0, m, shots, config.seed)
+        assert estimate == reference_estimate(unitary, 0, m, shots, seed)
 
 
 def test_decode_phase_rounds_scaled_phase():
@@ -298,7 +297,7 @@ def test_solve_four_cities():
 
 
 def test_solve_is_seed_independent_for_exact_phases():
-    reports = [solve(FOUR_CITIES, TspConfig(seed=seed)) for seed in (0, 1, 2)]
+    reports = [solve(FOUR_CITIES, seed=seed) for seed in (0, 1, 2)]
     for report in reports[1:]:
         assert report.best_tour == reports[0].best_tour
         assert report.lengths == reports[0].lengths
@@ -319,12 +318,17 @@ def test_solve_rejects_invalid_instances():
 @pytest.mark.parametrize("shots", [0, -1])
 def test_solve_rejects_non_positive_shots(shots):
     with pytest.raises(ValueError, match=f"^shots must be positive, got {shots}$"):
-        solve(FOUR_CITIES, TspConfig(shots_per_cycle=shots))
+        solve(FOUR_CITIES, shots=shots)
+
+
+def test_solve_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        solve(FOUR_CITIES, seed=-1)
 
 
 def test_solve_respects_qubit_cap():
     with pytest.raises(QubitBudgetError, match="4 precision qubits requested but the cap is 3"):
-        solve(FOUR_CITIES, TspConfig(max_qubits=3))
+        solve(FOUR_CITIES, max_qubits=3)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -363,13 +367,12 @@ def test_solve_runs_one_estimate_per_distinct_exponent(monkeypatch, instance, cy
     """All distinct exponents share one pass of the ops, and every cycle's
     result equals the reference of its own circuit exactly."""
     n = instance.n_nodes
-    config = TspConfig(shots_per_cycle=512, seed=3)
     scale, m = phase_scale(instance)
     unitary = build_phase_unitary(instance, scale)
     tours = enumerate_cycles(n)
 
     expected = [
-        reference_estimate(unitary, encode_eigenstate(t, n), m, config.shots_per_cycle, config.seed)
+        reference_estimate(unitary, encode_eigenstate(t, n), m, shots=512, seed=3)
         for t in tours
     ]
     assert len(tours) == cycles
@@ -383,7 +386,7 @@ def test_solve_runs_one_estimate_per_distinct_exponent(monkeypatch, instance, cy
         return real_apply(*args)
 
     monkeypatch.setattr(qc, "apply_unchecked", counting_apply)
-    report = solve(instance, config)
+    report = solve(instance, shots=512, seed=3)
     # the H layer and the inverse Fourier transform, once, however many rows
     assert calls[0] == m + len(inverse(build_qft(range(m))).ops)
     assert report.tours == tours
@@ -400,7 +403,7 @@ def test_solve_in_chunks_matches_one_batch_and_holds_one_state_at_the_cap(monkey
     instance = random_instance(6, 1, max_weight=300)
     _, m = phase_scale(instance)
     cap = m + 1
-    whole = solve(instance, TspConfig(shots_per_cycle=256))
+    whole = solve(instance, shots=256)
     assert len(set(whole.lengths)) > 2
 
     held = []
@@ -418,7 +421,7 @@ def test_solve_in_chunks_matches_one_batch_and_holds_one_state_at_the_cap(monkey
     monkeypatch.setattr(qc, "apply_unchecked", measuring_apply)
     tracemalloc.start()
     try:
-        chunked = solve(instance, TspConfig(shots_per_cycle=256, max_qubits=cap))
+        chunked = solve(instance, shots=256, max_qubits=cap)
     finally:
         tracemalloc.stop()
     assert chunked.tours == whole.tours

@@ -14,24 +14,24 @@ NORM_TOL = 1e-9
 UNITARY_TOL = 1e-12
 
 
-def basis_state(num_qubits: int, index: int) -> sv.StateVector:
-    amps = np.zeros(1 << num_qubits, dtype=complex)
-    amps[index] = 1.0
-    return sv.StateVector(num_qubits, amps)
+def basis_state(num_qubits: int, index: int) -> np.ndarray:
+    state = np.zeros(1 << num_qubits, dtype=complex)
+    state[index] = 1.0
+    return state
 
 
-def apply_gate(state, gate, controls=(), targets=()) -> sv.StateVector:
-    out = sv.StateVector(state.num_qubits, state.amps.copy())
+def apply_gate(state, gate, controls=(), targets=()) -> np.ndarray:
+    out = state.copy()
     sv.apply_gate_in_place(out, gate, controls, targets)
     return out
 
 
-def random_state(num_qubits: int, seed: int) -> sv.StateVector:
+def random_state(num_qubits: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     dim = 1 << num_qubits
-    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    amps /= np.linalg.norm(amps)
-    return sv.StateVector(num_qubits, amps)
+    state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    state /= np.linalg.norm(state)
+    return state
 
 
 @st.composite
@@ -73,9 +73,9 @@ def test_gate_inverses():
 
 def test_init_zero_starts_in_all_zeros():
     state = sv.init_zero(3)
-    assert state.amps[0] == 1.0
-    assert np.count_nonzero(state.amps) == 1
-    assert abs(np.linalg.norm(state.amps) - 1.0) < NORM_TOL
+    assert state[0] == 1.0
+    assert np.count_nonzero(state) == 1
+    assert abs(np.linalg.norm(state) - 1.0) < NORM_TOL
 
 
 def test_init_zero_enforces_qubit_cap():
@@ -88,20 +88,29 @@ def test_init_zero_enforces_qubit_cap():
 
 
 def test_statevector_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        sv.StateVector(2, np.zeros(3, dtype=complex))
-    with pytest.raises(ValueError):
-        sv.StateVector(2, np.zeros((2, 3), dtype=complex))
-    with pytest.raises(ValueError):
-        sv.StateVector(2, np.zeros((2, 2, 4), dtype=complex))
+    for bad in (
+        np.zeros(3, dtype=complex),
+        np.zeros(6, dtype=complex),
+        np.zeros((2, 3), dtype=complex),
+        np.zeros((2, 2, 4), dtype=complex),
+        np.zeros(4),  # float64, not complex128
+        np.zeros(0, dtype=complex),
+    ):
+        before = bad.copy()
+        with pytest.raises(ValueError, match="complex128 amplitudes"):
+            sv.apply_gate_in_place(bad, sv.X, targets=(0,))
+        with pytest.raises(ValueError, match="complex128 amplitudes"):
+            sv.sample(bad, 10, seed=0)
+        assert bad.tobytes() == before.tobytes(), bad.shape
 
 
 def test_kernel_updates_state_built_from_strided_amplitudes():
     buffer = np.zeros(8, dtype=complex)
     buffer[0] = 1.0
-    state = sv.StateVector(2, buffer[::2])
+    state = buffer[::2]
     sv.apply_gate_in_place(state, sv.X, targets=(0,))
-    assert np.array_equal(state.amps, [0, 0, 1, 0])
+    assert np.array_equal(state, [0, 0, 1, 0])
+    assert np.array_equal(buffer, [0, 0, 0, 0, 1, 0, 0, 0])
 
 
 # --- bit ordering ----------------------------------------------------------------
@@ -109,7 +118,7 @@ def test_kernel_updates_state_built_from_strided_amplitudes():
 
 def test_qubit_zero_is_most_significant():
     state = apply_gate(sv.init_zero(3), sv.X, targets=(0,))
-    assert state.amps[0b100] == 1.0
+    assert state[0b100] == 1.0
     assert sv.bitstring(0b100, 3) == "100"
 
 
@@ -126,8 +135,8 @@ def test_apply_gate_matches_reference_matrix(application, seed):
     n, gate, controls, targets = application
     state = random_state(n, seed)
     result = apply_gate(state, gate, controls, targets)
-    expected = oracles.embedded_op(n, gate.name, gate.lam, controls, targets) @ state.amps
-    assert np.max(np.abs(result.amps - expected)) < 1e-12
+    expected = oracles.embedded_op(n, gate.name, gate.lam, controls, targets) @ state
+    assert np.max(np.abs(result - expected)) < 1e-12
 
 
 @settings(max_examples=80, deadline=None)
@@ -135,10 +144,10 @@ def test_apply_gate_matches_reference_matrix(application, seed):
 def test_batch_rows_advance_bitwise_as_single_states(application, seed):
     n, gate, controls, targets = application
     rows = [random_state(n, seed + k) for k in range(3)]
-    batch = sv.StateVector(n, np.stack([row.amps for row in rows]))
+    batch = np.stack(rows)
     sv.apply_gate_in_place(batch, gate, controls, targets)
-    for got, row in zip(batch.amps, rows):
-        alone = apply_gate(row, gate, controls, targets).amps
+    for got, row in zip(batch, rows):
+        alone = apply_gate(row, gate, controls, targets)
         if gate.name == "phase" and len(controls) + 1 == n:
             # one amplitude per row: numpy may round the product differently
             assert np.max(np.abs(got - alone)) < 1e-15
@@ -153,7 +162,7 @@ def test_apply_gate_is_unitary(application):
     dim = 1 << n
     built = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
-        built[:, col] = apply_gate(basis_state(n, col), gate, controls, targets).amps
+        built[:, col] = apply_gate(basis_state(n, col), gate, controls, targets)
     assert np.max(np.abs(built.conj().T @ built - np.eye(dim))) < UNITARY_TOL
 
 
@@ -163,7 +172,7 @@ def test_apply_gate_preserves_norm(application, seed):
     n, gate, controls, targets = application
     state = random_state(n, seed)
     result = apply_gate(state, gate, controls, targets)
-    assert abs(np.linalg.norm(result.amps) - 1.0) < NORM_TOL
+    assert abs(np.linalg.norm(result) - 1.0) < NORM_TOL
 
 
 @settings(max_examples=80, deadline=None)
@@ -173,39 +182,39 @@ def test_self_inverse_gates_round_trip(application, seed):
     state = random_state(n, seed)
     there = apply_gate(state, gate, controls, targets)
     back = apply_gate(there, gate.inverse(), controls, targets)
-    assert np.max(np.abs(back.amps - state.amps)) < 1e-12
+    assert np.max(np.abs(back - state)) < 1e-12
 
 
 def test_multi_controlled_x_flips_only_full_control_patterns():
     for index in range(8):
         out = apply_gate(basis_state(3, index), sv.X, controls=(0, 1), targets=(2,))
         expected = index ^ 1 if (index >> 1) == 0b11 else index
-        assert out.amps[expected] == 1.0
+        assert out[expected] == 1.0
 
 
 def test_multi_controlled_z_phases_only_all_ones():
     for index in range(8):
         out = apply_gate(basis_state(3, index), sv.Z, controls=(0, 1), targets=(2,))
         expected = -1.0 if index == 0b111 else 1.0
-        assert out.amps[index] == expected
+        assert out[index] == expected
 
 
 def test_swap_exchanges_outer_qubits():
     out = apply_gate(basis_state(3, 0b100), sv.SWAP, targets=(0, 2))
-    assert out.amps[0b001] == 1.0
+    assert out[0b001] == 1.0
 
 
 def test_controlled_swap_respects_control():
     idle = apply_gate(basis_state(3, 0b010), sv.SWAP, controls=(0,), targets=(1, 2))
-    assert idle.amps[0b010] == 1.0
+    assert idle[0b010] == 1.0
     active = apply_gate(basis_state(3, 0b110), sv.SWAP, controls=(0,), targets=(1, 2))
-    assert active.amps[0b101] == 1.0
+    assert active[0b101] == 1.0
 
 
 def test_apply_gate_leaves_input_untouched():
     state = sv.init_zero(2)
     apply_gate(state, sv.H, targets=(0,))
-    assert state.amps[0] == 1.0
+    assert state[0] == 1.0
 
 
 # --- operand validation -----------------------------------------------------------
@@ -236,7 +245,7 @@ def test_probabilities_sum_to_one():
 # --- sampling ---------------------------------------------------------------------
 
 
-def _uniform_state(num_qubits: int) -> sv.StateVector:
+def _uniform_state(num_qubits: int) -> np.ndarray:
     state = sv.init_zero(num_qubits)
     for q in range(num_qubits):
         state = apply_gate(state, sv.H, targets=(q,))
@@ -260,7 +269,7 @@ def test_sample_varies_with_seed():
 def test_sample_never_emits_dead_outcomes():
     eps = 1e-8  # squared probability 1e-16 sits below the zero clamp
     amps = np.array([math.sqrt(1.0 - eps * eps), eps], dtype=complex)
-    hist = sv.sample(sv.StateVector(1, amps), 5000, seed=3)
+    hist = sv.sample(amps, 5000, seed=3)
     assert hist.counts == {"0": 5000}
 
 
@@ -313,7 +322,7 @@ def sampling_case(seed: int):
     shots = int(rng.choice([1, 2, 3, 64, 4096, int(rng.integers(1, 4097))]))
     subset = rng.permutation(n)[: int(rng.integers(1, n + 1))]
     qubits = None if rng.random() < 0.3 else tuple(subset.tolist())
-    return sv.StateVector(n, amps), shots, int(rng.integers(0, 1000)), qubits
+    return amps, shots, int(rng.integers(0, 1000)), qubits
 
 
 @pytest.mark.parametrize("kind", range(4), ids=["dense", "exact_zeros", "below_clamp", "tied"])
@@ -321,28 +330,28 @@ def test_sample_matches_the_choice_oracle(kind):
     for seed in range(kind, 1000, 4):
         state, shots, sample_seed, qubits = sampling_case(seed)
         hist = sv.sample(state, shots, sample_seed, qubits)
-        expected = oracles.choice_histogram(state.amps, shots, sample_seed, qubits)
+        expected = oracles.choice_histogram(state, shots, sample_seed, qubits)
         assert list(hist.counts.items()) == list(expected.items()), seed
         assert hist.shots == shots
 
 
 @pytest.mark.parametrize("bad", [0.0, 1e-7, np.nan, np.inf])
 def test_sample_refuses_a_state_without_finite_measurable_mass(bad):
-    state = sv.StateVector(2, np.array([bad, 0.0, 0.0, 0.0], dtype=complex))
+    state = np.array([bad, 0.0, 0.0, 0.0], dtype=complex)
     with pytest.raises(ValueError):
         sv.sample(state, 10, seed=0)
 
 
 def test_sample_holds_no_more_than_a_tenth_beyond_the_state():
     n = 20
-    state = sv.StateVector(n, np.full(1 << n, 2.0 ** (-n / 2), dtype=complex))
+    state = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
     tracemalloc.start()
     try:
         sv.sample(state, 4096, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * state.amps.nbytes
+    assert peak <= 1.1 * state.nbytes
 
 
 def test_histogram_most_common_orders_by_count_then_key():

@@ -16,6 +16,7 @@ from qsolve.grover_sat import (
     schedule_states,
     solve,
 )
+from qsolve.problems import DEFAULT_QUBIT_CAP, shots_budget_error
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -60,6 +61,9 @@ def main():
     args = parser.parse_args()
     if args.shots < 1:
         parser.error(f"--shots must be positive, got {args.shots}")
+    fault = shots_budget_error(args.shots, DEFAULT_QUBIT_CAP)
+    if fault:
+        parser.error(fault)
     if args.seed < 0:
         parser.error(f"--seed must be non-negative, got {args.seed}")
 

@@ -10,8 +10,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .problems import DEFAULT_QUBIT_CAP
 from .statevector import (
-    DEFAULT_QUBIT_CAP,
     Gate,
     H,
     Histogram,

@@ -11,18 +11,25 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
-from .circuit import export_text
 from .errors import AlgorithmMismatchError, ProblemFileError, QsolveError
-from .statevector import DEFAULT_QUBIT_CAP
 
-# a child imports only the solver its problem names, in that problem's branch
-if TYPE_CHECKING:
-    from .grover_sat import SatProblem
-    from .qpe_tsp import TspInstance
+# parsing needs only the numpy-free problem model; a child imports the solver
+# its problem names, and with it numpy and the simulator, in that problem's branch
+from .problems import (
+    DEFAULT_QUBIT_CAP,
+    EqualConst,
+    NotEqual,
+    SatProblem,
+    SumEquals,
+    TspInstance,
+    VarDecl,
+    shots_budget_error,
+    validate_instance,
+    validate_problem,
+)
 
 
 class UsageError(QsolveError):
@@ -32,8 +39,7 @@ class UsageError(QsolveError):
 # --- problem file parsing ------------------------------------------------------
 
 
-@dataclass
-class ParsedProblem:
+class ParsedProblem(NamedTuple):
     kind: str  # "sat" or "tsp"
     sat: SatProblem | None = None
     tsp: TspInstance | None = None
@@ -75,8 +81,6 @@ def _as_int(value, where: str) -> int:
 
 
 def _parse_constraint(raw, where: str):
-    from .grover_sat import EqualConst, NotEqual, SumEquals
-
     obj = _as_object(raw, where)
     kind = _as_str(_get(obj, "kind", where), f"{where}.kind")
     raw_args = _as_list(_get(obj, "args", where), f"{where}.args")
@@ -121,8 +125,6 @@ def parse_problem(path) -> ParsedProblem:
     kind = _as_str(_get(obj, "type", where), f"{where}.type")
 
     if kind == "sat":
-        from .grover_sat import SatProblem, VarDecl, validate_problem
-
         decls = []
         for i, raw in enumerate(_as_list(_get(obj, "variables", where), f"{where}.variables")):
             vwhere = f"{where}.variables[{i}]"
@@ -146,8 +148,6 @@ def parse_problem(path) -> ParsedProblem:
         return ParsedProblem("sat", sat=problem)
 
     if kind == "tsp":
-        from .qpe_tsp import TspInstance, validate_instance
-
         rows = []
         for i, raw in enumerate(_as_list(_get(obj, "adjacency", where), f"{where}.adjacency")):
             rwhere = f"{where}.adjacency[{i}]"
@@ -285,12 +285,9 @@ def _run_solve(args) -> int:
         raise UsageError(f"--shots must be positive, got {args.shots}")
     if args.max_qubits < 1:
         raise UsageError(f"--max-qubits must be positive, got {args.max_qubits}")
-    # draws take 8 bytes a shot, a state at the cap 16 * 2**max_qubits; the first
-    # test keeps a cap wider than the shot count from building 2**max_qubits
-    if args.max_qubits < args.shots.bit_length() and 8 * args.shots > 16 << args.max_qubits:
-        raise UsageError(
-            f"--shots {args.shots} needs more memory than a {args.max_qubits}-qubit state"
-        )
+    fault = shots_budget_error(args.shots, args.max_qubits)
+    if fault:
+        raise UsageError(fault)
     if args.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.threshold is not None and not 0.0 < args.threshold <= 1.0:
@@ -310,6 +307,8 @@ def _run_solve(args) -> int:
             max_qubits=args.max_qubits,
         )
         if args.dump_circuit:
+            from .circuit import export_text
+
             layout = grover_sat.qubit_layout(parsed.sat, args.max_qubits)
             circuit = grover_sat.build_search_circuit(parsed.sat, layout, report.iterations_used)
             Path(args.dump_circuit).write_text(export_text(circuit), encoding="utf-8")
@@ -323,6 +322,8 @@ def _run_solve(args) -> int:
         parsed.tsp, shots=args.shots, seed=args.seed, max_qubits=args.max_qubits
     )
     if args.dump_circuit:
+        from .circuit import export_text
+
         unitary = qpe_tsp.build_phase_unitary(parsed.tsp, report.scale)
         eigenstate = qpe_tsp.encode_eigenstate(report.best_tour, parsed.tsp.n_nodes)
         circuit = qpe_tsp.qpe_circuit(unitary, eigenstate, report.precision_bits)

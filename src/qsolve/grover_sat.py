@@ -14,127 +14,24 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .circuit import Circuit, CircuitOp, QubitRegister, apply_ops, execute, inverse
 from .errors import ProblemValidationError, QubitBudgetError
-from .statevector import DEFAULT_QUBIT_CAP, H, Histogram, X, Z, sample, zeros
+from .problems import (
+    DEFAULT_QUBIT_CAP,
+    Constraint,
+    EqualConst,
+    NotEqual,
+    SatProblem,
+    SumEquals,
+    validate_problem,
+)
+from .statevector import H, Histogram, X, Z, sample, zeros
 
 Assignment = dict[str, int]
-
-
-@dataclass(frozen=True)
-class VarDecl:
-    name: str
-    bits: int
-
-
-@dataclass(frozen=True)
-class NotEqual:
-    """a != b; both operands must have the same width."""
-
-    a: str
-    b: str
-
-
-@dataclass(frozen=True)
-class EqualConst:
-    """a == value for a constant in the variable's range."""
-
-    a: str
-    value: int
-
-
-@dataclass(frozen=True)
-class SumEquals:
-    """sum(vars) == value; repeated names count multiply."""
-
-    vars: tuple[str, ...]
-    value: int
-
-
-Constraint = Union[NotEqual, EqualConst, SumEquals]
-
-
-@dataclass(frozen=True)
-class SatProblem:
-    vars: tuple[VarDecl, ...]
-    constraints: tuple[Constraint, ...]
-
-    def widths(self) -> dict[str, int]:
-        return {v.name: v.bits for v in self.vars}
-
-    @property
-    def search_width(self) -> int:
-        return sum(v.bits for v in self.vars)
-
-
-def validate_problem(problem: SatProblem) -> list[str]:
-    """Every semantic violation as a readable diagnostic; empty means valid."""
-    diags: list[str] = []
-    if not problem.vars:
-        diags.append("problem declares no variables")
-    if not problem.constraints:
-        diags.append("problem declares no constraints")
-    widths: dict[str, int] = {}
-    for i, v in enumerate(problem.vars):
-        where = f"variables[{i}]"
-        if not v.name.isidentifier():
-            diags.append(f"{where}: name {v.name!r} is not an identifier")
-        if v.name in widths:
-            diags.append(f"{where}: duplicate variable name {v.name!r}")
-        if v.bits < 1:
-            diags.append(f"{where}: width must be at least 1, got {v.bits}")
-        widths[v.name] = v.bits
-    for i, c in enumerate(problem.constraints):
-        where = f"constraints[{i}]"
-        if isinstance(c, NotEqual):
-            missing = [n for n in (c.a, c.b) if n not in widths]
-            for n in missing:
-                diags.append(f"{where}: undeclared variable {n!r}")
-            if not missing and widths[c.a] != widths[c.b]:
-                diags.append(
-                    f"{where}: not_equal needs equal widths, "
-                    f"{c.a!r} has {widths[c.a]} bits and {c.b!r} has {widths[c.b]}"
-                )
-        elif isinstance(c, EqualConst):
-            if c.a not in widths:
-                diags.append(f"{where}: undeclared variable {c.a!r}")
-            elif widths[c.a] >= 1 and (c.value < 0 or c.value.bit_length() > widths[c.a]):
-                diags.append(
-                    f"{where}: value {c.value} outside the range of {c.a!r} "
-                    f"(0..{_sum_top([widths[c.a]])})"
-                )
-        elif isinstance(c, SumEquals):
-            if not c.vars:
-                diags.append(f"{where}: sum_equals needs at least one variable")
-            missing = [n for n in c.vars if n not in widths]
-            for n in missing:
-                diags.append(f"{where}: undeclared variable {n!r}")
-            ws = [widths[n] for n in c.vars if n in widths]
-            # the range is computed only for a value wider than every operand
-            if ws and not missing and min(ws) >= 1 and (
-                c.value < 0
-                or (c.value.bit_length() > max(ws) and c.value > sum((1 << w) - 1 for w in ws))
-            ):
-                top = _sum_top(ws)
-                diags.append(
-                    f"{where}: value {c.value} outside the achievable sum range (0..{top})"
-                )
-        else:
-            diags.append(f"{where}: unknown constraint type {type(c).__name__}")
-    return diags
-
-
-def _sum_top(widths: Sequence[int]) -> str:
-    """sum(2**w - 1 for w in widths), whose widths are all at least 1 (a
-    smaller one has its own diagnostic): in decimal up to 64 bits, and
-    beyond as ``2**w+...-k``, so a wide bound is never built."""
-    if max(widths) <= 64:
-        return str(sum((1 << w) - 1 for w in widths))
-    return "+".join(f"2**{w}" for w in widths) + f"-{len(widths)}"
 
 
 def classical_check(assignment: Assignment, problem: SatProblem) -> bool:

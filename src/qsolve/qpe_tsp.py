@@ -19,60 +19,16 @@ import numpy as np
 
 from .circuit import Circuit, CircuitOp, QubitRegister, apply_ops, build_qft, inverse
 from .errors import ProblemValidationError, QubitBudgetError
-from .statevector import (
+from .problems import (
     DEFAULT_QUBIT_CAP,
-    H,
-    draw_outcomes,
-    probabilities,
-    sorted_draws,
-    zeros,
+    MAX_NODES,
+    MIN_NODES,
+    TspInstance,
+    validate_instance,
 )
-
-MIN_NODES = 3
-MAX_NODES = 8
+from .statevector import H, outcome_cdf, probabilities, sorted_draws, zeros
 
 Tour = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class TspInstance:
-    """A complete undirected graph given by a symmetric integer weight matrix
-    with a zero diagonal; nodes are labelled 1..n."""
-
-    weights: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.weights)
-
-    def weight(self, a: int, b: int) -> int:
-        return self.weights[a - 1][b - 1]
-
-
-def validate_instance(instance: TspInstance) -> list[str]:
-    """Every semantic violation as a readable diagnostic; empty means valid."""
-    diags: list[str] = []
-    n = instance.n_nodes
-    if not MIN_NODES <= n <= MAX_NODES:
-        diags.append(f"node count {n} outside the supported range {MIN_NODES}..{MAX_NODES}")
-    for i, row in enumerate(instance.weights):
-        if len(row) != n:
-            diags.append(f"adjacency[{i}]: expected {n} entries, got {len(row)}")
-    if any(len(row) != n for row in instance.weights):
-        return diags  # shape is broken; element checks would misfire
-    for i in range(n):
-        if instance.weights[i][i] != 0:
-            diags.append(f"adjacency[{i}][{i}]: diagonal must be 0, got {instance.weights[i][i]}")
-        for j in range(n):
-            w = instance.weights[i][j]
-            if w < 0:
-                diags.append(f"adjacency[{i}][{j}]: weights must be non-negative, got {w}")
-            if j > i and w != instance.weights[j][i]:
-                diags.append(
-                    f"adjacency[{i}][{j}]: matrix must be symmetric, "
-                    f"got {w} vs adjacency[{j}][{i}] = {instance.weights[j][i]}"
-                )
-    return diags
 
 
 def enumerate_cycles(n_nodes: int) -> list[Tour]:
@@ -236,8 +192,10 @@ def estimate_phases(
     draws = sorted_draws(shots, seed)
     estimates = []
     for row in batch:
-        # argmax takes the first maximum: count ties go to the lowest bitstring
-        raw = int(np.bincount(draw_outcomes(row, draws), minlength=1 << m).argmax())
+        # the draws below each CDF step, differenced, count each outcome's draws
+        # (as draw_outcomes would assign them); argmax takes the first maximum,
+        # so count ties go to the lowest bitstring
+        raw = int(np.diff(draws.searchsorted(outcome_cdf(row)), prepend=0).argmax())
         estimates.append(PhaseEstimate(raw, m, raw / (1 << m), float(probabilities(row)[raw])))
     return estimates
 

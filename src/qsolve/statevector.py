@@ -18,8 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import QubitBudgetError
-
-DEFAULT_QUBIT_CAP = 26
+from .problems import DEFAULT_QUBIT_CAP
 
 PROB_ZERO_TOL = 1e-12
 
@@ -217,13 +216,11 @@ def sorted_draws(shots: int, seed: int) -> np.ndarray:
     return np.sort(np.random.default_rng(seed).random(shots))
 
 
-def draw_outcomes(state: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """The basis-state index each draw of :func:`sorted_draws` selects.
+def outcome_cdf(state: np.ndarray) -> np.ndarray:
+    """The cumulative distribution ``Generator.choice`` samples ``state`` by.
 
     Probabilities below ``PROB_ZERO_TOL`` are clamped to zero before
-    normalizing, so numerically-dead outcomes can never fire.  The inverse
-    CDF is ``Generator.choice``'s, so a draw selects what ``choice`` would;
-    sorted draws give sorted outcomes.
+    normalizing, so numerically-dead outcomes can never fire.
     """
     cdf = probabilities(state)
     cdf[cdf < PROB_ZERO_TOL] = 0.0
@@ -235,7 +232,15 @@ def draw_outcomes(state: np.ndarray, draws: np.ndarray) -> np.ndarray:
     cdf /= total
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
-    return cdf.searchsorted(draws, side="right")
+    return cdf
+
+
+def draw_outcomes(state: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The basis-state index each draw of :func:`sorted_draws` selects, by
+    the inverse of :func:`outcome_cdf`, so a draw selects what ``choice``
+    would; sorted draws give sorted outcomes.
+    """
+    return outcome_cdf(state).searchsorted(draws, side="right")
 
 
 def sample(
@@ -252,6 +257,8 @@ def sample(
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     n = _qubit_count(state)
+    if state.ndim != 1:
+        raise ValueError(f"a batch of states cannot be sampled, got shape {state.shape}")
     qs = tuple(int(q) for q in (range(n) if qubits is None else qubits))
     if not qs:
         raise ValueError("qubit subset must not be empty")

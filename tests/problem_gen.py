@@ -8,8 +8,7 @@ package's own constraint types.
 
 import random
 
-from qsolve.grover_sat import EqualConst, NotEqual, SatProblem, SumEquals, VarDecl
-from qsolve.qpe_tsp import TspInstance
+from qsolve.problems import EqualConst, NotEqual, SatProblem, SumEquals, TspInstance, VarDecl
 
 MAX_SEARCH_QUBITS = 10
 

@@ -12,14 +12,8 @@ import qsolve.circuit as qc
 import qsolve.statevector as sv
 from qsolve import cli, qpe_tsp
 from qsolve.circuit import Circuit, CircuitOp, QubitRegister
-from qsolve.grover_sat import (
-    EqualConst,
-    SatProblem,
-    VarDecl,
-    build_search_circuit,
-    qubit_layout,
-    validate_problem,
-)
+from qsolve.grover_sat import build_search_circuit, qubit_layout
+from qsolve.problems import EqualConst, SatProblem, VarDecl, validate_problem
 from qsolve.statevector import Gate, X, Z, phase
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from qsolve import cli, grover_sat, qpe_tsp
 from qsolve.circuit import export_text
 from qsolve.errors import AlgorithmMismatchError, ProblemFileError
-from qsolve.grover_sat import NotEqual, SumEquals, build_search_circuit, qubit_layout
+from qsolve.grover_sat import build_search_circuit, qubit_layout
 from qsolve.grover_sat import solve as grover_solve
+from qsolve.problems import NotEqual, SumEquals
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -749,6 +750,72 @@ def test_a_solve_process_imports_only_the_solver_its_problem_names(problem, solv
     imported = {line.rpartition("|")[2].strip() for line in result.stderr.splitlines()}
     assert solver in imported
     assert other not in imported
+
+
+def src_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
+
+PARSE_ONLY = (
+    "import sys\n"
+    "from qsolve import cli\n"
+    "print(cli.parse_problem(sys.argv[1]).kind)\n"
+    "print(sorted({'numpy', 'dataclasses'} & set(sys.modules)))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "problem", [*sorted(PROBLEMS.glob("*.json")), EIGHT_CITIES], ids=lambda path: path.name
+)
+def test_parsing_a_problem_loads_neither_numpy_nor_dataclasses(problem):
+    result = subprocess.run(
+        [sys.executable, "-c", PARSE_ONLY, str(problem)],
+        capture_output=True, text=True, env=src_env(),
+    )
+    kind = json.loads(problem.read_text())["type"]
+    assert (result.returncode, result.stdout, result.stderr) == (0, f"{kind}\n[]\n", "")
+
+
+@pytest.mark.parametrize("case", ["invalid_file", "shots_0"])
+def test_a_refusal_exits_two_before_numpy_loads(tmp_path, case):
+    if case == "invalid_file":
+        args = ["--input", str(write_problem(tmp_path, {"type": "tsp", "adjacency": [[0]]}))]
+    else:
+        args = ["--input", str(UNIT_KAKURO), "--shots", "0"]
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qsolve", "solve", *args],
+        capture_output=True, text=True, env=src_env(),
+    )
+    lines = result.stderr.splitlines()
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len([line for line in lines if line.startswith("error:")]) == 1
+    assert [line for line in lines if "numpy" in line] == []
+
+
+LAZY_SUBMODULES = (
+    "import sys, qsolve\n"
+    "print('numpy' in sys.modules)\n"
+    "print(qsolve.grover_sat.__name__, qsolve.circuit.__name__)\n"
+    "try:\n"
+    "    qsolve.nope\n"
+    "except AttributeError as exc:\n"
+    "    print(exc)\n"
+)
+
+
+def test_import_qsolve_loads_the_solvers_on_first_attribute_access():
+    result = subprocess.run(
+        [sys.executable, "-c", LAZY_SUBMODULES], capture_output=True, text=True, env=src_env()
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines() == [
+        "False",
+        "qsolve.grover_sat qsolve.circuit",
+        "module 'qsolve' has no attribute 'nope'",
+    ]
 
 
 def test_dump_circuit_unwritable_path_exits_two(capsys, tmp_path):

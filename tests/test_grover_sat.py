@@ -16,11 +16,6 @@ from qsolve import cli, grover_sat
 from qsolve.circuit import Circuit, execute
 from qsolve.errors import ProblemValidationError, QubitBudgetError
 from qsolve.grover_sat import (
-    EqualConst,
-    NotEqual,
-    SatProblem,
-    SumEquals,
-    VarDecl,
     build_diffuser,
     build_oracle,
     build_search_circuit,
@@ -34,8 +29,8 @@ from qsolve.grover_sat import (
     synth_equal_const,
     synth_not_equal,
     synth_sum_equals,
-    validate_problem,
 )
+from qsolve.problems import EqualConst, NotEqual, SatProblem, SumEquals, VarDecl, validate_problem
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 

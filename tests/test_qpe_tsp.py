@@ -24,8 +24,8 @@ from qsolve.qpe_tsp import (
     qpe_circuit,
     solve,
     tour_length,
-    validate_instance,
 )
+from qsolve.problems import validate_instance
 from qsolve.circuit import build_qft, execute, inverse
 from qsolve.statevector import probabilities
 

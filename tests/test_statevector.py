@@ -104,6 +104,19 @@ def test_statevector_rejects_wrong_length():
         assert bad.tobytes() == before.tobytes(), bad.shape
 
 
+def test_sample_refuses_a_batch_before_drawing(monkeypatch):
+    batch = np.zeros((2, 4), dtype=complex)
+    batch[:, 0] = 1.0
+    assert sv.sample(batch[0], 10, seed=0).counts == {"00": 10}
+
+    def no_draws(*args):
+        raise AssertionError("draws were taken for a batch")
+
+    monkeypatch.setattr(sv, "sorted_draws", no_draws)
+    with pytest.raises(ValueError, match="a batch of states cannot be sampled"):
+        sv.sample(batch, 10, seed=0)
+
+
 def test_kernel_updates_state_built_from_strided_amplitudes():
     buffer = np.zeros(8, dtype=complex)
     buffer[0] = 1.0

@@ -16,7 +16,7 @@ from qsolve.grover_sat import (
     schedule_states,
     solve,
 )
-from qsolve.problems import DEFAULT_QUBIT_CAP, shots_budget_error
+from qsolve.problems import request_error
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -59,13 +59,9 @@ def main():
     parser.add_argument("--shots", type=int, default=4096)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    if args.shots < 1:
-        parser.error(f"--shots must be positive, got {args.shots}")
-    fault = shots_budget_error(args.shots, DEFAULT_QUBIT_CAP)
+    fault = request_error(args.shots, args.seed)
     if fault:
         parser.error(fault)
-    if args.seed < 0:
-        parser.error(f"--seed must be non-negative, got {args.seed}")
 
     for name in ("kakuro_unit_sums.json", "kakuro_cross_sums.json"):
         problem = parse_problem(PROBLEMS / name).sat

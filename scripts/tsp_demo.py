@@ -10,7 +10,7 @@ from pathlib import Path
 
 from qsolve.cli import parse_problem
 from qsolve.errors import ProblemFileError, QsolveError
-from qsolve.problems import DEFAULT_QUBIT_CAP, shots_budget_error
+from qsolve.problems import request_error
 from qsolve.qpe_tsp import display_tour, encode_eigenstate, solve, tour_length
 
 DEFAULT_INPUT = Path(__file__).resolve().parents[1] / "problems" / "tsp_four_cities.json"
@@ -33,13 +33,9 @@ def main():
     parser.add_argument("--shots", type=int, default=4096)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    if args.shots < 1:
-        parser.error(f"--shots must be positive, got {args.shots}")
-    fault = shots_budget_error(args.shots, DEFAULT_QUBIT_CAP)
+    fault = request_error(args.shots, args.seed)
     if fault:
         parser.error(fault)
-    if args.seed < 0:
-        parser.error(f"--seed must be non-negative, got {args.seed}")
 
     try:
         parsed = parse_problem(args.input)

@@ -10,7 +10,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .problems import DEFAULT_QUBIT_CAP
 from .statevector import (
     Gate,
     H,
@@ -174,12 +173,7 @@ def apply_ops(state: np.ndarray, ops: Iterable[CircuitOp]) -> None:
         apply_unchecked(state, op.gate, op.controls, op.targets)
 
 
-def execute(
-    circuit: Circuit,
-    shots: int = 0,
-    seed: int = 0,
-    cap: int = DEFAULT_QUBIT_CAP,
-) -> tuple[np.ndarray, Histogram | None]:
+def execute(circuit: Circuit, shots: int = 0, seed: int = 0) -> tuple[np.ndarray, Histogram | None]:
     """Run the circuit from the all-zeros state.
 
     shots=0 skips sampling entirely (the seed is never consumed) and
@@ -188,7 +182,7 @@ def execute(
     """
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
-    state = init_zero(circuit.num_qubits, cap=cap)
+    state = init_zero(circuit.num_qubits)
     apply_ops(state, circuit.ops)
     return state, (sample(state, shots, seed) if shots else None)
 

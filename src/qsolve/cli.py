@@ -26,7 +26,7 @@ from .problems import (
     SumEquals,
     TspInstance,
     VarDecl,
-    shots_budget_error,
+    request_error,
     validate_instance,
     validate_problem,
 )
@@ -45,46 +45,29 @@ class ParsedProblem(NamedTuple):
     tsp: TspInstance | None = None
 
 
-def _type_name(value) -> str:
-    return type(value).__name__
+_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
 
 
-def _get(obj: dict, key: str, where: str):
+def _expect(value, kind: type, where: str):
+    """``value`` if it is a ``kind`` (a bool, an int subclass, is not an
+    integer); otherwise a diagnostic naming the JSON type wanted at ``where``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ProblemFileError(f"{where}: expected {_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _field(obj: dict, key: str, kind: type, where: str):
+    """``obj[key]`` checked by :func:`_expect` at ``where.key``."""
     if key not in obj:
         raise ProblemFileError(f"{where}: missing required field {key!r}")
-    return obj[key]
-
-
-def _as_object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ProblemFileError(f"{where}: expected an object, got {_type_name(value)}")
-    return value
-
-
-def _as_list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ProblemFileError(f"{where}: expected an array, got {_type_name(value)}")
-    return value
-
-
-def _as_str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ProblemFileError(f"{where}: expected a string, got {_type_name(value)}")
-    return value
-
-
-def _as_int(value, where: str) -> int:
-    # bool is an int subclass; reject it explicitly
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProblemFileError(f"{where}: expected an integer, got {_type_name(value)}")
-    return value
+    return _expect(obj[key], kind, f"{where}.{key}")
 
 
 def _parse_constraint(raw, where: str):
-    obj = _as_object(raw, where)
-    kind = _as_str(_get(obj, "kind", where), f"{where}.kind")
-    raw_args = _as_list(_get(obj, "args", where), f"{where}.args")
-    args = [_as_str(a, f"{where}.args[{k}]") for k, a in enumerate(raw_args)]
+    obj = _expect(raw, dict, where)
+    kind = _field(obj, "kind", str, where)
+    raw_args = _field(obj, "args", list, where)
+    args = [_expect(a, str, f"{where}.args[{k}]") for k, a in enumerate(raw_args)]
     if kind == "not_equal":
         if len(args) != 2:
             raise ProblemFileError(f"{where}: not_equal takes exactly 2 args, got {len(args)}")
@@ -94,11 +77,11 @@ def _parse_constraint(raw, where: str):
     if kind == "equal_const":
         if len(args) != 1:
             raise ProblemFileError(f"{where}: equal_const takes exactly 1 arg, got {len(args)}")
-        return EqualConst(args[0], _as_int(_get(obj, "value", where), f"{where}.value"))
+        return EqualConst(args[0], _field(obj, "value", int, where))
     if kind == "sum_equals":
         if not args:
             raise ProblemFileError(f"{where}: sum_equals needs at least 1 arg")
-        return SumEquals(tuple(args), _as_int(_get(obj, "value", where), f"{where}.value"))
+        return SumEquals(tuple(args), _field(obj, "value", int, where))
     raise ProblemFileError(
         f"{where}: unknown constraint kind {kind!r} "
         "(expected not_equal, equal_const or sum_equals)"
@@ -121,25 +104,20 @@ def parse_problem(path) -> ParsedProblem:
         # not UTF-8, an integer past the int-to-str digit limit, or nesting too deep
         raise ProblemFileError(f"{path}: unreadable JSON: {str(exc).partition(';')[0]}") from exc
     where = str(path)
-    obj = _as_object(data, where)
-    kind = _as_str(_get(obj, "type", where), f"{where}.type")
+    obj = _expect(data, dict, where)
+    kind = _field(obj, "type", str, where)
 
     if kind == "sat":
         decls = []
-        for i, raw in enumerate(_as_list(_get(obj, "variables", where), f"{where}.variables")):
+        for i, raw in enumerate(_field(obj, "variables", list, where)):
             vwhere = f"{where}.variables[{i}]"
-            vobj = _as_object(raw, vwhere)
+            vobj = _expect(raw, dict, vwhere)
             decls.append(
-                VarDecl(
-                    _as_str(_get(vobj, "name", vwhere), f"{vwhere}.name"),
-                    _as_int(_get(vobj, "bits", vwhere), f"{vwhere}.bits"),
-                )
+                VarDecl(_field(vobj, "name", str, vwhere), _field(vobj, "bits", int, vwhere))
             )
         constraints = tuple(
             _parse_constraint(raw, f"{where}.constraints[{i}]")
-            for i, raw in enumerate(
-                _as_list(_get(obj, "constraints", where), f"{where}.constraints")
-            )
+            for i, raw in enumerate(_field(obj, "constraints", list, where))
         )
         problem = SatProblem(tuple(decls), constraints)
         diags = validate_problem(problem)
@@ -149,14 +127,10 @@ def parse_problem(path) -> ParsedProblem:
 
     if kind == "tsp":
         rows = []
-        for i, raw in enumerate(_as_list(_get(obj, "adjacency", where), f"{where}.adjacency")):
+        for i, raw in enumerate(_field(obj, "adjacency", list, where)):
             rwhere = f"{where}.adjacency[{i}]"
-            rows.append(
-                tuple(
-                    _as_int(x, f"{rwhere}[{k}]")
-                    for k, x in enumerate(_as_list(raw, rwhere))
-                )
-            )
+            row = _expect(raw, list, rwhere)
+            rows.append(tuple(_expect(x, int, f"{rwhere}[{k}]") for k, x in enumerate(row)))
         instance = TspInstance(tuple(rows))
         diags = validate_instance(instance)
         if diags:
@@ -281,15 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_solve(args) -> int:
-    if args.shots < 1:
-        raise UsageError(f"--shots must be positive, got {args.shots}")
-    if args.max_qubits < 1:
-        raise UsageError(f"--max-qubits must be positive, got {args.max_qubits}")
-    fault = shots_budget_error(args.shots, args.max_qubits)
+    fault = request_error(args.shots, args.seed, args.max_qubits)
     if fault:
         raise UsageError(fault)
-    if args.seed < 0:
-        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.threshold is not None and not 0.0 < args.threshold <= 1.0:
         raise UsageError(f"--threshold must be in (0, 1], got {args.threshold}")
     parsed = parse_problem(args.input)

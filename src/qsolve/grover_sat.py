@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, CircuitOp, QubitRegister, apply_ops, execute, inverse
+from .circuit import Circuit, CircuitOp, QubitRegister, apply_ops, inverse
 from .errors import ProblemValidationError, QubitBudgetError
 from .problems import (
     DEFAULT_QUBIT_CAP,
@@ -57,19 +57,22 @@ def classical_check(assignment: Assignment, problem: SatProblem) -> bool:
 class QubitLayout:
     """Placement of a problem on qubits: search register first (variables in
     declaration order, each MSB-first), one flag qubit per constraint, then a
-    shared sum scratch register sized for the widest sum constraint."""
+    shared sum scratch register sized for the widest sum constraint.
 
-    var_ranges: tuple[tuple[str, int, int], ...]  # (name, offset, width)
+    ``registers`` names these blocks for the search circuit: one per
+    variable, then ``flags`` and, if any sum needs it, ``scratch``, each
+    prefixed with underscores until no variable has its name."""
+
+    registers: tuple[QubitRegister, ...]
     search_width: int
     flag_qubits: tuple[int, ...]
-    scratch_offset: int
     scratch_width: int
     num_qubits: int
 
     def var_qubits(self, name: str) -> range:
-        for vname, offset, width in self.var_ranges:
-            if vname == name:
-                return range(offset, offset + width)
+        for reg in self.registers:
+            if reg.name == name and reg.offset < self.search_width:
+                return reg.qubits
         raise KeyError(f"no variable named {name!r}")
 
     @property
@@ -78,7 +81,7 @@ class QubitLayout:
 
     @property
     def scratch_qubits(self) -> range:
-        return range(self.scratch_offset, self.scratch_offset + self.scratch_width)
+        return range(self.num_qubits - self.scratch_width, self.num_qubits)
 
 
 def qubit_layout(problem: SatProblem, max_qubits: int = DEFAULT_QUBIT_CAP) -> QubitLayout:
@@ -92,30 +95,32 @@ def qubit_layout(problem: SatProblem, max_qubits: int = DEFAULT_QUBIT_CAP) -> Qu
             f"the search register alone needs {search_width} qubits but the cap is {max_qubits}"
         )
     widths = problem.widths()
-    offsets = itertools.accumulate((v.bits for v in problem.vars), initial=0)
-    var_ranges = tuple((v.name, offset, v.bits) for v, offset in zip(problem.vars, offsets))
     flag_qubits = tuple(range(search_width, search_width + len(problem.constraints)))
-    scratch_offset = search_width + len(flag_qubits)
     scratch_width = 0
     for c in problem.constraints:
         if isinstance(c, SumEquals):
             top = sum((1 << widths[n]) - 1 for n in c.vars)
             scratch_width = max(scratch_width, top.bit_length())
-    num_qubits = scratch_offset + scratch_width
+    num_qubits = search_width + len(flag_qubits) + scratch_width
     if num_qubits > max_qubits:
         raise QubitBudgetError(
             f"layout needs {num_qubits} qubits "
             f"({search_width} search + {len(flag_qubits)} flags + {scratch_width} scratch) "
             f"but the cap is {max_qubits}"
         )
-    return QubitLayout(
-        var_ranges=var_ranges,
-        search_width=search_width,
-        flag_qubits=flag_qubits,
-        scratch_offset=scratch_offset,
-        scratch_width=scratch_width,
-        num_qubits=num_qubits,
-    )
+
+    def fresh(name: str) -> str:
+        while name in widths:
+            name = "_" + name
+        return name
+
+    offsets = itertools.accumulate((v.bits for v in problem.vars), initial=0)
+    registers = [QubitRegister(v.name, offset, v.bits) for v, offset in zip(problem.vars, offsets)]
+    # a valid problem has at least one constraint, so always a flag
+    registers.append(QubitRegister(fresh("flags"), search_width, len(flag_qubits)))
+    if scratch_width:
+        registers.append(QubitRegister(fresh("scratch"), num_qubits - scratch_width, scratch_width))
+    return QubitLayout(tuple(registers), search_width, flag_qubits, scratch_width, num_qubits)
 
 
 # --- constraint synthesis ------------------------------------------------------
@@ -303,30 +308,12 @@ def iteration_schedule(search_width: int) -> list[int]:
     return steps
 
 
-def _build_registers(layout: QubitLayout) -> tuple[QubitRegister, ...]:
-    regs = [QubitRegister(name, offset, width) for name, offset, width in layout.var_ranges]
-    used = {r.name for r in regs}
-
-    def fresh(base: str) -> str:
-        name = base
-        while name in used:
-            name = "_" + name
-        used.add(name)
-        return name
-
-    if layout.flag_qubits:
-        regs.append(QubitRegister(fresh("flags"), layout.flag_qubits[0], len(layout.flag_qubits)))
-    if layout.scratch_width:
-        regs.append(QubitRegister(fresh("scratch"), layout.scratch_offset, layout.scratch_width))
-    return tuple(regs)
-
-
 def build_search_circuit(problem: SatProblem, layout: QubitLayout, iterations: int) -> Circuit:
     """Uniform state preparation on the search register followed by
     ``iterations`` oracle + diffuser rounds."""
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
-    circ = Circuit(layout.num_qubits, registers=_build_registers(layout))
+    circ = Circuit(layout.num_qubits, registers=layout.registers)
     for q in layout.search_qubits:
         circ.h(q)
     round_ = build_oracle(problem, layout).extend(build_diffuser(layout.search_width))
@@ -347,7 +334,9 @@ def schedule_states(problem: SatProblem, layout: QubitLayout) -> Iterator[tuple[
     marked = _marked(problem, layout)
     diffuser_ops = build_diffuser(s).ops
     # qubit_layout has held the whole layout, wider than this, to the cap
-    state, _ = execute(Circuit(s, ops=[CircuitOp(H, targets=(q,)) for q in range(s)]), cap=s)
+    state = zeros((1 << s,), np.complex128)
+    state[0] = 1.0
+    apply_ops(state, Circuit(s, ops=[CircuitOp(H, targets=(q,)) for q in range(s)]).ops)
     done = 0
     for t in iteration_schedule(s):
         for _ in range(t - done):

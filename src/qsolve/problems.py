@@ -18,12 +18,19 @@ MIN_NODES = 3
 MAX_NODES = 8
 
 
-def shots_budget_error(shots: int, max_qubits: int) -> str | None:
-    """The refusal for ``shots`` whose draws outweigh a state at the cap, or
-    None.  Draws take 8 bytes a shot, a state 16 * 2**max_qubits; the first
-    test keeps a cap wider than the shot count from building 2**max_qubits."""
+def request_error(shots: int, seed: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> str | None:
+    """The first refusal of a request's ``--shots``, ``--max-qubits`` and
+    ``--seed``, or None.  Draws take 8 bytes a shot, a state
+    16 * 2**max_qubits; the bit-length test keeps a cap wider than the shot
+    count from building 2**max_qubits."""
+    if shots < 1:
+        return f"--shots must be positive, got {shots}"
+    if max_qubits < 1:
+        return f"--max-qubits must be positive, got {max_qubits}"
     if max_qubits < shots.bit_length() and 8 * shots > 16 << max_qubits:
         return f"--shots {shots} needs more memory than a {max_qubits}-qubit state"
+    if seed < 0:
+        return f"--seed must be non-negative, got {seed}"
     return None
 
 

@@ -193,7 +193,7 @@ def estimate_phases(
     estimates = []
     for row in batch:
         # the draws below each CDF step, differenced, count each outcome's draws
-        # (as draw_outcomes would assign them); argmax takes the first maximum,
+        # (as sample would assign them); argmax takes the first maximum,
         # so count ties go to the lowest bitstring
         raw = int(np.diff(draws.searchsorted(outcome_cdf(row)), prepend=0).argmax())
         estimates.append(PhaseEstimate(raw, m, raw / (1 << m), float(probabilities(row)[raw])))

@@ -94,17 +94,17 @@ def _qubit_count(state: np.ndarray) -> int:
     return size.bit_length() - 1
 
 
-def init_zero(num_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+def init_zero(num_qubits: int) -> np.ndarray:
     """The all-zeros computational basis state.
 
-    Refuses to allocate more than ``cap`` qubits: a dense register takes
-    16 * 2**n bytes, so the default cap of 26 tops out at 1 GiB.
+    Refuses to allocate more than ``DEFAULT_QUBIT_CAP`` qubits: a dense
+    register takes 16 * 2**n bytes, so the cap of 26 tops out at 1 GiB.
     """
     if num_qubits < 1:
         raise ValueError(f"need at least one qubit, got {num_qubits}")
-    if num_qubits > cap:
+    if num_qubits > DEFAULT_QUBIT_CAP:
         raise QubitBudgetError(
-            f"{num_qubits} qubits requested but the simulator cap is {cap}"
+            f"{num_qubits} qubits requested but the simulator cap is {DEFAULT_QUBIT_CAP}"
         )
     state = zeros((1 << num_qubits,), np.complex128)
     state[0] = 1.0
@@ -235,14 +235,6 @@ def outcome_cdf(state: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def draw_outcomes(state: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """The basis-state index each draw of :func:`sorted_draws` selects, by
-    the inverse of :func:`outcome_cdf`, so a draw selects what ``choice``
-    would; sorted draws give sorted outcomes.
-    """
-    return outcome_cdf(state).searchsorted(draws, side="right")
-
-
 def sample(
     state: np.ndarray,
     shots: int,
@@ -251,8 +243,9 @@ def sample(
 ) -> Histogram:
     """Draw ``shots`` basis-state measurements of a qubit subset.
 
-    Outcomes come from :func:`draw_outcomes`, so the same seed always
-    yields the same histogram.
+    Each draw of :func:`sorted_draws` selects, by the inverse of
+    :func:`outcome_cdf`, the basis state ``choice`` would, so the same seed
+    always yields the same histogram.
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
@@ -267,7 +260,8 @@ def sample(
     for q in qs:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for a {n}-qubit register")
-    outcomes = draw_outcomes(state, sorted_draws(shots, seed))
+    # sorted draws give sorted outcomes
+    outcomes = outcome_cdf(state).searchsorted(sorted_draws(shots, seed), side="right")
     starts = np.flatnonzero(np.diff(outcomes, prepend=-1))
     freq = np.diff(starts, append=shots)
     keys = [bitstring(v, n, qs) for v in outcomes[starts].tolist()]

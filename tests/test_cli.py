@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -275,6 +276,15 @@ def test_bad_option_values_exit_two(capsys):
     code, _, err = run_cli(capsys, "solve", "--input", str(UNIT_KAKURO), "--shots", "0")
     assert code == 2
     assert "--shots" in err
+    # a bad --shots is refused before a bad --seed
+    code, _, err = run_cli(
+        capsys, "solve", "--input", str(UNIT_KAKURO), "--shots", "0", "--seed", "-1"
+    )
+    assert (code, err) == (2, "error: --shots must be positive, got 0\n")
+    code, _, err = run_cli(
+        capsys, "solve", "--input", str(UNIT_KAKURO), "--shots", str(10**12), "--seed", "-1"
+    )
+    assert (code, err) == (2, f"error: --shots {10**12} needs more memory than a 26-qubit state\n")
 
 
 def test_negative_seed_exits_two(capsys):
@@ -330,15 +340,18 @@ def test_parse_failures_exit_two(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "problem, allocator",
-    [(CROSS_SUMS, "qsolve.circuit.init_zero"), (TSP, "qsolve.qpe_tsp.estimate_phases")],
-    ids=["sat", "tsp"],
+    "problem, solver", [(CROSS_SUMS, grover_sat), (TSP, qpe_tsp)], ids=["sat", "tsp"]
 )
-def test_out_of_memory_exits_two_without_traceback(capsys, monkeypatch, problem, allocator):
-    def refuse(*args, **kwargs):
-        raise MemoryError()
+def test_out_of_memory_exits_two_without_traceback(capsys, monkeypatch, problem, solver):
+    real_zeros = solver.zeros
 
-    monkeypatch.setattr(allocator, refuse)
+    def refuse_states(shape, dtype):
+        # only the complex128 state: the SAT walk allocates bool columns first
+        if dtype == np.complex128:
+            raise MemoryError()
+        return real_zeros(shape, dtype)
+
+    monkeypatch.setattr(solver, "zeros", refuse_states)
     code, out, err = run_cli(capsys, "solve", "--input", str(problem))
     assert code == 2
     assert out == ""

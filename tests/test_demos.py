@@ -59,12 +59,27 @@ def test_tsp_demo_on_eight_nodes_prints_its_pinned_report():
         # 8 TB of draws, past a state at the default cap
         ("tsp_demo.py", ["--shots", str(10**12)], "needs more memory than a 26-qubit state"),
         ("kakuro_demo.py", ["--shots", str(10**12)], "needs more memory than a 26-qubit state"),
+        # a bad --shots is refused before a bad --seed
+        ("tsp_demo.py", ["--shots", "0", "--seed", "-1"], "--shots must be positive, got 0"),
+        ("kakuro_demo.py", ["--shots", "0", "--seed", "-1"], "--shots must be positive, got 0"),
+        (
+            "tsp_demo.py",
+            ["--shots", str(10**12), "--seed", "-1"],
+            "needs more memory than a 26-qubit state",
+        ),
+        (
+            "kakuro_demo.py",
+            ["--shots", str(10**12), "--seed", "-1"],
+            "needs more memory than a 26-qubit state",
+        ),
     ],
     ids=[
         "tsp_seed_-1", "tsp_shots_0", "tsp_shots_-5",
         "kakuro_seed_-1", "kakuro_shots_0", "kakuro_shots_-5",
         "tsp_sat_file", "tsp_missing_file",
         "tsp_shots_1e12", "kakuro_shots_1e12",
+        "tsp_shots_0_seed_-1", "kakuro_shots_0_seed_-1",
+        "tsp_shots_1e12_seed_-1", "kakuro_shots_1e12_seed_-1",
     ],
 )
 def test_demo_refuses_bad_input_before_any_output(script, args, message):

@@ -135,7 +135,9 @@ def test_classical_check():
 
 def test_layout_places_vars_flags_then_scratch():
     layout = qubit_layout(CROSS_SUM_KAKURO)
-    assert layout.var_ranges == (("a", 0, 2), ("b", 2, 2), ("c", 4, 2), ("d", 6, 2))
+    assert [(r.name, r.offset, r.width) for r in layout.registers] == [
+        ("a", 0, 2), ("b", 2, 2), ("c", 4, 2), ("d", 6, 2), ("flags", 8, 8), ("scratch", 16, 3)
+    ]
     assert layout.search_width == 8
     assert layout.flag_qubits == tuple(range(8, 16))
     # widest sum is 2-bit + 2-bit with top value 6, needing 3 scratch bits
@@ -381,12 +383,15 @@ def test_search_circuit_registers():
 
 def test_search_circuit_register_names_avoid_collisions():
     problem = SatProblem(
-        (VarDecl("flags", 1), VarDecl("b", 1)), (NotEqual("flags", "b"),)
+        (VarDecl("flags", 1), VarDecl("scratch", 1)),
+        (NotEqual("flags", "scratch"), SumEquals(("flags", "scratch"), 1)),
     )
     layout = qubit_layout(problem)
     circ = build_search_circuit(problem, layout, 0)
     names = [r.name for r in circ.registers]
-    assert names == ["flags", "b", "_flags"]
+    assert names == ["flags", "scratch", "_flags", "_scratch"]
+    assert layout.registers == circ.registers
+    assert layout.var_qubits("flags") == range(0, 1)
 
 
 # --- solve --------------------------------------------------------------------------
@@ -473,17 +478,17 @@ def test_solve_applies_the_largest_round_count_not_the_sum(monkeypatch):
 def test_solve_refuses_a_compute_block_that_is_not_only_x(monkeypatch):
     real_synth = grover_sat.synth_not_equal
     built = [0]
-    real_init_zero = qc.init_zero
+    real_zeros = grover_sat.zeros
 
     def synth_with_h(layout, a, b, flag):
         return real_synth(layout, a, b, flag).h(0)
 
-    def counting_init_zero(*args, **kwargs):
-        built[0] += 1
-        return real_init_zero(*args, **kwargs)
+    def counting_zeros(shape, dtype):
+        built[0] += dtype == np.complex128
+        return real_zeros(shape, dtype)
 
     monkeypatch.setattr(grover_sat, "synth_not_equal", synth_with_h)
-    monkeypatch.setattr(qc, "init_zero", counting_init_zero)
+    monkeypatch.setattr(grover_sat, "zeros", counting_zeros)
     with pytest.raises(ValueError, match="X gates only, got .h."):
         solve(UNIT_KAKURO)
     assert built[0] == 0

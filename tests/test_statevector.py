@@ -81,8 +81,6 @@ def test_init_zero_starts_in_all_zeros():
 def test_init_zero_enforces_qubit_cap():
     with pytest.raises(QubitBudgetError, match="26"):
         sv.init_zero(27)
-    with pytest.raises(QubitBudgetError, match="5"):
-        sv.init_zero(6, cap=5)
     with pytest.raises(ValueError):
         sv.init_zero(0)
 

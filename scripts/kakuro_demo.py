@@ -5,8 +5,6 @@ frequencies evolve along the iteration schedule."""
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from qsolve.cli import parse_problem
 from qsolve.grover_sat import (
     classical_check,
@@ -17,6 +15,7 @@ from qsolve.grover_sat import (
     solve,
 )
 from qsolve.problems import request_error
+from qsolve.statevector import probabilities
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -34,7 +33,7 @@ def amplification_table(problem, layout):
           f"satisfying assignments: {len(satisfying)}")
     print(f"  {'iterations':>10}  {'p(all solutions)':>16}  {'p(best single)':>15}")
     for iterations, state in schedule_states(problem, layout):
-        per_index = np.abs(state) ** 2
+        per_index = probabilities(state)
         total = sum(per_index[i] for i in satisfying)
         best = max((per_index[i] for i in satisfying), default=0.0)
         print(f"  {iterations:>10}  {total:>16.6f}  {best:>15.6f}")

@@ -1,12 +1,12 @@
 """Circuit representation: named registers, an ordered gate list, structural
-inversion, a Fourier-transform builder, execution, and export to a
+inversion, H-layer and Fourier-transform builders, execution, and export to a
 line-oriented text format."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -144,26 +144,29 @@ def inverse(circuit: Circuit) -> Circuit:
     return inv
 
 
-def build_qft(qubits: Sequence[int]) -> Circuit:
-    """Fourier transform over ``qubits``: basis input j maps to amplitudes
+def h_layer(num_qubits: int) -> Circuit:
+    """H on qubits 0..n-1: the uniform superposition from all zeros."""
+    frag = Circuit(num_qubits)
+    for q in range(num_qubits):
+        frag.h(q)
+    return frag
+
+
+def build_qft(num_qubits: int) -> Circuit:
+    """Fourier transform on qubits 0..m-1: basis input j maps to amplitudes
     exp(2*pi*i*j*l / 2**m) / sqrt(2**m) at index l.
 
-    The trailing swap layer is included, so with the first listed qubit as
-    the most significant bit the output reads in the same order as input.
+    The trailing swap layer is included, so with qubit 0 as the most
+    significant bit the output reads in the same order as input.
     """
-    qs = tuple(int(q) for q in qubits)
-    if not qs:
-        raise ValueError("need at least one qubit")
-    if len(set(qs)) != len(qs):
-        raise ValueError(f"duplicate qubits in {qs}")
-    m = len(qs)
-    frag = Circuit(max(qs) + 1)
+    m = num_qubits
+    frag = Circuit(m)
     for i in range(m):
-        frag.h(qs[i])
+        frag.h(i)
         for j in range(i + 1, m):
-            frag.phase_on(math.pi / 2 ** (j - i), qs[i], controls=(qs[j],))
+            frag.phase_on(math.pi / 2 ** (j - i), i, controls=(j,))
     for i in range(m // 2):
-        frag.swap(qs[i], qs[m - 1 - i])
+        frag.swap(i, m - 1 - i)
     return frag
 
 

@@ -157,17 +157,14 @@ def select_algorithm(problem_kind: str, requested: str = "auto") -> str:
 
 # --- report rendering ----------------------------------------------------------
 
-def _render_sat(problem: SatProblem, report, output: str, out) -> None:
+def _render_sat(report, output: str, out) -> None:
     if output == "json":
         _emit_json(
             {
                 "problem_type": "sat",
                 "algorithm": "grover",
                 "found": report.found,
-                "solutions": [
-                    {v.name: assignment[v.name] for v in problem.vars}
-                    for assignment in report.solutions
-                ],
+                "solutions": report.solutions,
                 "iterations_used": report.iterations_used,
                 "shots": report.shots,
                 "frequency_threshold": report.frequency_threshold,
@@ -180,7 +177,7 @@ def _render_sat(problem: SatProblem, report, output: str, out) -> None:
         out.write("no solution found\n")
     else:
         blocks = [
-            "\n".join(f"{v.name} = {assignment[v.name]}" for v in problem.vars)
+            "\n".join(f"{name} = {value}" for name, value in assignment.items())
             for assignment in report.solutions
         ]
         out.write("\n\n".join(blocks) + "\n")
@@ -280,7 +277,7 @@ def _run_solve(args) -> int:
             layout = grover_sat.qubit_layout(parsed.sat, args.max_qubits)
             circuit = grover_sat.build_search_circuit(parsed.sat, layout, report.iterations_used)
             Path(args.dump_circuit).write_text(export_text(circuit), encoding="utf-8")
-        _render_sat(parsed.sat, report, args.output, sys.stdout)
+        _render_sat(report, args.output, sys.stdout)
         return 0 if report.found else 1
 
     from . import qpe_tsp

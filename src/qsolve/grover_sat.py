@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, CircuitOp, QubitRegister, apply_ops, inverse
+from .circuit import Circuit, QubitRegister, apply_ops, h_layer, inverse
 from .errors import ProblemValidationError, QubitBudgetError
 from .problems import (
     DEFAULT_QUBIT_CAP,
@@ -29,7 +29,7 @@ from .problems import (
     SumEquals,
     validate_problem,
 )
-from .statevector import H, Histogram, X, Z, sample, zeros
+from .statevector import Histogram, X, Z, sample, zeros
 
 Assignment = dict[str, int]
 
@@ -151,18 +151,23 @@ def synth_not_equal(layout: QubitLayout, a: str, b: str, flag: int) -> Circuit:
     return frag
 
 
+def _match_constant(frag: Circuit, qubits: Sequence[int], value: int, flag: int) -> None:
+    """Flip ``flag`` exactly when ``qubits`` (MSB-first) hold ``value``:
+    X-conjugate the zero bits of the pattern so an all-ones detection fires
+    on the constant alone."""
+    k = len(qubits)
+    zero_positions = [q for i, q in enumerate(qubits) if not (value >> (k - 1 - i)) & 1]
+    for q in zero_positions:
+        frag.x(q)
+    frag.mcx(qubits, flag)
+    for q in zero_positions:
+        frag.x(q)
+
+
 def synth_equal_const(layout: QubitLayout, a: str, value: int, flag: int) -> Circuit:
-    """Flag-flip fragment for a == value: X-conjugate the zero bits of the
-    pattern so an all-ones detection fires exactly on the constant."""
+    """Flag-flip fragment for a == value."""
     frag = Circuit(layout.num_qubits)
-    aq = tuple(layout.var_qubits(a))
-    width = len(aq)
-    zero_positions = [q for i, q in enumerate(aq) if not (value >> (width - 1 - i)) & 1]
-    for q in zero_positions:
-        frag.x(q)
-    frag.mcx(aq, flag)
-    for q in zero_positions:
-        frag.x(q)
+    _match_constant(frag, layout.var_qubits(a), value, flag)
     return frag
 
 
@@ -189,24 +194,15 @@ def synth_sum_equals(
     controlled ripple increments, compares the accumulator against the
     constant onto the flag, then uncomputes so scratch returns to zero.
     """
-    frag = Circuit(layout.num_qubits)
-    sum_qubits = tuple(layout.scratch_qubits)
+    sum_qubits = layout.scratch_qubits
     accumulate = Circuit(layout.num_qubits)
     for name in names:
         vq = tuple(layout.var_qubits(name))
         width = len(vq)
         for i, q in enumerate(vq):
             _controlled_add_power(accumulate, q, width - 1 - i, sum_qubits)
-    frag.extend(accumulate)
-    k = len(sum_qubits)
-    zero_positions = [
-        q for j, q in enumerate(sum_qubits) if not (value >> (k - 1 - j)) & 1
-    ]
-    for q in zero_positions:
-        frag.x(q)
-    frag.mcx(sum_qubits, flag)
-    for q in zero_positions:
-        frag.x(q)
+    frag = Circuit(layout.num_qubits).extend(accumulate)
+    _match_constant(frag, sum_qubits, value, flag)
     frag.extend(inverse(accumulate))
     return frag
 
@@ -267,19 +263,13 @@ def build_diffuser(search_width: int) -> Circuit:
     """Reflection about the uniform superposition of the search register
     (up to a global phase): H X on every search qubit, a search-wide
     controlled Z, then X H back."""
-    if search_width < 1:
-        raise ValueError(f"search register needs at least one qubit, got {search_width}")
-    frag = Circuit(search_width)
-    for q in range(search_width):
-        frag.h(q)
+    frag = h_layer(search_width)
     for q in range(search_width):
         frag.x(q)
     frag.add(Z, controls=tuple(range(search_width - 1)), targets=(search_width - 1,))
     for q in range(search_width):
         frag.x(q)
-    for q in range(search_width):
-        frag.h(q)
-    return frag
+    return frag.extend(h_layer(search_width))
 
 
 def iteration_schedule(search_width: int) -> list[int]:
@@ -314,8 +304,7 @@ def build_search_circuit(problem: SatProblem, layout: QubitLayout, iterations: i
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
     circ = Circuit(layout.num_qubits, registers=layout.registers)
-    for q in layout.search_qubits:
-        circ.h(q)
+    circ.extend(h_layer(layout.search_width))
     round_ = build_oracle(problem, layout).extend(build_diffuser(layout.search_width))
     for _ in range(iterations):
         circ.extend(round_)
@@ -331,16 +320,16 @@ def schedule_states(problem: SatProblem, layout: QubitLayout) -> Iterator[tuple[
     and the diffuser's ops.  The same object is yielded each time and
     changes when the walk resumes."""
     s = layout.search_width
-    marked = _marked(problem, layout)
+    flips = np.flatnonzero(_marked(problem, layout))
     diffuser_ops = build_diffuser(s).ops
     # qubit_layout has held the whole layout, wider than this, to the cap
     state = zeros((1 << s,), np.complex128)
     state[0] = 1.0
-    apply_ops(state, Circuit(s, ops=[CircuitOp(H, targets=(q,)) for q in range(s)]).ops)
+    apply_ops(state, h_layer(s).ops)
     done = 0
     for t in iteration_schedule(s):
         for _ in range(t - done):
-            state[marked] *= -1.0
+            state[flips] *= -1.0
             apply_ops(state, diffuser_ops)
         done = t
         yield t, state

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, CircuitOp, QubitRegister, apply_ops, build_qft, inverse
+from .circuit import Circuit, QubitRegister, apply_ops, build_qft, h_layer, inverse
 from .errors import ProblemValidationError, QubitBudgetError
 from .problems import (
     DEFAULT_QUBIT_CAP,
@@ -26,7 +26,7 @@ from .problems import (
     TspInstance,
     validate_instance,
 )
-from .statevector import H, outcome_cdf, probabilities, sorted_draws, zeros
+from .statevector import outcome_cdf, probabilities, sorted_draws, zeros
 
 Tour = tuple[int, ...]
 
@@ -160,14 +160,10 @@ def qpe_circuit(unitary: WeightPhaseDiagonal, eigenstate: int, precision_bits: i
     the phases of :func:`kickback_angles`, and the inverse Fourier transform
     as the structural inverse of :func:`build_qft`."""
     m = precision_bits
-    if m < 1:
-        raise ValueError(f"need at least one precision qubit, got {m}")
-    circ = Circuit(m, registers=(QubitRegister("precision", 0, m),))
-    for j in range(m):
-        circ.h(j)
+    circ = Circuit(m, registers=(QubitRegister("precision", 0, m),)).extend(h_layer(m))
     for j, angle in enumerate(kickback_angles(unitary.exponent(eigenstate), unitary.scale, m)):
         circ.phase_on(angle, j)
-    circ.extend(inverse(build_qft(range(m))))
+    circ.extend(inverse(build_qft(m)))
     return circ
 
 
@@ -181,14 +177,14 @@ def estimate_phases(
     m = precision_bits
     batch = zeros((len(exponents), 1 << m), np.complex128)
     batch[:, 0] = 1.0
-    apply_ops(batch, Circuit(m, ops=[CircuitOp(H, targets=(j,)) for j in range(m)]).ops)
+    apply_ops(batch, h_layer(m).ops)
     # the kickback, with the phase kernel's scalar np.exp so rows match bit for bit
     amps = batch.reshape((-1,) + (2,) * m)
     angles = [kickback_angles(e, scale, m) for e in exponents]
     for j in range(m):
         factors = np.array([np.exp(1j * row[j]) for row in angles])
         amps[(slice(None),) * (j + 1) + (1,)] *= factors.reshape((-1,) + (1,) * (m - 1))
-    apply_ops(batch, inverse(build_qft(range(m))).ops)
+    apply_ops(batch, inverse(build_qft(m)).ops)
     draws = sorted_draws(shots, seed)
     estimates = []
     for row in batch:

@@ -65,7 +65,6 @@ def phase(lam: float) -> Gate:
 class Histogram:
     """Measurement outcome counts keyed by bitstring, keys sorted."""
 
-    shots: int
     counts: dict[str, int]
 
     def most_common(self) -> list[tuple[str, int]]:
@@ -269,4 +268,4 @@ def sample(
     # distinct full-register outcomes may project onto the same subset key
     for key, c in sorted(zip(keys, freq.tolist())):
         counts[key] = counts.get(key, 0) + c
-    return Histogram(shots=shots, counts=counts)
+    return Histogram(counts)

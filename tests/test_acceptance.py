@@ -208,7 +208,7 @@ def test_criterion_7_simulator_property_suite():
         assert np.max(np.abs(back - state)) < 1e-12
 
     for m in range(1, 6):
-        frag = build_qft(range(m))
+        frag = build_qft(m)
         assert np.max(np.abs(oracles.circuit_matrix(frag) - oracles.dft_matrix(m))) < 1e-12
 
     state = init_zero(4)

@@ -659,6 +659,21 @@ def test_solve_output_matches_golden(capsys, problem, output):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "problem", [*sorted(PROBLEMS.glob("*.json")), EIGHT_CITIES], ids=lambda p: p.stem
+)
+def test_dump_circuit_matches_golden(capsys, tmp_path, problem):
+    """The --dump-circuit file at seed 0 is pinned byte for byte, op order
+    included: the dump tests below compare it with the very builders it
+    comes from, so only this one sees a reordered op."""
+    dump = tmp_path / "circuit.txt"
+    code, _, _ = run_cli(
+        capsys, "solve", "--input", str(problem), "--seed", "0", "--dump-circuit", str(dump)
+    )
+    assert code in (0, 1)
+    assert dump.read_bytes() == (GOLDEN / f"{problem.stem}.dump").read_bytes()
+
+
 def test_usage_errors_raise_system_exit_two():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

@@ -388,7 +388,7 @@ def test_solve_runs_one_estimate_per_distinct_exponent(monkeypatch, instance, cy
     monkeypatch.setattr(qc, "apply_unchecked", counting_apply)
     report = solve(instance, shots=512, seed=3)
     # the H layer and the inverse Fourier transform, once, however many rows
-    assert calls[0] == m + len(inverse(build_qft(range(m))).ops)
+    assert calls[0] == m + len(inverse(build_qft(m)).ops)
     assert report.tours == tours
     assert report.estimates == expected
     assert report.lengths == [decode_phase(estimate, scale) for estimate in expected]

@@ -343,7 +343,7 @@ def test_sample_matches_the_choice_oracle(kind):
         hist = sv.sample(state, shots, sample_seed, qubits)
         expected = oracles.choice_histogram(state, shots, sample_seed, qubits)
         assert list(hist.counts.items()) == list(expected.items()), seed
-        assert hist.shots == shots
+        assert sum(hist.counts.values()) == shots
 
 
 @pytest.mark.parametrize("bad", [0.0, 1e-7, np.nan, np.inf])
@@ -366,5 +366,5 @@ def test_sample_holds_no_more_than_a_tenth_beyond_the_state():
 
 
 def test_histogram_most_common_orders_by_count_then_key():
-    hist = sv.Histogram(10, {"11": 3, "00": 4, "01": 3})
+    hist = sv.Histogram({"11": 3, "00": 4, "01": 3})
     assert hist.most_common() == [("00", 4), ("01", 3), ("11", 3)]

@@ -5,7 +5,7 @@ line-oriented text format."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -60,15 +60,15 @@ class Circuit:
     """An ordered tuple of operations on ``num_qubits`` qubits.
 
     Equality is structural: same width, same registers, same op sequence.
-    An op is validated once, when it enters a circuit through ``add`` or
-    the ``ops`` argument; ``extend`` of a circuit no wider than this one,
-    ``inverse`` and ``execute`` rely on that and do not check again.  The
-    builder methods return ``self`` so constructions chain.
+    An op is validated once, when it enters a circuit through ``add``;
+    ``extend`` of a circuit no wider than this one, ``inverse`` and
+    ``execute`` rely on that and do not check again.  The builder methods
+    return ``self`` so constructions chain.
     """
 
     num_qubits: int
     registers: tuple[QubitRegister, ...] = ()
-    ops: tuple[CircuitOp, ...] = ()
+    ops: tuple[CircuitOp, ...] = field(default=(), init=False)
 
     def __post_init__(self):
         if self.num_qubits < 1:
@@ -88,9 +88,6 @@ class Circuit:
                 if q in claimed:
                     raise ValueError(f"register {reg.name!r} overlaps qubit {q}")
                 claimed.add(q)
-        self.ops = tuple(self.ops)
-        for op in self.ops:
-            check_operands(self.num_qubits, op.gate, op.controls, op.targets)
 
     def add(
         self,
@@ -103,14 +100,11 @@ class Circuit:
         return self
 
     def extend(self, fragment: "Circuit") -> "Circuit":
-        """Append another circuit's ops; widths need not match, ops must fit.
-
-        All or nothing: if any op of a wider fragment does not fit, nothing
-        is appended.
-        """
+        """Append the ops of a circuit no wider than this one."""
         if fragment.num_qubits > self.num_qubits:
-            for op in fragment.ops:
-                check_operands(self.num_qubits, op.gate, op.controls, op.targets)
+            raise ValueError(
+                f"a {fragment.num_qubits}-qubit circuit does not fit in {self.num_qubits} qubits"
+            )
         self.ops += fragment.ops
         return self
 

@@ -22,7 +22,6 @@ from .circuit import Circuit, QubitRegister, apply_ops, h_layer, inverse
 from .errors import ProblemValidationError, QubitBudgetError
 from .problems import (
     DEFAULT_QUBIT_CAP,
-    Constraint,
     EqualConst,
     NotEqual,
     SatProblem,
@@ -126,29 +125,22 @@ def qubit_layout(problem: SatProblem, max_qubits: int = DEFAULT_QUBIT_CAP) -> Qu
 # --- constraint synthesis ------------------------------------------------------
 
 
-def synth_not_equal(layout: QubitLayout, a: str, b: str, flag: int) -> Circuit:
-    """Flag-flip fragment for a != b.
+def synth_not_equal(frag: Circuit, layout: QubitLayout, a: str, b: str, flag: int) -> None:
+    """Append the flag flip for a != b to ``frag``.
 
     XORs a into b, detects the all-zeros pattern (equality) onto the flag,
     inverts the flag, then undoes the XOR.  The same variable on both sides
-    compiles to an empty fragment: x != x never holds, so the flag stays 0.
+    appends nothing: x != x never holds, so the flag stays 0.
     """
-    frag = Circuit(layout.num_qubits)
     if a == b:
-        return frag
-    aq = layout.var_qubits(a)
-    bq = layout.var_qubits(b)
-    for qa, qb in zip(aq, bq):
+        return
+    pairs = tuple(zip(layout.var_qubits(a), layout.var_qubits(b)))
+    for qa, qb in pairs:
         frag.cx(qa, qb)
-    for qb in bq:
-        frag.x(qb)
-    frag.mcx(tuple(bq), flag)
+    _match_constant(frag, layout.var_qubits(b), 0, flag)
     frag.x(flag)
-    for qb in bq:
-        frag.x(qb)
-    for qa, qb in zip(aq, bq):
+    for qa, qb in pairs:
         frag.cx(qa, qb)
-    return frag
 
 
 def _match_constant(frag: Circuit, qubits: Sequence[int], value: int, flag: int) -> None:
@@ -164,11 +156,9 @@ def _match_constant(frag: Circuit, qubits: Sequence[int], value: int, flag: int)
         frag.x(q)
 
 
-def synth_equal_const(layout: QubitLayout, a: str, value: int, flag: int) -> Circuit:
-    """Flag-flip fragment for a == value."""
-    frag = Circuit(layout.num_qubits)
+def synth_equal_const(frag: Circuit, layout: QubitLayout, a: str, value: int, flag: int) -> None:
+    """Append the flag flip for a == value to ``frag``."""
     _match_constant(frag, layout.var_qubits(a), value, flag)
-    return frag
 
 
 def _controlled_add_power(
@@ -186,9 +176,9 @@ def _controlled_add_power(
 
 
 def synth_sum_equals(
-    layout: QubitLayout, names: Sequence[str], value: int, flag: int
-) -> Circuit:
-    """Flag-flip fragment for sum(names) == value.
+    frag: Circuit, layout: QubitLayout, names: Sequence[str], value: int, flag: int
+) -> None:
+    """Append the flag flip for sum(names) == value to ``frag``.
 
     Accumulates every operand bit into the shared scratch register with
     controlled ripple increments, compares the accumulator against the
@@ -201,28 +191,24 @@ def synth_sum_equals(
         width = len(vq)
         for i, q in enumerate(vq):
             _controlled_add_power(accumulate, q, width - 1 - i, sum_qubits)
-    frag = Circuit(layout.num_qubits).extend(accumulate)
+    frag.extend(accumulate)
     _match_constant(frag, sum_qubits, value, flag)
     frag.extend(inverse(accumulate))
-    return frag
-
-
-def _constraint_fragment(layout: QubitLayout, c: Constraint, flag: int) -> Circuit:
-    if isinstance(c, NotEqual):
-        return synth_not_equal(layout, c.a, c.b, flag)
-    if isinstance(c, EqualConst):
-        return synth_equal_const(layout, c.a, c.value, flag)
-    return synth_sum_equals(layout, c.vars, c.value, flag)
 
 
 # --- oracle, diffuser, schedule ---------------------------------------------
 
 
 def _compute(problem: SatProblem, layout: QubitLayout) -> Circuit:
-    """Every constraint's flag-flip fragment, in constraint order."""
+    """Every constraint's flag flip, in constraint order."""
     compute = Circuit(layout.num_qubits)
     for c, flag in zip(problem.constraints, layout.flag_qubits):
-        compute.extend(_constraint_fragment(layout, c, flag))
+        if isinstance(c, NotEqual):
+            synth_not_equal(compute, layout, c.a, c.b, flag)
+        elif isinstance(c, EqualConst):
+            synth_equal_const(compute, layout, c.a, c.value, flag)
+        else:
+            synth_sum_equals(compute, layout, c.vars, c.value, flag)
     return compute
 
 
@@ -233,12 +219,11 @@ def build_oracle(problem: SatProblem, layout: QubitLayout) -> Circuit:
     Compute every flag, phase-flip on the all-flags-set subspace, uncompute.
     With a single constraint the phase flip is a plain Z on its flag.
     """
-    compute = _compute(problem, layout)
-    oracle = Circuit(layout.num_qubits).extend(compute)
+    oracle = _compute(problem, layout)
+    uncompute = inverse(oracle)
     flags = layout.flag_qubits
     oracle.add(Z, controls=flags[:-1], targets=(flags[-1],))
-    oracle.extend(inverse(compute))
-    return oracle
+    return oracle.extend(uncompute)
 
 
 def _marked(problem: SatProblem, layout: QubitLayout) -> np.ndarray:
@@ -316,21 +301,24 @@ def schedule_states(problem: SatProblem, layout: QubitLayout) -> Iterator[tuple[
 
     ``state`` is the search register alone: bitwise the flags-and-scratch-0
     slice of the state of ``build_search_circuit(problem, layout, t)``,
-    which is 0 elsewhere.  A round is the oracle's sign (:func:`_marked`)
-    and the diffuser's ops.  The same object is yielded each time and
-    changes when the walk resumes."""
+    which is 0 elsewhere.  A round is the oracle's sign (:func:`_marked`),
+    then the diffuser as H, -1 on amplitude 0, H: X on every qubit reverses
+    the array, so its X, search-wide Z, X negates amplitude 0 alone.  The
+    same object is yielded each time and changes when the walk resumes."""
     s = layout.search_width
     flips = np.flatnonzero(_marked(problem, layout))
-    diffuser_ops = build_diffuser(s).ops
+    h_ops = h_layer(s).ops
     # qubit_layout has held the whole layout, wider than this, to the cap
     state = zeros((1 << s,), np.complex128)
     state[0] = 1.0
-    apply_ops(state, h_layer(s).ops)
+    apply_ops(state, h_ops)
     done = 0
     for t in iteration_schedule(s):
         for _ in range(t - done):
             state[flips] *= -1.0
-            apply_ops(state, diffuser_ops)
+            apply_ops(state, h_ops)
+            state[0] *= -1.0
+            apply_ops(state, h_ops)
         done = t
         yield t, state
 

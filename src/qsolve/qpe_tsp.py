@@ -26,7 +26,7 @@ from .problems import (
     TspInstance,
     validate_instance,
 )
-from .statevector import outcome_cdf, probabilities, sorted_draws, zeros
+from .statevector import outcome_cdf, probabilities, rotate, sorted_draws, zeros
 
 Tour = tuple[int, ...]
 
@@ -178,12 +178,12 @@ def estimate_phases(
     batch = zeros((len(exponents), 1 << m), np.complex128)
     batch[:, 0] = 1.0
     apply_ops(batch, h_layer(m).ops)
-    # the kickback, with the phase kernel's scalar np.exp so rows match bit for bit
+    # the kickback, with the phase kernel's scalar np.exp and rotate, so rows match bit for bit
     amps = batch.reshape((-1,) + (2,) * m)
     angles = [kickback_angles(e, scale, m) for e in exponents]
     for j in range(m):
         factors = np.array([np.exp(1j * row[j]) for row in angles])
-        amps[(slice(None),) * (j + 1) + (1,)] *= factors.reshape((-1,) + (1,) * (m - 1))
+        rotate(amps[(slice(None),) * (j + 1) + (1,)], factors.reshape((-1,) + (1,) * (m - 1)))
     apply_ops(batch, inverse(build_qft(m)).ops)
     draws = sorted_draws(shots, seed)
     estimates = []
@@ -192,7 +192,7 @@ def estimate_phases(
         # (as sample would assign them); argmax takes the first maximum,
         # so count ties go to the lowest bitstring
         raw = int(np.diff(draws.searchsorted(outcome_cdf(row)), prepend=0).argmax())
-        estimates.append(PhaseEstimate(raw, m, raw / (1 << m), float(probabilities(row)[raw])))
+        estimates.append(PhaseEstimate(raw, m, raw / (1 << m), float(probabilities(row[raw]))))
     return estimates
 
 

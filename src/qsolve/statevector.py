@@ -157,9 +157,8 @@ def apply_unchecked(
 
     Axis 0 is the batch axis (a plain state is a batch of one); qubit q is
     axis q + 1.  Fixing control axes at 1 and target axes at 0 or 1, never
-    the batch axis, selects views: nothing is gathered or scattered.  A row
-    advances bitwise as it would alone, except a complex phase on one
-    amplitude (every qubit axis fixed), which numpy rounds differently.
+    the batch axis, selects views: nothing is gathered or scattered, and a
+    row advances bitwise as it would alone.
     """
     n = state.shape[-1].bit_length() - 1
     amps = state.reshape((-1,) + (2,) * n)
@@ -177,7 +176,10 @@ def apply_unchecked(
     elif gate.name in ("z", "phase"):
         # diagonal: only the control+target-all-ones slice changes
         ones = view(1)
-        ones *= -1.0 if gate.name == "z" else np.exp(1j * gate.lam)
+        if gate.name == "z":
+            ones *= -1.0
+        else:
+            rotate(ones, np.exp(1j * gate.lam))
     elif gate.name == "x":
         _exchange(view(0), view(1))
     else:  # h
@@ -196,8 +198,22 @@ def _exchange(a: np.ndarray, b: np.ndarray) -> None:
     b[...] = tmp
 
 
+def rotate(v: np.ndarray, f) -> None:
+    """``v *= f`` for complex ``v`` and a complex ``f`` that broadcasts to it, as
+    four float64 products and two sums, each its own ufunc: numpy's complex
+    multiply fuses a product into a sum at some SIMD levels and not others."""
+    f = np.asarray(f)
+    re, im = v.real, v.imag
+    out = re * f.real
+    out -= im * f.imag
+    im *= f.real
+    im += re * f.imag
+    re[...] = out
+
+
 def probabilities(state: np.ndarray) -> np.ndarray:
-    return np.abs(state) ** 2
+    # squares and a sum, each its own ufunc: rounded alike at every SIMD level
+    return state.real**2 + state.imag**2
 
 
 def bitstring(index: int, num_qubits: int, qubits: Sequence[int] | None = None) -> str:

@@ -1,5 +1,6 @@
 """The demo scripts' stdout, byte for byte, against reports pinned in
-tests/golden/, and their refusal of bad input."""
+tests/golden/, and their refusal of bad input; and every golden report
+again with numpy's SIMD loops held to the x86-64 baseline."""
 
 import hashlib
 import os
@@ -15,17 +16,33 @@ GOLDEN = ROOT / "tests" / "golden"
 TSP_N8_DEMO_SHA256 = "098f4639de3df51c21abfd1036234c51f79d9e5a0d8b27619cd26a601b1d29b3"
 
 
-def demo_process(script, *args) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
+# numpy picks each loop's SIMD level at import; this holds it below AVX2 and FMA
+BASELINE_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}
+
+
+def dispatched_features() -> list[str]:
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1
+        return []
+    return __cpu_dispatch__
+
+
+def child_env(extra=()) -> dict:
+    env = {**os.environ, **dict(extra)}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    return env
+
+
+def demo_process(script, *args, env=()) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, env=env,
+        capture_output=True, env=child_env(env),
     )
 
 
-def run_demo(script, *args) -> bytes:
-    result = demo_process(script, *args)
+def run_demo(script, *args, env=()) -> bytes:
+    result = demo_process(script, *args, env=env)
     assert (result.returncode, result.stderr) == (0, b"")
     return result.stdout
 
@@ -34,6 +51,43 @@ def run_demo(script, *args) -> bytes:
 def test_demo_prints_its_golden_report(script):
     golden = GOLDEN / script.replace(".py", ".out")
     assert run_demo(script) == golden.read_bytes()
+
+
+# the CLI golden cases of test_cli.py, run in one child
+BASELINE_CLI = """
+import contextlib, io, json, sys
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_features__
+assert not __cpu_features__["X86_V3"], "AVX2/FMA loops are still dispatched"
+from qsolve import cli
+golden = Path(sys.argv[1])
+codes = json.loads((golden / "exit_codes.json").read_text())
+for problem in sys.argv[2:]:
+    for output in ("text", "json"):
+        name = Path(problem).stem + "." + output + ".out"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["solve", "--input", problem, "--output", output, "--seed", "0"])
+        assert code == codes[name], name
+        assert out.getvalue().encode() == (golden / name).read_bytes(), name
+"""
+
+
+@pytest.mark.skipif(
+    not set(BASELINE_DISPATCH["NPY_DISABLE_CPU_FEATURES"].split()) <= set(dispatched_features()),
+    reason="numpy does not dispatch these x86-64 feature groups",
+)
+def test_goldens_hold_at_the_baseline_simd_level():
+    """The same seed prints the same bytes whichever SIMD loops numpy runs."""
+    problems = [*sorted((ROOT / "problems").glob("*.json")), GOLDEN / "tsp_n8_seed0.json"]
+    result = subprocess.run(
+        [sys.executable, "-c", BASELINE_CLI, str(GOLDEN), *map(str, problems)],
+        capture_output=True, env=child_env(BASELINE_DISPATCH),
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    for script in ("tsp_demo.py", "kakuro_demo.py"):
+        golden = GOLDEN / script.replace(".py", ".out")
+        assert run_demo(script, env=BASELINE_DISPATCH) == golden.read_bytes()
 
 
 def test_tsp_demo_on_eight_nodes_prints_its_pinned_report():

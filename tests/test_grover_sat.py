@@ -192,7 +192,8 @@ def test_not_equal_fragment_exhaustive():
     problem = SatProblem((VarDecl("a", 2), VarDecl("b", 2)), (NotEqual("a", "b"),))
     layout = qubit_layout(problem)
     flag = layout.flag_qubits[0]
-    frag = synth_not_equal(layout, "a", "b", flag)
+    frag = Circuit(layout.num_qubits)
+    synth_not_equal(frag, layout, "a", "b", flag)
     for a in range(4):
         for b in range(4):
             out, prep = _run_on_basis(layout, frag, {"a": a, "b": b})
@@ -203,14 +204,17 @@ def test_not_equal_fragment_exhaustive():
 def test_not_equal_same_variable_is_empty():
     problem = SatProblem((VarDecl("a", 2),), (NotEqual("a", "a"),))
     layout = qubit_layout(problem)
-    assert synth_not_equal(layout, "a", "a", layout.flag_qubits[0]).ops == ()
+    frag = Circuit(layout.num_qubits)
+    assert synth_not_equal(frag, layout, "a", "a", layout.flag_qubits[0]) is None
+    assert frag.ops == ()
 
 
 def test_equal_const_fragment_exhaustive():
     problem = SatProblem((VarDecl("a", 3),), (EqualConst("a", 5),))
     layout = qubit_layout(problem)
     flag = layout.flag_qubits[0]
-    frag = synth_equal_const(layout, "a", 5, flag)
+    frag = Circuit(layout.num_qubits)
+    synth_equal_const(frag, layout, "a", 5, flag)
     for a in range(8):
         out, prep = _run_on_basis(layout, frag, {"a": a})
         expected = prep | _flag_mask(layout, flag) if a == 5 else prep
@@ -223,7 +227,8 @@ def test_sum_equals_fragment_exhaustive():
     )
     layout = qubit_layout(problem)
     flag = layout.flag_qubits[0]
-    frag = synth_sum_equals(layout, ("a", "b"), 4, flag)
+    frag = Circuit(layout.num_qubits)
+    synth_sum_equals(frag, layout, ("a", "b"), 4, flag)
     for a in range(4):
         for b in range(4):
             out, prep = _run_on_basis(layout, frag, {"a": a, "b": b})
@@ -235,7 +240,8 @@ def test_sum_equals_with_repeated_operand():
     problem = SatProblem((VarDecl("a", 2),), (SumEquals(("a", "a"), 2),))
     layout = qubit_layout(problem)
     flag = layout.flag_qubits[0]
-    frag = synth_sum_equals(layout, ("a", "a"), 2, flag)
+    frag = Circuit(layout.num_qubits)
+    synth_sum_equals(frag, layout, ("a", "a"), 2, flag)
     for a in range(4):
         out, prep = _run_on_basis(layout, frag, {"a": a})
         expected = prep | _flag_mask(layout, flag) if 2 * a == 2 else prep
@@ -249,7 +255,8 @@ def test_sum_equals_three_operands():
     )
     layout = qubit_layout(problem)
     flag = layout.flag_qubits[0]
-    frag = synth_sum_equals(layout, ("a", "b", "c"), 3, flag)
+    frag = Circuit(layout.num_qubits)
+    synth_sum_equals(frag, layout, ("a", "b", "c"), 3, flag)
     for a in range(2):
         for b in range(4):
             for c in range(2):
@@ -458,10 +465,10 @@ def test_solve_synthesizes_the_oracle_once(monkeypatch):
 
 def test_solve_applies_the_largest_round_count_not_the_sum(monkeypatch):
     # a != a never holds, so the whole schedule [1, 2] runs: 2 rounds, not 1 + 2;
-    # a round is one sign flip and the diffuser's kernel calls
+    # a round is two sign flips and two H layers, so 2 * s kernel calls
     problem = SatProblem((VarDecl("a", 2),), (NotEqual("a", "a"),))
     layout = qubit_layout(problem)
-    round_ops = len(build_diffuser(layout.search_width).ops)
+    s = layout.search_width
     applied = [0]
     real_apply = qc.apply_unchecked
 
@@ -472,7 +479,7 @@ def test_solve_applies_the_largest_round_count_not_the_sum(monkeypatch):
     monkeypatch.setattr(qc, "apply_unchecked", counting_apply)
     report = solve(problem)
     assert report.schedule_trace == [(1, 0), (2, 0)]
-    assert applied[0] == layout.search_width + 2 * round_ops
+    assert applied[0] == s + 2 * (2 * s)
 
 
 def test_solve_refuses_a_compute_block_that_is_not_only_x(monkeypatch):
@@ -480,8 +487,9 @@ def test_solve_refuses_a_compute_block_that_is_not_only_x(monkeypatch):
     built = [0]
     real_zeros = grover_sat.zeros
 
-    def synth_with_h(layout, a, b, flag):
-        return real_synth(layout, a, b, flag).h(0)
+    def synth_with_h(frag, layout, a, b, flag):
+        real_synth(frag, layout, a, b, flag)
+        frag.h(0)
 
     def counting_zeros(shape, dtype):
         built[0] += dtype == np.complex128

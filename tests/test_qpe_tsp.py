@@ -255,7 +255,7 @@ def test_qpe_reads_exact_dyadic_phase_with_certainty():
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_batch_reads_every_exponent_residue_as_its_own_circuit(m):
     """All 2**m residues in one batch; at m <= 2 a phase op fixes every qubit
-    axis of a row, the one case where the kernel may round a row apart."""
+    axis of a row, so it turns one amplitude per row, as in a lone state."""
     scale = 1 << m
     batched = estimate_phases(range(scale), scale, m, shots=64, seed=5)
     for e, estimate in zip(range(scale), batched):
@@ -347,7 +347,7 @@ def test_solve_matches_brute_force(seed):
 
 
 ALL_ONES_5 = instance_from_rows([[0 if i == j else 1 for j in range(5)] for i in range(5)])
-# one and two precision qubits: a phase op there fixes every qubit axis of a row
+# one and two precision qubits: a phase op there turns one amplitude per row
 ONE_BIT = instance_from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
 TWO_BITS = instance_from_rows([[0, 1, 1, 0], [1, 0, 0, 0], [1, 0, 0, 1], [0, 0, 1, 0]])
 

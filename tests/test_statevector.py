@@ -158,12 +158,8 @@ def test_batch_rows_advance_bitwise_as_single_states(application, seed):
     batch = np.stack(rows)
     sv.apply_gate_in_place(batch, gate, controls, targets)
     for got, row in zip(batch, rows):
-        alone = apply_gate(row, gate, controls, targets)
-        if gate.name == "phase" and len(controls) + 1 == n:
-            # one amplitude per row: numpy may round the product differently
-            assert np.max(np.abs(got - alone)) < 1e-15
-        else:
-            assert got.tobytes() == alone.tobytes()
+        # a phase on one amplitude per row included: rotate rounds each product alone
+        assert got.tobytes() == apply_gate(row, gate, controls, targets).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,8 +9,7 @@ import sys
 from pathlib import Path
 
 from qsolve.cli import parse_problem
-from qsolve.errors import ProblemFileError, QsolveError
-from qsolve.problems import request_error
+from qsolve.problems import ProblemFileError, QsolveError, request_error
 from qsolve.qpe_tsp import display_tour, encode_eigenstate, solve, tour_length
 
 DEFAULT_INPUT = Path(__file__).resolve().parents[1] / "problems" / "tsp_four_cities.json"

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ class QubitRegister:
         return range(self.offset, self.offset + self.width)
 
 
-@dataclass(frozen=True)
-class CircuitOp:
+class CircuitOp(NamedTuple):
     """One gate application; controls are unordered, targets ordered."""
 
     gate: Gate
@@ -118,9 +117,6 @@ class Circuit:
 
     def swap(self, a: int, b: int) -> "Circuit":
         return self.add(SWAP, targets=(a, b))
-
-    def cx(self, control: int, target: int) -> "Circuit":
-        return self.add(X, controls=(control,), targets=(target,))
 
     def mcx(self, controls: Iterable[int], target: int) -> "Circuit":
         return self.add(X, controls=controls, targets=(target,))

@@ -14,14 +14,15 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import AlgorithmMismatchError, ProblemFileError, QsolveError
-
 # parsing needs only the numpy-free problem model; a child imports the solver
 # its problem names, and with it numpy and the simulator, in that problem's branch
 from .problems import (
     DEFAULT_QUBIT_CAP,
+    AlgorithmMismatchError,
     EqualConst,
     NotEqual,
+    ProblemFileError,
+    QsolveError,
     SatProblem,
     SumEquals,
     TspInstance,
@@ -30,10 +31,6 @@ from .problems import (
     validate_instance,
     validate_problem,
 )
-
-
-class UsageError(QsolveError):
-    """Bad option values; maps to exit code 2."""
 
 
 # --- problem file parsing ------------------------------------------------------
@@ -252,11 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_solve(args) -> int:
-    fault = request_error(args.shots, args.seed, args.max_qubits)
+    fault = request_error(args.shots, args.seed, args.max_qubits, args.threshold)
     if fault:
-        raise UsageError(fault)
-    if args.threshold is not None and not 0.0 < args.threshold <= 1.0:
-        raise UsageError(f"--threshold must be in (0, 1], got {args.threshold}")
+        raise QsolveError(fault)
     parsed = parse_problem(args.input)
     algorithm = select_algorithm(parsed.kind, args.algorithm)
 

@@ -13,17 +13,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+import sys
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .circuit import Circuit, QubitRegister, apply_ops, h_layer, inverse
-from .errors import ProblemValidationError, QubitBudgetError
 from .problems import (
     DEFAULT_QUBIT_CAP,
     EqualConst,
     NotEqual,
+    ProblemValidationError,
+    QubitBudgetError,
     SatProblem,
     SumEquals,
     validate_problem,
@@ -52,8 +53,7 @@ def classical_check(assignment: Assignment, problem: SatProblem) -> bool:
 # --- qubit layout ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QubitLayout:
+class QubitLayout(NamedTuple):
     """Placement of a problem on qubits: search register first (variables in
     declaration order, each MSB-first), one flag qubit per constraint, then a
     shared sum scratch register sized for the widest sum constraint.
@@ -92,6 +92,11 @@ def qubit_layout(problem: SatProblem, max_qubits: int = DEFAULT_QUBIT_CAP) -> Qu
         # refused before the sum ranges, which take memory in proportion to bits
         raise QubitBudgetError(
             f"the search register alone needs {search_width} qubits but the cap is {max_qubits}"
+        )
+    if search_width + 4 >= sys.maxsize.bit_length():  # 16 * 2**search_width > sys.maxsize
+        raise MemoryError(
+            f"a {search_width}-qubit search state needs 2**{search_width + 4} bytes, "
+            "past the address space"
         )
     widths = problem.widths()
     flag_qubits = tuple(range(search_width, search_width + len(problem.constraints)))
@@ -136,11 +141,11 @@ def synth_not_equal(frag: Circuit, layout: QubitLayout, a: str, b: str, flag: in
         return
     pairs = tuple(zip(layout.var_qubits(a), layout.var_qubits(b)))
     for qa, qb in pairs:
-        frag.cx(qa, qb)
+        frag.mcx((qa,), qb)
     _match_constant(frag, layout.var_qubits(b), 0, flag)
     frag.x(flag)
     for qa, qb in pairs:
-        frag.cx(qa, qb)
+        frag.mcx((qa,), qb)
 
 
 def _match_constant(frag: Circuit, qubits: Sequence[int], value: int, flag: int) -> None:
@@ -154,11 +159,6 @@ def _match_constant(frag: Circuit, qubits: Sequence[int], value: int, flag: int)
     frag.mcx(qubits, flag)
     for q in zero_positions:
         frag.x(q)
-
-
-def synth_equal_const(frag: Circuit, layout: QubitLayout, a: str, value: int, flag: int) -> None:
-    """Append the flag flip for a == value to ``frag``."""
-    _match_constant(frag, layout.var_qubits(a), value, flag)
 
 
 def _controlled_add_power(
@@ -206,7 +206,7 @@ def _compute(problem: SatProblem, layout: QubitLayout) -> Circuit:
         if isinstance(c, NotEqual):
             synth_not_equal(compute, layout, c.a, c.b, flag)
         elif isinstance(c, EqualConst):
-            synth_equal_const(compute, layout, c.a, c.value, flag)
+            _match_constant(compute, layout.var_qubits(c.a), c.value, flag)
         else:
             synth_sum_equals(compute, layout, c.vars, c.value, flag)
     return compute
@@ -261,8 +261,8 @@ def iteration_schedule(search_width: int) -> list[int]:
     """Iteration counts ceil(sqrt(2)**j) for j = 0, 1, ..., deduplicated and
     ascending, capped by the single-solution optimum ceil((pi/4)*sqrt(2**n)).
 
-    Computed in exact integer arithmetic: for odd j the value is
-    isqrt(2**j) + 1, exact because sqrt(2)**j is irrational there.
+    Computed in exact integer arithmetic: isqrt(2**j - 1) + 1 is the
+    ceiling of sqrt(2**j) for every j >= 0.
     """
     if search_width < 1:
         raise ValueError(f"search register needs at least one qubit, got {search_width}")
@@ -270,10 +270,7 @@ def iteration_schedule(search_width: int) -> list[int]:
     steps: list[int] = []
     j = 0
     while True:
-        if j % 2 == 0:
-            t = 1 << (j // 2)
-        else:
-            t = math.isqrt(1 << j) + 1
+        t = math.isqrt((1 << j) - 1) + 1
         if t >= cap:
             break
         if not steps or t > steps[-1]:
@@ -356,15 +353,14 @@ def encode_assignment(assignment: Assignment, problem: SatProblem) -> str:
 # --- solver -------------------------------------------------------------------
 
 
-@dataclass
-class SolveReport:
+class SolveReport(NamedTuple):
     solutions: list[Assignment]
     iterations_used: int
     shots: int
     frequency_threshold: float
     histogram: Histogram
     # one (iterations, verified solution count) pair per schedule step run
-    schedule_trace: list[tuple[int, int]] = field(default_factory=list)
+    schedule_trace: list[tuple[int, int]]
 
     @property
     def found(self) -> bool:

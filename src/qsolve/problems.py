@@ -1,5 +1,6 @@
 """The problem model: constraint problems and tour instances, their semantic
-validation, and the limits a request is held to before anything is built.
+validation, the limits a request is held to before anything is built, and
+the errors the package raises.
 
 This module imports only the standard library, so a problem file can be
 read, validated or refused without loading numpy or the simulator.  The
@@ -18,11 +19,40 @@ MIN_NODES = 3
 MAX_NODES = 8
 
 
-def request_error(shots: int, seed: int, max_qubits: int = DEFAULT_QUBIT_CAP) -> str | None:
-    """The first refusal of a request's ``--shots``, ``--max-qubits`` and
-    ``--seed``, or None.  Draws take 8 bytes a shot, a state
-    16 * 2**max_qubits; the bit-length test keeps a cap wider than the shot
-    count from building 2**max_qubits."""
+class QsolveError(Exception):
+    """Base class for all errors raised by this package."""
+
+
+class QubitBudgetError(QsolveError):
+    """A register or layout would exceed the configured qubit cap."""
+
+
+class ProblemValidationError(QsolveError):
+    """A structurally well-formed problem violates semantic rules.
+
+    ``diagnostics`` lists every violation found, not just the first.
+    """
+
+    def __init__(self, diagnostics):
+        self.diagnostics = list(diagnostics)
+        super().__init__("; ".join(self.diagnostics))
+
+
+class ProblemFileError(QsolveError):
+    """A problem file could not be read or parsed; message carries location."""
+
+
+class AlgorithmMismatchError(QsolveError):
+    """The requested algorithm cannot solve the given problem type."""
+
+
+def request_error(
+    shots: int, seed: int, max_qubits: int = DEFAULT_QUBIT_CAP, threshold: float | None = None
+) -> str | None:
+    """The first refusal of a request's ``--shots``, ``--max-qubits``,
+    ``--seed`` and ``--threshold``, or None.  Draws take 8 bytes a shot, a
+    state 16 * 2**max_qubits; the bit-length test keeps a cap wider than the
+    shot count from building 2**max_qubits."""
     if shots < 1:
         return f"--shots must be positive, got {shots}"
     if max_qubits < 1:
@@ -31,6 +61,8 @@ def request_error(shots: int, seed: int, max_qubits: int = DEFAULT_QUBIT_CAP) ->
         return f"--shots {shots} needs more memory than a {max_qubits}-qubit state"
     if seed < 0:
         return f"--seed must be non-negative, got {seed}"
+    if threshold is not None and not 0.0 < threshold <= 1.0:
+        return f"--threshold must be in (0, 1], got {threshold}"
     return None
 
 

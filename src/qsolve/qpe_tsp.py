@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .circuit import Circuit, QubitRegister, apply_ops, build_qft, h_layer, inverse
-from .errors import ProblemValidationError, QubitBudgetError
 from .problems import (
     DEFAULT_QUBIT_CAP,
     MAX_NODES,
     MIN_NODES,
+    ProblemValidationError,
+    QubitBudgetError,
     TspInstance,
     validate_instance,
 )
@@ -104,8 +104,7 @@ def decode_successors(index: int, n_nodes: int) -> list[int]:
     return claims[::-1]
 
 
-@dataclass(frozen=True)
-class WeightPhaseDiagonal:
+class WeightPhaseDiagonal(NamedTuple):
     """Diagonal operator on the successor register.
 
     Basis state x picks up exp(2*pi*i * E(x) / scale) where E(x) sums the
@@ -136,8 +135,7 @@ def build_phase_unitary(instance: TspInstance, scale: int) -> WeightPhaseDiagona
 # --- phase estimation ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhaseEstimate:
+class PhaseEstimate(NamedTuple):
     raw: int
     precision_bits: int
     phase: float
@@ -204,8 +202,7 @@ def decode_phase(estimate: PhaseEstimate, scale: int) -> int:
 # --- solver -------------------------------------------------------------------
 
 
-@dataclass
-class TspReport:
+class TspReport(NamedTuple):
     best_tour: Tour
     best_length: int
     tours: list[Tour]  # every canonical cycle, in enumerate_cycles order

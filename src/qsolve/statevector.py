@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import QubitBudgetError
-from .problems import DEFAULT_QUBIT_CAP
+from .problems import DEFAULT_QUBIT_CAP, QubitBudgetError
 
 PROB_ZERO_TOL = 1e-12
 
@@ -61,8 +60,7 @@ def phase(lam: float) -> Gate:
     return Gate("phase", float(lam))
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     """Measurement outcome counts keyed by bitstring, keys sorted."""
 
     counts: dict[str, int]

@@ -48,7 +48,7 @@ def test_builder_methods_record_ops_in_order():
     circ = (
         Circuit(3)
         .h(0)
-        .cx(0, 1)
+        .mcx((0,), 1)
         .add(Z, controls=(0, 1), targets=(2,))
         .swap(1, 2)
         .phase_on(0.25, 0)
@@ -83,15 +83,15 @@ def test_register_names_follow_the_variable_name_rule(name):
 
 
 def test_structural_equality():
-    a = Circuit(2).h(0).cx(0, 1)
-    b = Circuit(2).h(0).cx(0, 1)
-    c = Circuit(2).cx(0, 1).h(0)
+    a = Circuit(2).h(0).mcx((0,), 1)
+    b = Circuit(2).h(0).mcx((0,), 1)
+    c = Circuit(2).mcx((0,), 1).h(0)
     assert a == b
     assert a != c
 
 
 def test_extend_appends_fragment_ops():
-    frag = Circuit(2).h(0).cx(0, 1)
+    frag = Circuit(2).h(0).mcx((0,), 1)
     circ = Circuit(3).x(2)
     circ.extend(frag)
     assert len(circ.ops) == 3
@@ -159,7 +159,7 @@ def test_tsp_solve_validates_each_executed_op_once(operand_checks, monkeypatch):
 
 
 def test_inverse_reverses_and_negates():
-    circ = Circuit(2).h(0).phase_on(0.3, 1).cx(0, 1)
+    circ = Circuit(2).h(0).phase_on(0.3, 1).mcx((0,), 1)
     inv = qc.inverse(circ)
     assert [op.gate.name for op in inv.ops] == ["x", "phase", "h"]
     assert inv.ops[1].gate.lam == -0.3
@@ -219,7 +219,7 @@ def test_execute_rejects_negative_shots():
 
 
 def test_execute_is_deterministic():
-    circ = Circuit(3).h(0).h(1).cx(1, 2)
+    circ = Circuit(3).h(0).h(1).mcx((1,), 2)
     _, first = qc.execute(circ, shots=500, seed=9)
     _, second = qc.execute(circ, shots=500, seed=9)
     assert first == second

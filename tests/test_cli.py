@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 
 from qsolve import cli, grover_sat, qpe_tsp
 from qsolve.circuit import export_text
-from qsolve.errors import AlgorithmMismatchError, ProblemFileError
 from qsolve.grover_sat import build_search_circuit, qubit_layout
 from qsolve.grover_sat import solve as grover_solve
-from qsolve.problems import NotEqual, SumEquals
+from qsolve.problems import AlgorithmMismatchError, NotEqual, ProblemFileError, SumEquals
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -32,6 +31,9 @@ TSP = PROBLEMS / "tsp_four_cities.json"
 # here, not in problems/, so the smoke loop and the benchmark's list keep
 # their files.
 EIGHT_CITIES = GOLDEN / "tsp_n8_seed0.json"
+# the README's example problem, the one golden case with an equal_const
+README_EXAMPLE = GOLDEN / "readme_example.json"
+GOLDEN_PROBLEMS = [*sorted(PROBLEMS.glob("*.json")), EIGHT_CITIES, README_EXAMPLE]
 
 
 def write_problem(tmp_path, payload) -> Path:
@@ -271,8 +273,12 @@ def test_bad_option_values_exit_two(capsys):
     code, _, err = run_cli(
         capsys, "solve", "--input", str(UNIT_KAKURO), "--threshold", "1.5"
     )
-    assert code == 2
-    assert "--threshold" in err
+    assert (code, err) == (2, "error: --threshold must be in (0, 1], got 1.5\n")
+    # a bad --seed is refused before a bad --threshold
+    code, _, err = run_cli(
+        capsys, "solve", "--input", str(UNIT_KAKURO), "--seed", "-1", "--threshold", "0"
+    )
+    assert (code, err) == (2, "error: --seed must be non-negative, got -1\n")
     code, _, err = run_cli(capsys, "solve", "--input", str(UNIT_KAKURO), "--shots", "0")
     assert code == 2
     assert "--shots" in err
@@ -467,6 +473,27 @@ def test_wide_range_bounds_are_written_without_building_them(capsys, tmp_path, k
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("bits, cap", [(200_000_000, 400_000_000), (10**11, 2 * 10**11)])
+def test_search_states_past_the_address_space_are_refused_before_sizing_sums(
+    capsys, tmp_path, bits, cap
+):
+    """A search register of 59 or more qubits is refused before any operand
+    range is built, within the cap or not."""
+    path = sat_file(tmp_path, bits, CONSTRAINTS_ON_A["sum_equals"])
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "solve", "--input", str(path), "--max-qubits", str(cap))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: a {bits + 2}-qubit search state needs 2**{bits + 6} bytes, "
+        "past the address space\n"
+    )
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize(
     "content, fragment",
     [
@@ -646,7 +673,7 @@ def test_random_problem_files_never_escape_the_cli(tmp_path_factory, content, du
 
 @pytest.mark.parametrize("output", ["text", "json"])
 @pytest.mark.parametrize(
-    "problem", [*sorted(PROBLEMS.glob("*.json")), EIGHT_CITIES], ids=lambda p: p.stem
+    "problem", GOLDEN_PROBLEMS, ids=lambda p: p.stem
 )
 def test_solve_output_matches_golden(capsys, problem, output):
     """Exit code and stdout at seed 0 are pinned byte for byte; a change to
@@ -660,7 +687,7 @@ def test_solve_output_matches_golden(capsys, problem, output):
 
 
 @pytest.mark.parametrize(
-    "problem", [*sorted(PROBLEMS.glob("*.json")), EIGHT_CITIES], ids=lambda p: p.stem
+    "problem", GOLDEN_PROBLEMS, ids=lambda p: p.stem
 )
 def test_dump_circuit_matches_golden(capsys, tmp_path, problem):
     """The --dump-circuit file at seed 0 is pinned byte for byte, op order

@@ -1,8 +1,10 @@
 """The demo scripts' stdout, byte for byte, against reports pinned in
-tests/golden/, and their refusal of bad input; and every golden report
-again with numpy's SIMD loops held to the x86-64 baseline."""
+tests/golden/, and their refusal of bad input; every golden report again
+with numpy's SIMD loops held to the x86-64 baseline; and the benchmark's
+op-by-op replay against the same reports."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -79,7 +81,11 @@ for problem in sys.argv[2:]:
 )
 def test_goldens_hold_at_the_baseline_simd_level():
     """The same seed prints the same bytes whichever SIMD loops numpy runs."""
-    problems = [*sorted((ROOT / "problems").glob("*.json")), GOLDEN / "tsp_n8_seed0.json"]
+    problems = [
+        *sorted((ROOT / "problems").glob("*.json")),
+        GOLDEN / "tsp_n8_seed0.json",
+        GOLDEN / "readme_example.json",
+    ]
     result = subprocess.run(
         [sys.executable, "-c", BASELINE_CLI, str(GOLDEN), *map(str, problems)],
         capture_output=True, env=child_env(BASELINE_DISPATCH),
@@ -143,3 +149,19 @@ def test_demo_refuses_bad_input_before_any_output(script, args, message):
     assert b"Traceback" not in result.stderr
     last = result.stderr.decode().splitlines()[-1]
     assert "error: " in last and message in last
+
+
+@pytest.mark.parametrize("name", ["kakuro_unit_sums", "tsp_four_cities", "unsat_pair"])
+def test_benchmark_replay_prints_the_golden_report(tmp_path, name):
+    """`perfbench/traced.py replay` runs each circuit op by op through
+    `apply_gate_in_place`; it must print the CLI's report and exit code."""
+    out = tmp_path / "record.jsonl"
+    traced, problem = ROOT / "perfbench" / "traced.py", ROOT / "problems" / f"{name}.json"
+    result = subprocess.run(
+        [sys.executable, str(traced), "replay", str(problem), "0", str(out)],
+        capture_output=True, env=child_env(),
+    )
+    golden = f"{name}.text.out"
+    assert result.returncode == json.loads((GOLDEN / "exit_codes.json").read_text())[golden]
+    assert (result.stdout, result.stderr) == ((GOLDEN / golden).read_bytes(), b"")
+    assert json.loads(out.read_text().splitlines()[0])["counts"]["circuit.ops"] > 0

@@ -14,7 +14,6 @@ from problem_gen import generate_corpus
 import qsolve.circuit as qc
 from qsolve import cli, grover_sat
 from qsolve.circuit import Circuit, execute
-from qsolve.errors import ProblemValidationError, QubitBudgetError
 from qsolve.grover_sat import (
     build_diffuser,
     build_oracle,
@@ -26,11 +25,19 @@ from qsolve.grover_sat import (
     qubit_layout,
     schedule_states,
     solve,
-    synth_equal_const,
     synth_not_equal,
     synth_sum_equals,
 )
-from qsolve.problems import EqualConst, NotEqual, SatProblem, SumEquals, VarDecl, validate_problem
+from qsolve.problems import (
+    EqualConst,
+    NotEqual,
+    ProblemValidationError,
+    QubitBudgetError,
+    SatProblem,
+    SumEquals,
+    VarDecl,
+    validate_problem,
+)
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -214,7 +221,7 @@ def test_equal_const_fragment_exhaustive():
     layout = qubit_layout(problem)
     flag = layout.flag_qubits[0]
     frag = Circuit(layout.num_qubits)
-    synth_equal_const(frag, layout, "a", 5, flag)
+    grover_sat._match_constant(frag, layout.var_qubits("a"), 5, flag)
     for a in range(8):
         out, prep = _run_on_basis(layout, frag, {"a": a})
         expected = prep | _flag_mask(layout, flag) if a == 5 else prep
@@ -343,12 +350,13 @@ def test_iteration_schedule_known_values():
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_iteration_schedule_matches_exact_ceiling_formula(n):
-    # independent route: ceil(sqrt(x)) == isqrt(x - 1) + 1 for x >= 1
+    # independent route: the least t with t * t >= 2**j
     cap = math.ceil((math.pi / 4) * math.sqrt(1 << n))
     expected = []
     j = 0
     while True:
-        t = isqrt((1 << j) - 1) + 1
+        t = isqrt(1 << j)
+        t += t * t < 1 << j
         if t >= cap:
             break
         if not expected or t > expected[-1]:

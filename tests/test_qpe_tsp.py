@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import oracles
 from problem_gen import instance_from_rows
 from qsolve import circuit as qc
-from qsolve.errors import ProblemValidationError, QubitBudgetError
 from qsolve.qpe_tsp import (
     PhaseEstimate,
     bits_per_node,
@@ -25,7 +24,7 @@ from qsolve.qpe_tsp import (
     solve,
     tour_length,
 )
-from qsolve.problems import validate_instance
+from qsolve.problems import ProblemValidationError, QubitBudgetError, validate_instance
 from qsolve.circuit import build_qft, execute, inverse
 from qsolve.statevector import probabilities
 

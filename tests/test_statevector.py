@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from qsolve import statevector as sv
-from qsolve.errors import QubitBudgetError
+from qsolve.problems import QubitBudgetError
 
 NORM_TOL = 1e-9
 UNITARY_TOL = 1e-12

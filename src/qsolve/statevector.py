@@ -10,6 +10,7 @@ applied natively on views of that array, with each control axis fixed at
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -220,13 +221,21 @@ def bitstring(index: int, num_qubits: int, qubits: Sequence[int] | None = None) 
     return bits if qubits is None else "".join(bits[q] for q in qubits)
 
 
+@functools.lru_cache(maxsize=1)
 def sorted_draws(shots: int, seed: int) -> np.ndarray:
-    """The ``shots`` uniforms ``Generator.choice`` draws at ``seed``, sorted.
+    """The ``shots`` uniforms ``Generator.choice`` draws at ``seed``, sorted:
+    ``np.sort(np.random.default_rng(seed).random(shots))``, bit for bit.
 
     They depend on nothing else, so one draw serves every register sampled
-    at that seed, and sorting them leaves every histogram as it was.
+    at that seed, and sorting them leaves every histogram as it was.  The
+    last draw is kept, read-only, for the next call with the same arguments.
     """
-    return np.sort(np.random.default_rng(seed).random(shots))
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    draws = _pcg64_doubles(shots, seed)
+    draws.sort()
+    draws.flags.writeable = False
+    return draws
 
 
 def outcome_cdf(state: np.ndarray) -> np.ndarray:
@@ -283,3 +292,131 @@ def sample(
     for key, c in sorted(zip(keys, freq.tolist())):
         counts[key] = counts.get(key, 0) + c
     return Histogram(counts)
+
+
+# numpy's default_rng(seed) is PCG64 (XSL-RR 128/64; O'Neill, "PCG: A Family of
+# Simple Fast Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", HMC-CS-2014-0905) seeded by SeedSequence(seed).  NEP 19 fixes a
+# BitGenerator's stream across numpy versions.  Drawing it here keeps
+# numpy.random, and the libcrypto its import loads, out of every solve.
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_LOW32, _32 = np.uint64(_M32), np.uint64(32)
+_PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
+# states advanced per pass of numpy ops: memory beyond the output is O(block)
+_DRAW_BLOCK = 1 << 14
+
+
+def _pcg64_seed(seed: int) -> tuple[int, int]:
+    """(state, increment) of ``PCG64(seed)`` before its first draw.
+
+    ``SeedSequence(seed).generate_state(4, uint64)`` in 32-bit words: the
+    seed's little-endian words hashed into a pool of 4, then 8 output words.
+    """
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _M32
+        value = value * const & _M32
+        words.append(value ^ value >> 16)
+    u64 = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+    initstate, initseq = u64[0] << 64 | u64[1], u64[2] << 64 | u64[3]
+    inc = (initseq << 1 | 1) & _M128
+    # a step from 0 gives inc; add initstate and step again
+    return ((inc + initstate) * _PCG_MULT + inc) & _M128, inc
+
+
+def _advance(hi: np.ndarray, lo: np.ndarray, mult: int, add: int, scratch) -> None:
+    """``(hi, lo) = (hi, lo) * mult + add`` mod 2**128 in place; ``scratch`` is
+    four uint64 arrays the shape of ``hi``."""
+    words = (mult & _M32, mult >> 32 & _M32, mult & _M64, mult >> 64, add & _M64, add >> 64)
+    m0, m1, m_lo, m_hi, add_lo, add_hi = (np.uint64(w) for w in words)
+    a0, a1, t, u = scratch
+    # the high word of lo * m_lo, from 32-bit halves
+    np.bitwise_and(lo, _LOW32, out=a0)
+    np.right_shift(lo, _32, out=a1)
+    np.multiply(a0, m0, out=t)
+    t >>= _32
+    np.multiply(a1, m0, out=u)
+    t += u
+    a0 *= m1
+    np.bitwise_and(t, _LOW32, out=u)
+    u += a0
+    a1 *= m1
+    t >>= _32
+    a1 += t
+    u >>= _32
+    a1 += u
+    # every other product wraps mod 2**64
+    hi *= m_lo
+    hi += a1
+    np.multiply(lo, m_hi, out=a0)
+    hi += a0
+    hi += add_hi
+    lo *= m_lo
+    lo += add_lo
+    np.less(lo, add_lo, out=a0)  # the carry out of the low word
+    hi += a0
+
+
+def _pcg64_doubles(shots: int, seed: int) -> np.ndarray:
+    """``np.random.default_rng(seed).random(shots)``, unsorted."""
+    out = zeros((shots,), np.float64)
+    state, inc = _pcg64_seed(seed)
+    block = min(shots, _DRAW_BLOCK)
+    hi, lo, *scratch = (zeros((block,), np.uint64) for _ in range(6))
+    first = (state * _PCG_MULT + inc) & _M128  # each draw steps, then outputs
+    hi[0], lo[0] = first >> 64, first & _M64
+    # fill states 2 .. block by doubling: a jump of `filled` steps is
+    # (mult, add), and two of them are (mult**2, (mult + 1) * add)
+    mult, add, filled = _PCG_MULT, inc, 1
+    while filled < block:
+        k = min(filled, block - filled)
+        new = slice(filled, filled + k)
+        hi[new], lo[new] = hi[:k], lo[:k]
+        _advance(hi[new], lo[new], mult, add, [a[:k] for a in scratch])
+        filled += k
+        mult, add = mult * mult & _M128, (mult + 1) * add & _M128
+    for start in range(0, shots, block):
+        if start:
+            _advance(hi, lo, mult, add, scratch)  # a jump of `block` steps
+        n = min(block, shots - start)
+        h, x, rot, low = hi[:n], scratch[0][:n], scratch[1][:n], scratch[2][:n]
+        # XSL-RR: (hi ^ lo) rotated right by the top 6 bits of hi; numpy
+        # shifts a uint64 by 64 to 0, so a rotation by 0 keeps x
+        np.bitwise_xor(h, lo[:n], out=x)
+        np.right_shift(h, np.uint64(58), out=rot)
+        np.right_shift(x, rot, out=low)
+        np.subtract(np.uint64(64), rot, out=rot)
+        x <<= rot
+        x |= low
+        x >>= np.uint64(11)
+        draws = out[start : start + n]
+        draws[...] = x.view(np.int64)  # below 2**53: exact, and faster than from uint64
+        draws *= 2.0**-53
+    return out

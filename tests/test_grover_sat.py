@@ -13,6 +13,7 @@ import oracles
 from problem_gen import generate_corpus
 import qsolve.circuit as qc
 from qsolve import cli, grover_sat
+from qsolve import statevector as sv
 from qsolve.circuit import Circuit, execute
 from qsolve.grover_sat import (
     build_diffuser,
@@ -454,6 +455,21 @@ def test_solve_exhausts_schedule_on_contradiction():
     assert report.solutions == []
     assert report.iterations_used == 2
     assert report.schedule_trace == [(1, 0), (2, 0)]
+
+
+def test_solve_draws_once_over_the_whole_schedule(monkeypatch):
+    calls = []
+    real_doubles = sv._pcg64_doubles
+
+    def counting_doubles(shots, seed):
+        calls.append((shots, seed))
+        return real_doubles(shots, seed)
+
+    monkeypatch.setattr(sv, "_pcg64_doubles", counting_doubles)
+    sv.sorted_draws.cache_clear()
+    report = solve(cli.parse_problem(PROBLEMS / "unsat_pair.json").sat, shots=1000, seed=5)
+    assert report.schedule_trace == [(1, 0), (2, 0)]
+    assert calls == [(1000, 5)]
 
 
 def test_solve_synthesizes_the_oracle_once(monkeypatch):

@@ -352,6 +352,7 @@ def test_sample_refuses_a_state_without_finite_measurable_mass(bad):
 def test_sample_holds_no_more_than_a_tenth_beyond_the_state():
     n = 20
     state = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
+    sv.sorted_draws.cache_clear()  # count the draws too
     tracemalloc.start()
     try:
         sv.sample(state, 4096, seed=0)
@@ -359,6 +360,40 @@ def test_sample_holds_no_more_than_a_tenth_beyond_the_state():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * state.nbytes
+
+
+STREAM_SEEDS = [*range(200), 2**31 - 1, 2**32, 2**32 + 5, 2**63 + 17, 2**100 + 3, 2**160 + 1]
+BLOCK = sv._DRAW_BLOCK
+
+
+@pytest.mark.parametrize("shots", [1, 2, 3, 7, 4096, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
+def test_sorted_draws_are_numpys_default_rng_stream(shots):
+    # 2**160 + 1 has six 32-bit words, more than SeedSequence's pool of four
+    for seed in STREAM_SEEDS:
+        expected = np.sort(np.random.default_rng(seed).random(shots))
+        assert sv.sorted_draws(shots, seed).tobytes() == expected.tobytes(), seed
+
+
+def test_sorted_draws_hold_the_draws_and_one_block():
+    shots = 1 << 20
+    sv.sorted_draws.cache_clear()
+    tracemalloc.start()
+    try:
+        sv.sorted_draws(shots, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # six uint64 arrays of one block each, and a little more
+    assert peak <= 8 * shots + 48 * BLOCK + 64 * 1024
+
+
+def test_sorted_draws_are_kept_read_only_and_refuse_a_negative_seed():
+    draws = sv.sorted_draws(100, 3)
+    assert sv.sorted_draws(100, 3) is draws
+    with pytest.raises(ValueError, match="read-only"):
+        draws[0] = 0.5
+    with pytest.raises(ValueError, match="non-negative"):
+        sv.sorted_draws(100, -1)
 
 
 def test_histogram_most_common_orders_by_count_then_key():

@@ -116,27 +116,23 @@ def parse_problem(path) -> ParsedProblem:
             _parse_constraint(raw, f"{where}.constraints[{i}]")
             for i, raw in enumerate(_field(obj, "constraints", list, where))
         )
-        problem = SatProblem(tuple(decls), constraints)
-        diags = validate_problem(problem)
-        if diags:
-            raise ProblemFileError("\n".join(f"{where}: {d}" for d in diags))
-        return ParsedProblem("sat", sat=problem)
-
-    if kind == "tsp":
+        parsed = ParsedProblem("sat", sat=SatProblem(tuple(decls), constraints))
+        diags = validate_problem(parsed.sat)
+    elif kind == "tsp":
         rows = []
         for i, raw in enumerate(_field(obj, "adjacency", list, where)):
             rwhere = f"{where}.adjacency[{i}]"
             row = _expect(raw, list, rwhere)
             rows.append(tuple(_expect(x, int, f"{rwhere}[{k}]") for k, x in enumerate(row)))
-        instance = TspInstance(tuple(rows))
-        diags = validate_instance(instance)
-        if diags:
-            raise ProblemFileError("\n".join(f"{where}: {d}" for d in diags))
-        return ParsedProblem("tsp", tsp=instance)
-
-    raise ProblemFileError(
-        f"{where}.type: unknown problem type {kind!r} (expected 'sat' or 'tsp')"
-    )
+        parsed = ParsedProblem("tsp", tsp=TspInstance(tuple(rows)))
+        diags = validate_instance(parsed.tsp)
+    else:
+        raise ProblemFileError(
+            f"{where}.type: unknown problem type {kind!r} (expected 'sat' or 'tsp')"
+        )
+    if diags:
+        raise ProblemFileError("\n".join(f"{where}: {d}" for d in diags))
+    return parsed
 
 
 _COMPATIBLE = {"sat": "grover", "tsp": "qpe"}
@@ -234,14 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--threshold",
         type=float,
-        default=None,
         help="candidate frequency threshold for the search solver (default 2/2^n)",
     )
     cmd.add_argument("--output", choices=("text", "json"), default="text")
     cmd.add_argument(
         "--dump-circuit",
         metavar="PATH",
-        default=None,
         help="also write the final circuit in text form to PATH",
     )
     cmd.add_argument("--max-qubits", type=int, default=DEFAULT_QUBIT_CAP)
@@ -249,47 +243,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_solve(args) -> int:
-    fault = request_error(args.shots, args.seed, args.max_qubits, args.threshold)
+    fault = request_error(
+        args.shots, args.seed, args.max_qubits, args.threshold, args.dump_circuit
+    )
     if fault:
         raise QsolveError(fault)
     parsed = parse_problem(args.input)
-    algorithm = select_algorithm(parsed.kind, args.algorithm)
+    common = {"shots": args.shots, "seed": args.seed, "max_qubits": args.max_qubits}
 
-    if algorithm == "grover":
+    if select_algorithm(parsed.kind, args.algorithm) == "grover":
         from . import grover_sat
 
-        assert parsed.sat is not None
-        report = grover_sat.solve(
-            parsed.sat,
-            shots=args.shots,
-            seed=args.seed,
-            frequency_threshold=args.threshold,
-            max_qubits=args.max_qubits,
-        )
+        report = grover_sat.solve(parsed.sat, frequency_threshold=args.threshold, **common)
         if args.dump_circuit:
-            from .circuit import export_text
-
             layout = grover_sat.qubit_layout(parsed.sat, args.max_qubits)
             circuit = grover_sat.build_search_circuit(parsed.sat, layout, report.iterations_used)
-            Path(args.dump_circuit).write_text(export_text(circuit), encoding="utf-8")
-        _render_sat(report, args.output, sys.stdout)
-        return 0 if report.found else 1
+        render, code = _render_sat, 0 if report.found else 1
+    else:
+        from . import qpe_tsp
 
-    from . import qpe_tsp
+        report = qpe_tsp.solve(parsed.tsp, **common)
+        if args.dump_circuit:
+            unitary = qpe_tsp.build_phase_unitary(parsed.tsp, report.scale)
+            eigenstate = qpe_tsp.encode_eigenstate(report.best_tour, parsed.tsp.n_nodes)
+            circuit = qpe_tsp.qpe_circuit(unitary, eigenstate, report.precision_bits)
+        render, code = _render_tsp, 0
 
-    assert parsed.tsp is not None
-    report = qpe_tsp.solve(
-        parsed.tsp, shots=args.shots, seed=args.seed, max_qubits=args.max_qubits
-    )
+    # the dump goes first: a dump that cannot be written leaves stdout empty
     if args.dump_circuit:
         from .circuit import export_text
 
-        unitary = qpe_tsp.build_phase_unitary(parsed.tsp, report.scale)
-        eigenstate = qpe_tsp.encode_eigenstate(report.best_tour, parsed.tsp.n_nodes)
-        circuit = qpe_tsp.qpe_circuit(unitary, eigenstate, report.precision_bits)
         Path(args.dump_circuit).write_text(export_text(circuit), encoding="utf-8")
-    _render_tsp(report, args.output, sys.stdout)
-    return 0
+    render(report, args.output, sys.stdout)
+    return code
 
 
 def main(argv=None) -> int:

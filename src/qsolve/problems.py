@@ -47,12 +47,17 @@ class AlgorithmMismatchError(QsolveError):
 
 
 def request_error(
-    shots: int, seed: int, max_qubits: int = DEFAULT_QUBIT_CAP, threshold: float | None = None
+    shots: int,
+    seed: int,
+    max_qubits: int = DEFAULT_QUBIT_CAP,
+    threshold: float | None = None,
+    dump_path: str | None = None,
 ) -> str | None:
     """The first refusal of a request's ``--shots``, ``--max-qubits``,
-    ``--seed`` and ``--threshold``, or None.  Draws take 8 bytes a shot, a
-    state 16 * 2**max_qubits; the bit-length test keeps a cap wider than the
-    shot count from building 2**max_qubits."""
+    ``--seed``, ``--threshold`` and ``--dump-circuit``, or None.  Draws take
+    8 bytes a shot, a state 16 * 2**max_qubits; the bit-length test keeps a
+    cap wider than the shot count from building 2**max_qubits.  An empty dump
+    path would write nothing without a word, so it is refused too."""
     if shots < 1:
         return f"--shots must be positive, got {shots}"
     if max_qubits < 1:
@@ -63,6 +68,8 @@ def request_error(
         return f"--seed must be non-negative, got {seed}"
     if threshold is not None and not 0.0 < threshold <= 1.0:
         return f"--threshold must be in (0, 1], got {threshold}"
+    if dump_path == "":
+        return "--dump-circuit needs a file path"
     return None
 
 

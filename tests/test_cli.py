@@ -291,6 +291,9 @@ def test_bad_option_values_exit_two(capsys):
         capsys, "solve", "--input", str(UNIT_KAKURO), "--shots", str(10**12), "--seed", "-1"
     )
     assert (code, err) == (2, f"error: --shots {10**12} needs more memory than a 26-qubit state\n")
+    # an empty dump path would otherwise write nothing and still exit 0
+    code, out, err = run_cli(capsys, "solve", "--input", str(UNIT_KAKURO), "--dump-circuit", "")
+    assert (code, out, err) == (2, "", "error: --dump-circuit needs a file path\n")
 
 
 def test_negative_seed_exits_two(capsys):
@@ -833,12 +836,19 @@ def test_parsing_a_problem_loads_neither_numpy_nor_dataclasses(problem):
     assert (result.returncode, result.stdout, result.stderr) == (0, f"{kind}\n[]\n", "")
 
 
-@pytest.mark.parametrize("case", ["invalid_file", "shots_0"])
+REFUSALS = {
+    "shots_0": ["--input", str(UNIT_KAKURO), "--shots", "0"],
+    "empty_dump_path": ["--input", str(TSP), "--dump-circuit", ""],
+    "algorithm_mismatch": ["--input", str(UNIT_KAKURO), "--algorithm", "qpe"],
+}
+
+
+@pytest.mark.parametrize("case", ["invalid_file", *REFUSALS])
 def test_a_refusal_exits_two_before_numpy_loads(tmp_path, case):
     if case == "invalid_file":
         args = ["--input", str(write_problem(tmp_path, {"type": "tsp", "adjacency": [[0]]}))]
     else:
-        args = ["--input", str(UNIT_KAKURO), "--shots", "0"]
+        args = REFUSALS[case]
     result = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "qsolve", "solve", *args],
         capture_output=True, text=True, env=src_env(),
@@ -848,6 +858,7 @@ def test_a_refusal_exits_two_before_numpy_loads(tmp_path, case):
     assert result.stdout == ""
     assert len([line for line in lines if line.startswith("error:")]) == 1
     assert [line for line in lines if "numpy" in line] == []
+    assert [line for line in lines if "grover_sat" in line or "qpe_tsp" in line] == []
 
 
 LAZY_SUBMODULES = (
@@ -873,14 +884,17 @@ def test_import_qsolve_loads_the_solvers_on_first_attribute_access():
     ]
 
 
-def test_dump_circuit_unwritable_path_exits_two(capsys, tmp_path):
-    code, _, err = run_cli(
+@pytest.mark.parametrize("problem", [UNIT_KAKURO, TSP], ids=["sat", "tsp"])
+def test_dump_circuit_unwritable_path_exits_two(capsys, tmp_path, problem):
+    code, out, err = run_cli(
         capsys,
         "solve",
         "--input",
-        str(UNIT_KAKURO),
+        str(problem),
         "--dump-circuit",
         str(tmp_path / "no_dir" / "c.txt"),
     )
     assert code == 2
+    # the dump is written before the report, so a failed dump prints no report
+    assert out == ""
     assert err.startswith("error:")

@@ -8,8 +8,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
+# qsolve's modules first, so an uncached compile's memory is freed before numpy loads
 from .statevector import (
     Gate,
     H,
@@ -22,6 +21,8 @@ from .statevector import (
     phase,
     sample,
 )
+
+import numpy as np
 
 
 @dataclass(frozen=True)

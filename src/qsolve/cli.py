@@ -1,15 +1,18 @@
 """Command-line frontend: JSON problem files in, solutions out.
 
 Exit codes: 0 = solved, 1 = search exhausted with no verified solution,
-2 = anything wrong with the invocation or the problem file.  Errors are
-reported as one-line diagnostics on stderr, never as tracebacks.
+2 = anything wrong with the invocation or the problem file, or a report
+that cannot be written.  Errors are reported as one-line diagnostics on
+stderr, never as tracebacks.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
+import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -28,6 +31,7 @@ from .problems import (
     TspInstance,
     VarDecl,
     request_error,
+    solver_option_error,
     validate_instance,
     validate_problem,
 )
@@ -249,9 +253,13 @@ def _run_solve(args) -> int:
     if fault:
         raise QsolveError(fault)
     parsed = parse_problem(args.input)
+    algorithm = select_algorithm(parsed.kind, args.algorithm)
+    fault = solver_option_error(algorithm, args.threshold)
+    if fault:
+        raise QsolveError(fault)
     common = {"shots": args.shots, "seed": args.seed, "max_qubits": args.max_qubits}
 
-    if select_algorithm(parsed.kind, args.algorithm) == "grover":
+    if algorithm == "grover":
         from . import grover_sat
 
         report = grover_sat.solve(parsed.sat, frequency_threshold=args.threshold, **common)
@@ -274,7 +282,16 @@ def _run_solve(args) -> int:
         from .circuit import export_text
 
         Path(args.dump_circuit).write_text(export_text(circuit), encoding="utf-8")
-    render(report, args.output, sys.stdout)
+    try:
+        render(report, args.output, sys.stdout)
+        sys.stdout.flush()
+    except OSError:
+        # stdout cannot take the report (a closed pipe, a full disk): what it
+        # holds goes to os.devnull, or the flush at exit fails again, exit 120
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
     return code
 
 
@@ -292,5 +309,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def process_main() -> int:
+    """The entry point of a ``qsolve`` process, the installed script and
+    ``python -m qsolve``: :func:`main`'s exit code, with every object then
+    alive frozen out of the collector, so the collections at interpreter
+    exit skip the ~22k objects numpy and a solve leave.  ``main`` itself
+    leaves the collector alone for callers that keep running."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

@@ -16,8 +16,7 @@ import math
 import sys
 from typing import Iterator, NamedTuple, Sequence
 
-import numpy as np
-
+# qsolve's modules first, so an uncached compile's memory is freed before numpy loads
 from .circuit import Circuit, QubitRegister, apply_ops, h_layer, inverse
 from .problems import (
     DEFAULT_QUBIT_CAP,
@@ -30,6 +29,8 @@ from .problems import (
     validate_problem,
 )
 from .statevector import Histogram, X, Z, sample, zeros
+
+import numpy as np
 
 Assignment = dict[str, int]
 

@@ -73,6 +73,14 @@ def request_error(
     return None
 
 
+def solver_option_error(algorithm: str, threshold: float | None) -> str | None:
+    """The refusal of an option that ``algorithm``, the solver chosen for the
+    problem, would ignore, or None: ``--threshold`` tunes the search alone."""
+    if threshold is not None and algorithm != "grover":
+        return f"--threshold applies to the grover solver only, not to {algorithm}"
+    return None
+
+
 # --- constraint problems -------------------------------------------------------
 
 

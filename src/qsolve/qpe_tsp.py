@@ -14,8 +14,7 @@ import itertools
 import math
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
+# qsolve's modules first, so an uncached compile's memory is freed before numpy loads
 from .circuit import Circuit, QubitRegister, apply_ops, build_qft, h_layer, inverse
 from .problems import (
     DEFAULT_QUBIT_CAP,
@@ -27,6 +26,8 @@ from .problems import (
     validate_instance,
 )
 from .statevector import outcome_cdf, probabilities, rotate, sorted_draws, zeros
+
+import numpy as np
 
 Tour = tuple[int, ...]
 

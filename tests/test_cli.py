@@ -274,6 +274,10 @@ def test_bad_option_values_exit_two(capsys):
         capsys, "solve", "--input", str(UNIT_KAKURO), "--threshold", "1.5"
     )
     assert (code, err) == (2, "error: --threshold must be in (0, 1], got 1.5\n")
+    code, out, err = run_cli(capsys, "solve", "--input", str(TSP), "--threshold", "0.5")
+    assert (code, out, err) == (
+        2, "", "error: --threshold applies to the grover solver only, not to qpe\n"
+    )
     # a bad --seed is refused before a bad --threshold
     code, _, err = run_cli(
         capsys, "solve", "--input", str(UNIT_KAKURO), "--seed", "-1", "--threshold", "0"
@@ -840,6 +844,8 @@ REFUSALS = {
     "shots_0": ["--input", str(UNIT_KAKURO), "--shots", "0"],
     "empty_dump_path": ["--input", str(TSP), "--dump-circuit", ""],
     "algorithm_mismatch": ["--input", str(UNIT_KAKURO), "--algorithm", "qpe"],
+    # only the search solver has a frequency threshold
+    "threshold_on_tsp": ["--input", str(TSP), "--threshold", "0.5"],
 }
 
 
@@ -898,3 +904,21 @@ def test_dump_circuit_unwritable_path_exits_two(capsys, tmp_path, problem):
     # the dump is written before the report, so a failed dump prints no report
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_a_report_stdout_cannot_take_exits_two():
+    # buffered, the report reaches the pipe only when stdout is flushed
+    env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "qsolve", "solve", "--input", str(UNIT_KAKURO)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    lines = result.stderr.splitlines()
+    assert result.returncode == 2
+    assert len([line for line in lines if line.startswith("error:")]) == 1
+    assert "Exception ignored" not in result.stderr

@@ -1,5 +1,7 @@
-"""What a fresh interpreter loads: importing qsolve loads OpenBLAS
-single-threaded unless told otherwise, and a solve leaves numpy.random out.
+"""What a fresh interpreter loads, and in what order: importing qsolve loads
+OpenBLAS single-threaded unless told otherwise, a solve leaves numpy.random
+out, every qsolve module compiles before numpy loads, and a solve process
+freezes its objects out of the exit-time collections yet runs atexit hooks.
 
 Each case runs in a fresh interpreter whose environment is built here
 without OPENBLAS_NUM_THREADS: this process has imported qsolve, so its own
@@ -26,12 +28,12 @@ REPORT = (
 )
 
 
-def run_child(code, **env_vars):
+def run_child(code, *args, **env_vars):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     env.update(env_vars)
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=ROOT
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, cwd=ROOT
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.split()
@@ -71,3 +73,61 @@ print(*(m for m in ("numpy.random", "secrets", "_hashlib") if m in sys.modules))
 def test_a_solve_loads_numpy_but_not_numpy_random():
     # numpy.random imports secrets, whose hmac import loads libcrypto
     assert run_child(SOLVE_THEN_REPORT) == ["0", "1", "0", "True"]
+
+
+COMPILE_ORDER = """\
+import contextlib, io, sys
+from importlib.machinery import SourceFileLoader
+
+numpy_loaded = {}
+compile_source = SourceFileLoader.source_to_code
+
+
+def source_to_code(self, data, path, *args, **kwargs):
+    if self.name.split(".")[0] == "qsolve":
+        numpy_loaded[self.name] = "numpy" in sys.modules
+    return compile_source(self, data, path, *args, **kwargs)
+
+
+SourceFileLoader.source_to_code = source_to_code
+from qsolve import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["solve", "--input", sys.argv[1]])
+print(code, *(f"{name}={loaded}" for name, loaded in sorted(numpy_loaded.items())))
+"""
+
+
+@pytest.mark.parametrize(
+    "problem, solver",
+    [("kakuro_cross_sums", "grover_sat"), ("tsp_four_cities", "qpe_tsp")],
+    ids=["sat", "tsp"],
+)
+def test_every_qsolve_module_compiles_before_numpy_loads(tmp_path, problem, solver):
+    # an empty bytecode cache makes every module compile from source, even
+    # where __pycache__ directories hold bytecode from an earlier run
+    modules = ("qsolve", "qsolve.circuit", "qsolve.cli", "qsolve.problems",
+               f"qsolve.{solver}", "qsolve.statevector")
+    output = run_child(
+        COMPILE_ORDER, f"problems/{problem}.json", PYTHONPYCACHEPREFIX=str(tmp_path)
+    )
+    assert output == ["0", *(f"{name}=False" for name in sorted(modules))]
+
+
+EXIT_HOOK = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+sys.argv = ["qsolve", "solve", "--input", "problems/tsp_four_cities.json"]
+runpy.run_module("qsolve", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_a_solve_process_freezes_its_objects_and_still_runs_atexit():
+    *report, word, count = run_child(EXIT_HOOK)
+    assert (" ".join(report), word) == ("[1, 4, 2, 3] length 7", "frozen")
+    assert int(count) > 0
+
+
+def test_the_installed_script_enters_where_python_m_does():
+    # a text match: tomllib is not in Python 3.10
+    assert 'qsolve = "qsolve.cli:process_main"' in (ROOT / "pyproject.toml").read_text()
+    assert "sys.exit(process_main())" in (SRC / "qsolve" / "__main__.py").read_text()

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Solve the bundled Kakuro-style riddles and show how the measured solution
-frequencies evolve along the iteration schedule."""
+frequencies evolve along the iteration schedule.  Exits 0, or 2 on a bad
+option or when stdout cannot take the report (closed, or on a full disk)."""
 
 import argparse
+import sys
 from pathlib import Path
 
-from qsolve.cli import parse_problem
+from qsolve.cli import parse_problem, report_to_stdout
 from qsolve.grover_sat import (
     classical_check,
     decode_bitstring,
@@ -14,7 +16,7 @@ from qsolve.grover_sat import (
     schedule_states,
     solve,
 )
-from qsolve.problems import request_error
+from qsolve.problems import QsolveError, request_error
 from qsolve.statevector import probabilities
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -62,13 +64,19 @@ def main():
     if fault:
         parser.error(fault)
 
-    for name in ("kakuro_unit_sums.json", "kakuro_cross_sums.json"):
-        problem = parse_problem(PROBLEMS / name).sat
-        print(f"== {name} ==")
-        amplification_table(problem, qubit_layout(problem))
-        report_solutions(problem, args.shots, args.seed)
-        print()
+    try:
+        with report_to_stdout():
+            for name in ("kakuro_unit_sums.json", "kakuro_cross_sums.json"):
+                problem = parse_problem(PROBLEMS / name).sat
+                print(f"== {name} ==")
+                amplification_table(problem, qubit_layout(problem))
+                report_solutions(problem, args.shots, args.seed)
+                print()
+    except (QsolveError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

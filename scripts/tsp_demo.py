@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Estimate every tour length of a travelling-salesman instance through the
 phase register and cross-check the minimum against direct enumeration.
-Exits 1 when the two minima differ, 2 on a bad option or problem file."""
+Exits 0 when the two minima agree, 1 when they differ, and 2 on a bad option
+or problem file, or when stdout cannot take the report (closed, or on a full
+disk)."""
 
 import argparse
 import itertools
 import sys
 from pathlib import Path
 
-from qsolve.cli import parse_problem
+from qsolve.cli import parse_problem, report_to_stdout
 from qsolve.problems import ProblemFileError, QsolveError, request_error
 from qsolve.qpe_tsp import display_tour, encode_eigenstate, solve, tour_length
 
@@ -26,6 +28,24 @@ def brute_force_best(instance):
     return best
 
 
+def print_report(instance, report):
+    """Print every cycle's estimate and the cross-check; True if the minima agree."""
+    print(f"{instance.n_nodes} nodes, phase scale {report.scale}, "
+          f"{report.precision_bits} precision qubits")
+    print(f"{'cycle':<22} {'eigenstate':>10} {'raw':>4} {'phase':>8} {'length':>7}")
+    for tour, length, estimate in zip(report.tours, report.lengths, report.estimates):
+        enc = encode_eigenstate(tour, instance.n_nodes)
+        print(f"{str(list(tour)):<22} {enc:>10} {estimate.raw:>4} "
+              f"{estimate.phase:>8.4f} {length:>7}")
+
+    print(f"\nshortest tour: {list(display_tour(report.best_tour))} "
+          f"length {report.best_length}")
+    _, brute_length = brute_force_best(instance)
+    agrees = brute_length == report.best_length
+    print(f"direct enumeration minimum: {brute_length} ({'agrees' if agrees else 'DISAGREES'})")
+    return agrees
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--input", type=Path, default=DEFAULT_INPUT)
@@ -41,23 +61,11 @@ def main():
         if parsed.kind != "tsp":
             raise ProblemFileError(f"{args.input}: a {parsed.kind!r} problem, not a tour problem")
         report = solve(parsed.tsp, shots=args.shots, seed=args.seed)
-    except QsolveError as exc:
+        with report_to_stdout():
+            agrees = print_report(parsed.tsp, report)
+    except (QsolveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    instance = parsed.tsp
-    print(f"{instance.n_nodes} nodes, phase scale {report.scale}, "
-          f"{report.precision_bits} precision qubits")
-    print(f"{'cycle':<22} {'eigenstate':>10} {'raw':>4} {'phase':>8} {'length':>7}")
-    for tour, length, estimate in zip(report.tours, report.lengths, report.estimates):
-        enc = encode_eigenstate(tour, instance.n_nodes)
-        print(f"{str(list(tour)):<22} {enc:>10} {estimate.raw:>4} "
-              f"{estimate.phase:>8.4f} {length:>7}")
-
-    print(f"\nshortest tour: {list(display_tour(report.best_tour))} "
-          f"length {report.best_length}")
-    _, brute_length = brute_force_best(instance)
-    agrees = brute_length == report.best_length
-    print(f"direct enumeration minimum: {brute_length} ({'agrees' if agrees else 'DISAGREES'})")
     return 0 if agrees else 1
 
 

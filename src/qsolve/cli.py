@@ -9,6 +9,7 @@ stderr, never as tracebacks.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import io
 import json
@@ -246,7 +247,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout():
+    """``sys.stdout``, which is None in a process started with stdout closed."""
+    if sys.stdout is None:
+        raise QsolveError("stdout is closed, so no report can be written")
+    return sys.stdout
+
+
+@contextlib.contextmanager
+def report_to_stdout():
+    """Yield stdout for a report and flush it when the block ends.
+
+    If stdout cannot take the report (a closed pipe, a full disk), what it
+    still holds goes to os.devnull, or the flush at exit fails again and the
+    process exits 120, and the OSError propagates to the caller's ``error:``
+    line.  A closed stdout is refused on entry with a QsolveError.
+    """
+    out = _stdout()
+    try:
+        yield out
+        out.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        raise
+
+
 def _run_solve(args) -> int:
+    _stdout()  # refused before any work
     fault = request_error(
         args.shots, args.seed, args.max_qubits, args.threshold, args.dump_circuit
     )
@@ -282,16 +311,8 @@ def _run_solve(args) -> int:
         from .circuit import export_text
 
         Path(args.dump_circuit).write_text(export_text(circuit), encoding="utf-8")
-    try:
-        render(report, args.output, sys.stdout)
-        sys.stdout.flush()
-    except OSError:
-        # stdout cannot take the report (a closed pipe, a full disk): what it
-        # holds goes to os.devnull, or the flush at exit fails again, exit 120
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        raise
+    with report_to_stdout() as out:
+        render(report, args.output, out)
     return code
 
 

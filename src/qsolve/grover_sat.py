@@ -28,7 +28,7 @@ from .problems import (
     SumEquals,
     validate_problem,
 )
-from .statevector import Histogram, X, Z, sample, zeros
+from .statevector import Histogram, X, Z, sample, uniform, zeros
 
 import numpy as np
 
@@ -307,9 +307,7 @@ def schedule_states(problem: SatProblem, layout: QubitLayout) -> Iterator[tuple[
     flips = np.flatnonzero(_marked(problem, layout))
     h_ops = h_layer(s).ops
     # qubit_layout has held the whole layout, wider than this, to the cap
-    state = zeros((1 << s,), np.complex128)
-    state[0] = 1.0
-    apply_ops(state, h_ops)
+    state = uniform((1 << s,))
     done = 0
     for t in iteration_schedule(s):
         for _ in range(t - done):

@@ -25,7 +25,7 @@ from .problems import (
     TspInstance,
     validate_instance,
 )
-from .statevector import outcome_cdf, probabilities, rotate, sorted_draws, zeros
+from .statevector import outcome_cdf, probabilities, rotate, sorted_draws, uniform
 
 import numpy as np
 
@@ -174,9 +174,7 @@ def estimate_phases(
     bitstring over ``shots`` draws at ``seed`` (count ties broken by
     bitstring)."""
     m = precision_bits
-    batch = zeros((len(exponents), 1 << m), np.complex128)
-    batch[:, 0] = 1.0
-    apply_ops(batch, h_layer(m).ops)
+    batch = uniform((len(exponents), 1 << m))
     # the kickback, with the phase kernel's scalar np.exp and rotate, so rows match bit for bit
     amps = batch.reshape((-1,) + (2,) * m)
     angles = [kickback_angles(e, scale, m) for e in exponents]

@@ -109,6 +109,23 @@ def init_zero(num_qubits: int) -> np.ndarray:
     return state
 
 
+def uniform(shape: tuple[int, ...]) -> np.ndarray:
+    """Rows of ``2**n`` complex128 amplitudes, each the state an H layer on
+    qubits 0..n-1 makes of the all-zeros state, bit for bit, built by value.
+
+    The H kernel sums an amplitude with a 0 and scales by ``_INV_SQRT2``, so
+    after k layers every reached amplitude is 1 scaled k times in turn, with
+    a +0 imaginary part.  Allocated through :func:`zeros`, so a shape past
+    the address space is refused before any allocation.
+    """
+    state = zeros(shape, np.complex128)
+    amp = 1.0
+    for _ in range(shape[-1].bit_length() - 1):
+        amp *= _INV_SQRT2
+    state.real = amp
+    return state
+
+
 def check_operands(
     num_qubits: int,
     gate: Gate,

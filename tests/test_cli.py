@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsolve import cli, grover_sat, qpe_tsp
+from qsolve import statevector as sv
 from qsolve.circuit import export_text
 from qsolve.grover_sat import build_search_circuit, qubit_layout
 from qsolve.grover_sat import solve as grover_solve
@@ -352,19 +353,17 @@ def test_parse_failures_exit_two(capsys, tmp_path):
     assert ":1:" in err
 
 
-@pytest.mark.parametrize(
-    "problem, solver", [(CROSS_SUMS, grover_sat), (TSP, qpe_tsp)], ids=["sat", "tsp"]
-)
-def test_out_of_memory_exits_two_without_traceback(capsys, monkeypatch, problem, solver):
-    real_zeros = solver.zeros
+@pytest.mark.parametrize("problem", [CROSS_SUMS, TSP], ids=["sat", "tsp"])
+def test_out_of_memory_exits_two_without_traceback(capsys, monkeypatch, problem):
+    real_zeros = sv.zeros
 
     def refuse_states(shape, dtype):
-        # only the complex128 state: the SAT walk allocates bool columns first
+        # only the complex128 state, which both solvers allocate through sv.uniform
         if dtype == np.complex128:
             raise MemoryError()
         return real_zeros(shape, dtype)
 
-    monkeypatch.setattr(solver, "zeros", refuse_states)
+    monkeypatch.setattr(sv, "zeros", refuse_states)
     code, out, err = run_cli(capsys, "solve", "--input", str(problem))
     assert code == 2
     assert out == ""
@@ -922,3 +921,20 @@ def test_a_report_stdout_cannot_take_exits_two():
     assert result.returncode == 2
     assert len([line for line in lines if line.startswith("error:")]) == 1
     assert "Exception ignored" not in result.stderr
+
+
+@pytest.mark.parametrize("problem", [UNSAT, TSP], ids=["sat", "tsp"])
+def test_a_closed_stdout_is_refused_before_numpy_loads(problem):
+    # `>&-`: Python starts with sys.stdout None, and the report has nowhere to go
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh",
+         sys.executable, "-X", "importtime", "-m", "qsolve", "solve", "--input", str(problem)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env(),
+    )
+    lines = result.stderr.splitlines()
+    assert result.returncode == 2
+    assert [line for line in lines if line.startswith("error:")] == [
+        "error: stdout is closed, so no report can be written"
+    ]
+    assert "Traceback" not in result.stderr
+    assert [line for line in lines if "numpy" in line] == []

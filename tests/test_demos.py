@@ -151,6 +151,33 @@ def test_demo_refuses_bad_input_before_any_output(script, args, message):
     assert "error: " in last and message in last
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("kakuro_demo.py", []),
+        ("tsp_demo.py", []),
+        # 146 KB: the write fails mid-report, not at the last flush
+        ("tsp_demo.py", ["--input", str(GOLDEN / "tsp_n8_seed0.json")]),
+    ],
+    ids=["kakuro", "tsp", "tsp_n8"],
+)
+def test_demo_on_a_full_disk_exits_two(script, args):
+    # buffered, the report reaches the disk only when stdout is flushed
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / script), *args],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert result.returncode == 2
+    assert [line for line in result.stderr.splitlines() if line.startswith("error:")] == [
+        "error: [Errno 28] No space left on device"
+    ]
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
+
+
 @pytest.mark.parametrize("name", ["kakuro_unit_sums", "tsp_four_cities", "unsat_pair"])
 def test_benchmark_replay_prints_the_golden_report(tmp_path, name):
     """`perfbench/traced.py replay` runs each circuit op by op through

@@ -489,7 +489,8 @@ def test_solve_synthesizes_the_oracle_once(monkeypatch):
 
 def test_solve_applies_the_largest_round_count_not_the_sum(monkeypatch):
     # a != a never holds, so the whole schedule [1, 2] runs: 2 rounds, not 1 + 2;
-    # a round is two sign flips and two H layers, so 2 * s kernel calls
+    # a round is two sign flips and two H layers, so 2 * s kernel calls, and
+    # the uniform start is built by value, with none
     problem = SatProblem((VarDecl("a", 2),), (NotEqual("a", "a"),))
     layout = qubit_layout(problem)
     s = layout.search_width
@@ -503,13 +504,13 @@ def test_solve_applies_the_largest_round_count_not_the_sum(monkeypatch):
     monkeypatch.setattr(qc, "apply_unchecked", counting_apply)
     report = solve(problem)
     assert report.schedule_trace == [(1, 0), (2, 0)]
-    assert applied[0] == s + 2 * (2 * s)
+    assert applied[0] == 2 * (2 * s)
 
 
 def test_solve_refuses_a_compute_block_that_is_not_only_x(monkeypatch):
     real_synth = grover_sat.synth_not_equal
     built = [0]
-    real_zeros = grover_sat.zeros
+    real_zeros = sv.zeros
 
     def synth_with_h(frag, layout, a, b, flag):
         real_synth(frag, layout, a, b, flag)
@@ -519,8 +520,12 @@ def test_solve_refuses_a_compute_block_that_is_not_only_x(monkeypatch):
         built[0] += dtype == np.complex128
         return real_zeros(shape, dtype)
 
+    # the walk's state comes from sv.uniform, which allocates through sv.zeros
+    monkeypatch.setattr(sv, "zeros", counting_zeros)
+    solve(UNIT_KAKURO)
+    assert built[0] == 1
+    built[0] = 0
     monkeypatch.setattr(grover_sat, "synth_not_equal", synth_with_h)
-    monkeypatch.setattr(grover_sat, "zeros", counting_zeros)
     with pytest.raises(ValueError, match="X gates only, got .h."):
         solve(UNIT_KAKURO)
     assert built[0] == 0

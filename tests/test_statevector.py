@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from qsolve import statevector as sv
+from qsolve.circuit import apply_ops, h_layer
 from qsolve.problems import QubitBudgetError
 
 NORM_TOL = 1e-9
@@ -83,6 +84,35 @@ def test_init_zero_enforces_qubit_cap():
         sv.init_zero(27)
     with pytest.raises(ValueError):
         sv.init_zero(0)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_uniform_is_the_h_layer_on_all_zeros_bit_for_bit(n):
+    state = sv.init_zero(n)
+    apply_ops(state, h_layer(n).ops)
+    built = sv.uniform((1 << n,))
+    assert (built.dtype, built.shape) == (np.complex128, state.shape)
+    assert built.tobytes() == state.tobytes()
+
+
+@pytest.mark.parametrize("m", range(1, 12))
+def test_uniform_batch_rows_are_the_h_layer_bit_for_bit(m):
+    batch = sv.zeros((64, 1 << m), np.complex128)
+    batch[:, 0] = 1.0
+    apply_ops(batch, h_layer(m).ops)
+    assert sv.uniform((64, 1 << m)).tobytes() == batch.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1 << 60,), (64, 1 << 58)], ids=["state", "batch"])
+def test_uniform_refuses_a_shape_past_the_address_space(shape):
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="past the address space"):
+            sv.uniform(shape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_statevector_rejects_wrong_length():

@@ -3,11 +3,10 @@
 frequencies evolve along the iteration schedule.  Exits 0, or 2 on a bad
 option or when stdout cannot take the report (closed, or on a full disk)."""
 
-import argparse
 import sys
 from pathlib import Path
 
-from qsolve.cli import parse_problem, report_to_stdout
+from qsolve.cli import HelpParser, parse_problem, report_to_stdout
 from qsolve.grover_sat import (
     classical_check,
     decode_bitstring,
@@ -56,7 +55,7 @@ def report_solutions(problem, shots, seed):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = HelpParser(description=__doc__)
     parser.add_argument("--shots", type=int, default=4096)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()

@@ -5,12 +5,11 @@ Exits 0 when the two minima agree, 1 when they differ, and 2 on a bad option
 or problem file, or when stdout cannot take the report (closed, or on a full
 disk)."""
 
-import argparse
 import itertools
 import sys
 from pathlib import Path
 
-from qsolve.cli import parse_problem, report_to_stdout
+from qsolve.cli import HelpParser, parse_problem, report_to_stdout
 from qsolve.problems import ProblemFileError, QsolveError, request_error
 from qsolve.qpe_tsp import display_tour, encode_eigenstate, solve, tour_length
 
@@ -47,7 +46,7 @@ def print_report(instance, report):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = HelpParser(description=__doc__)
     parser.add_argument("--input", type=Path, default=DEFAULT_INPUT)
     parser.add_argument("--shots", type=int, default=4096)
     parser.add_argument("--seed", type=int, default=0)

@@ -221,7 +221,7 @@ def _emit_json(payload: dict, out) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = HelpParser(
         prog="qsolve",
         description="Solve constraint and travelling-salesman problems "
         "on a built-in statevector simulator.",
@@ -272,6 +272,22 @@ def report_to_stdout():
         os.dup2(devnull, out.fileno())
         os.close(devnull)
         raise
+
+
+class HelpParser(argparse.ArgumentParser):
+    """An ArgumentParser (its subparsers too) whose ``--help`` text is written
+    as a report is, through :func:`report_to_stdout`: help that stdout cannot
+    take exits 2 with one ``error:`` line, where argparse would leave it in
+    the buffer for the exit-time flush to fail (exit 120)."""
+
+    def print_help(self, file=None):
+        if file is not None:
+            return super().print_help(file)
+        try:
+            with report_to_stdout() as out:
+                out.write(self.format_help())
+        except (QsolveError, OSError) as exc:
+            self.exit(2, f"error: {exc}\n")
 
 
 def _run_solve(args) -> int:

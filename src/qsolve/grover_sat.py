@@ -227,22 +227,47 @@ def build_oracle(problem: SatProblem, layout: QubitLayout) -> Circuit:
     return oracle.extend(uncompute)
 
 
+# bit j of word ``_LOW_BIT_WORDS[p]`` is bit p of j, for the index bits inside a word
+_LOW_BIT_WORDS = tuple(sum(1 << j for j in range(64) if j >> p & 1) for p in range(6))
+_WORD = np.dtype("<u8")  # little-endian, so a word's bytes unpack in assignment order
+_ONES = np.uint64((1 << 64) - 1)
+
+
 def _marked(problem: SatProblem, layout: QubitLayout) -> np.ndarray:
     """True on each search assignment whose flags the compute block all sets.
 
     The block is X gates with any controls, which permute basis states, so
     on |x, 0> the oracle is the sign -1 exactly there and resets every
-    ancilla.  Its ops run once on a boolean column of 2**search_width
-    values per qubit."""
-    columns = [zeros((1 << layout.search_width,), bool) for _ in range(layout.num_qubits)]
+    ancilla.  Its ops run once, bit-sliced: each qubit is a column of
+    64-bit words, bit j of word w holding its value on assignment 64w + j
+    (a register under 6 bits fills part of one word)."""
+    s = layout.search_width
+    columns = [zeros((max(1, 1 << s >> 6),), _WORD) for _ in range(layout.num_qubits)]
     for q in layout.search_qubits:
-        columns[q].reshape(1 << q, 2, -1)[:, 1] = True  # qubit 0 is the MSB
+        p = s - 1 - q  # the index bit of qubit q: qubit 0 is the MSB
+        if p < 6:
+            columns[q][...] = _LOW_BIT_WORDS[p]
+        else:
+            columns[q].reshape(-1, 2, 1 << (p - 6))[:, 1] = _ONES
+    acc = np.empty_like(columns[0])
     for op in _compute(problem, layout).ops:
         if op.gate != X:
             raise ValueError(f"the compute block must be X gates only, got {op.gate.name!r}")
-        # the AND of no columns is True: an uncontrolled X flips its target
-        columns[op.targets[0]] ^= np.logical_and.reduce([columns[c] for c in op.controls])
-    return np.logical_and.reduce([columns[f] for f in layout.flag_qubits])
+        target = columns[op.targets[0]]
+        controls = [columns[c] for c in op.controls]
+        if not controls:
+            target ^= _ONES  # not np.invert: XOR reuses the loops the PCG64 draws run
+        elif len(controls) == 1:
+            target ^= controls[0]
+        else:
+            np.bitwise_and(controls[0], controls[1], out=acc)
+            for c in controls[2:]:
+                acc &= c
+            target ^= acc
+    marked = columns[layout.flag_qubits[0]]
+    for f in layout.flag_qubits[1:]:
+        marked &= columns[f]
+    return np.unpackbits(marked.view(np.uint8), bitorder="little")[: 1 << s].view(bool)
 
 
 def build_diffuser(search_width: int) -> Circuit:

@@ -21,6 +21,8 @@ import numpy as np
 from .problems import DEFAULT_QUBIT_CAP, QubitBudgetError
 
 PROB_ZERO_TOL = 1e-12
+# elements per imaginary-square temporary in probabilities: 512 KiB of float64
+_PROB_CHUNK = 1 << 16
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _GATE_NAMES = ("h", "x", "z", "phase", "swap")
@@ -199,13 +201,14 @@ def apply_unchecked(
     elif gate.name == "x":
         _exchange(view(0), view(1))
     else:  # h
-        # sum, then scale: seeded output depends on these exact roundings
+        # sum, then scale: seeded output depends on these exact roundings;
+        # the difference is written over a1, so the sum is the one temporary
         a0, a1 = view(0), view(1)
-        total, diff = a0 + a1, a0 - a1
+        total = a0 + a1
+        np.subtract(a0, a1, out=a1)
         total *= _INV_SQRT2
-        diff *= _INV_SQRT2
+        a1 *= _INV_SQRT2
         a0[...] = total
-        a1[...] = diff
 
 
 def _exchange(a: np.ndarray, b: np.ndarray) -> None:
@@ -228,8 +231,19 @@ def rotate(v: np.ndarray, f) -> None:
 
 
 def probabilities(state: np.ndarray) -> np.ndarray:
-    # squares and a sum, each its own ufunc: rounded alike at every SIMD level
-    return state.real**2 + state.imag**2
+    """``state.real**2 + state.imag**2``, bit for bit, for an array or a scalar.
+
+    Squares and a sum, each its own ufunc: rounded alike at every SIMD level.
+    The imaginary squares are taken ``_PROB_CHUNK`` elements at a time, so
+    the result is the one array the size of ``state``.
+    """
+    out = np.empty(np.shape(state))  # C order, so out.reshape(-1) is a view
+    np.square(state.real, out=out)
+    flat, im = out.reshape(-1), np.reshape(state.imag, -1)
+    for start in range(0, flat.size, _PROB_CHUNK):
+        chunk = slice(start, start + _PROB_CHUNK)
+        flat[chunk] += np.square(im[chunk])
+    return out
 
 
 def bitstring(index: int, num_qubits: int, qubits: Sequence[int] | None = None) -> str:

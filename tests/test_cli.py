@@ -938,3 +938,42 @@ def test_a_closed_stdout_is_refused_before_numpy_loads(problem):
     ]
     assert "Traceback" not in result.stderr
     assert [line for line in lines if "numpy" in line] == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+@pytest.mark.parametrize("command", [[], ["solve"]], ids=["qsolve", "solve"])
+def test_help_stdout_cannot_take_exits_two(command):
+    # buffered, argparse's help would reach the disk only at the exit-time flush
+    env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "qsolve", *command, "--help"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
+
+
+@pytest.mark.parametrize("command", [[], ["solve"]], ids=["qsolve", "solve"])
+def test_help_prints_the_parser_text_and_exits_zero(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+    result = subprocess.run(
+        [sys.executable, "-m", "qsolve", *command, "--help"],
+        capture_output=True, text=True, env=src_env(),
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--help"])
+    assert exc.value.code == 0
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == capsys.readouterr().out
+    assert result.stdout.startswith(" ".join(["usage: qsolve", *command]) + " [-h]")
+
+
+def test_help_to_a_closed_stdout_is_refused():
+    # argparse alone would print the help to stderr and exit 0
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "qsolve", "--help"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env(),
+    )
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == ["error: stdout is closed, so no report can be written"]

@@ -178,6 +178,28 @@ def test_demo_on_a_full_disk_exits_two(script, args):
     assert "Exception ignored" not in result.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+@pytest.mark.parametrize("script", ["kakuro_demo.py", "tsp_demo.py"])
+def test_demo_help_on_a_full_disk_exits_two(script):
+    # buffered, argparse's help would reach the disk only at the exit-time flush
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / script), "--help"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
+
+
+@pytest.mark.parametrize("script", ["kakuro_demo.py", "tsp_demo.py"])
+def test_demo_help_prints_its_usage_and_exits_zero(script):
+    result = demo_process(script, "--help")
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout.startswith(f"usage: {script} [-h]".encode())
+    assert b"--shots SHOTS" in result.stdout
+
+
 @pytest.mark.parametrize("name", ["kakuro_unit_sums", "tsp_four_cities", "unsat_pair"])
 def test_benchmark_replay_prints_the_golden_report(tmp_path, name):
     """`perfbench/traced.py replay` runs each circuit op by op through

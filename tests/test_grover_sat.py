@@ -322,6 +322,85 @@ def test_oracle_diagonal_matches_classical_on_random_problems(problem, specs):
     assert set(assignment) == set(names)
 
 
+# --- sign table ---------------------------------------------------------------------
+
+_KINDS = {
+    "not_equal": lambda rule: NotEqual(rule[1], rule[2]),
+    "equal_const": lambda rule: EqualConst(rule[1], rule[2]),
+    "sum_equals": lambda rule: SumEquals(tuple(rule[1]), rule[2]),
+}
+
+
+def problem_from_specs(widths, specs) -> SatProblem:
+    return SatProblem(
+        tuple(VarDecl(name, bits) for name, bits in widths.items()),
+        tuple(_KINDS[rule[0]](rule) for rule in specs),
+    )
+
+
+# (widths, specs): 1-5 search bits fill part of one 64-bit word, 6 fill it
+# exactly, and from 12 bits on the high bits set whole words
+SIGN_TABLE_CASES = {
+    1: ({"a": 1}, [("equal_const", "a", 1)]),
+    2: ({"a": 1, "b": 1}, [("not_equal", "a", "b")]),
+    3: ({"a": 1, "b": 2}, [("sum_equals", ("a", "b"), 2)]),
+    4: ({"a": 2, "b": 2}, [("not_equal", "a", "b"), ("sum_equals", ("a", "b"), 3)]),
+    5: ({"a": 2, "b": 3}, [("sum_equals", ("a", "b", "a"), 6), ("equal_const", "b", 4)]),
+    6: (
+        {"a": 2, "b": 2, "c": 2},
+        [("not_equal", "a", "b"), ("not_equal", "b", "c"), ("sum_equals", ("a", "b", "c"), 5)],
+    ),
+    12: (
+        {"a": 3, "b": 3, "c": 3, "d": 3},
+        [("not_equal", "a", "b"), ("not_equal", "c", "d"), ("sum_equals", tuple("abcd"), 14)],
+    ),
+    16: (
+        {"a": 4, "b": 4, "c": 4, "d": 4},
+        [
+            ("not_equal", "a", "b"),
+            ("not_equal", "b", "c"),
+            ("equal_const", "d", 9),
+            ("sum_equals", tuple("abcd"), 30),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("bits", sorted(SIGN_TABLE_CASES))
+def test_sign_table_marks_exactly_the_brute_force_solutions(bits):
+    widths, specs = SIGN_TABLE_CASES[bits]
+    problem = problem_from_specs(widths, specs)
+    assert problem.search_width == bits
+    expected = np.zeros(1 << bits, bool)
+    for assignment in oracles.enumerate_satisfying(widths, specs):
+        index = 0
+        for name, width in widths.items():  # declaration order, MSB-first
+            index = index << width | assignment[name]
+        expected[index] = True
+    assert expected.any()
+    marked = grover_sat._marked(problem, qubit_layout(problem))
+    assert marked.dtype == bool
+    assert marked.shape == expected.shape
+    assert np.array_equal(marked, expected)
+
+
+def test_sign_table_of_a_20_bit_register_peaks_under_8_mib():
+    names = [f"v{i}" for i in range(5)]
+    specs = [("not_equal", a, b) for a, b in zip(names, names[1:])]
+    specs.append(("sum_equals", tuple(names), 35))
+    problem = problem_from_specs(dict.fromkeys(names, 4), specs)
+    layout = qubit_layout(problem, max_qubits=32)  # 20 search + 5 flags + 7 scratch
+    assert layout.search_width == 20
+    tracemalloc.start()
+    try:
+        marked = grover_sat._marked(problem, layout)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert int(marked.sum()) == 31134
+    assert peak < 8 << 20
+
+
 # --- diffuser ------------------------------------------------------------------------
 
 

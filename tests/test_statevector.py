@@ -279,6 +279,55 @@ def test_probabilities_sum_to_one():
     assert abs(sv.probabilities(state).sum() - 1.0) < 1e-12
 
 
+def _random_amplitudes(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _random_amplitudes((1 << 10,), 1),
+        lambda: _random_amplitudes((64, 128), 2),
+        lambda: _random_amplitudes((), 3),  # a 0-d array
+        lambda: _random_amplitudes((), 4)[()],  # a numpy scalar, as estimate_phases passes
+        lambda: _random_amplitudes((sv._PROB_CHUNK + 5,), 5),  # a chunk and a part
+        lambda: _random_amplitudes((64, 128), 6).T,  # not C-ordered
+    ],
+    ids=["1d", "batch", "0d_array", "scalar", "straddles_chunk", "transposed"],
+)
+def test_probabilities_are_the_squares_summed_byte_for_byte(make):
+    state = make()
+    probs = sv.probabilities(state)
+    expected = state.real**2 + state.imag**2
+    assert np.shape(probs) == np.shape(expected)
+    assert probs.tobytes() == expected.tobytes()
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("target", [0, 10, 19])
+def test_an_h_call_holds_one_half_state_temporary(target):
+    state = sv.uniform((1 << 20,))
+    half = state.nbytes // 2
+    assert _traced_peak(lambda: sv.apply_unchecked(state, sv.H, (), (target,))) <= 1.1 * half
+
+
+def test_probabilities_hold_the_result_and_one_chunk():
+    n = 20
+    state = np.full(1 << n, 2.0 ** (-n / 2) * (1 + 1j))
+    result = state.nbytes // 2  # float64 per complex128 amplitude
+    assert _traced_peak(lambda: sv.probabilities(state)) <= 1.1 * result
+
+
 # --- sampling ---------------------------------------------------------------------
 
 

@@ -17,7 +17,7 @@ import sys
 from typing import Iterator, NamedTuple, Sequence
 
 # qsolve's modules first, so an uncached compile's memory is freed before numpy loads
-from .circuit import Circuit, QubitRegister, apply_ops, h_layer, inverse
+from .circuit import Circuit, QubitRegister, h_layer, inverse
 from .problems import (
     DEFAULT_QUBIT_CAP,
     EqualConst,
@@ -313,33 +313,30 @@ def build_search_circuit(problem: SatProblem, layout: QubitLayout, iterations: i
         raise ValueError(f"iterations must be non-negative, got {iterations}")
     circ = Circuit(layout.num_qubits, registers=layout.registers)
     circ.extend(h_layer(layout.search_width))
-    round_ = build_oracle(problem, layout).extend(build_diffuser(layout.search_width))
-    for _ in range(iterations):
-        circ.extend(round_)
-    return circ
+    rounds = build_oracle(problem, layout).extend(build_diffuser(layout.search_width))
+    rounds.ops *= iterations  # one copy of the op tuple, not one per round
+    return circ.extend(rounds)
 
 
 def schedule_states(problem: SatProblem, layout: QubitLayout) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(t, state)`` for each round count t of :func:`iteration_schedule`.
 
-    ``state`` is the search register alone: bitwise the flags-and-scratch-0
-    slice of the state of ``build_search_circuit(problem, layout, t)``,
-    which is 0 elsewhere.  A round is the oracle's sign (:func:`_marked`),
-    then the diffuser as H, -1 on amplitude 0, H: X on every qubit reverses
-    the array, so its X, search-wide Z, X negates amplitude 0 alone.  The
-    same object is yielded each time and changes when the walk resumes."""
+    ``state`` is the search register alone: within 1e-12 of the
+    flags-and-scratch-0 column of the state of
+    ``build_search_circuit(problem, layout, t)``, which is 0 elsewhere, and
+    sampled to the same histograms.  A round is the oracle's sign
+    (:func:`_marked`), then the diffuser as Grover's inversion about the
+    mean: H(I - 2|0><0|)H = I - 2|u><u| maps v to v - 2 mean(v).  The same
+    object is yielded each time and changes when the walk resumes."""
     s = layout.search_width
     flips = np.flatnonzero(_marked(problem, layout))
-    h_ops = h_layer(s).ops
     # qubit_layout has held the whole layout, wider than this, to the cap
     state = uniform((1 << s,))
     done = 0
     for t in iteration_schedule(s):
         for _ in range(t - done):
             state[flips] *= -1.0
-            apply_ops(state, h_ops)
-            state[0] *= -1.0
-            apply_ops(state, h_ops)
+            state -= 2.0 * state.mean()
         done = t
         yield t, state
 

@@ -137,6 +137,30 @@ def enumerate_satisfying(var_widths, constraints) -> list[dict]:
     return found
 
 
+def satisfying_mask(var_widths, constraints) -> np.ndarray:
+    """:func:`assignment_satisfies` on every assignment at once, as a bool
+    array indexed by the concatenated bitstring value."""
+    total = sum(var_widths.values())
+    index = np.arange(1 << total)
+    values = {}
+    shift = total
+    for name, width in var_widths.items():  # declaration order, MSB-first
+        shift -= width
+        values[name] = (index >> shift) & ((1 << width) - 1)
+    mask = np.ones(1 << total, dtype=bool)
+    for rule in constraints:
+        kind = rule[0]
+        if kind == "not_equal":
+            mask &= values[rule[1]] != values[rule[2]]
+        elif kind == "equal_const":
+            mask &= values[rule[1]] == rule[2]
+        elif kind == "sum_equals":
+            mask &= sum(values[name] for name in rule[1]) == rule[2]
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+    return mask
+
+
 # --- brute-force tours ---------------------------------------------------------
 
 

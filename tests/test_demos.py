@@ -1,7 +1,8 @@
 """The demo scripts' stdout, byte for byte, against reports pinned in
 tests/golden/, and their refusal of bad input; every golden report again
-with numpy's SIMD loops held to the x86-64 baseline; and the benchmark's
-op-by-op replay against the same reports."""
+with numpy's SIMD loops held to the x86-64 baseline; the 24-bit search
+register's reports at both SIMD levels; and the benchmark's op-by-op
+replay against the same reports."""
 
 import hashlib
 import json
@@ -75,10 +76,13 @@ for problem in sys.argv[2:]:
 """
 
 
-@pytest.mark.skipif(
+needs_baseline_dispatch = pytest.mark.skipif(
     not set(BASELINE_DISPATCH["NPY_DISABLE_CPU_FEATURES"].split()) <= set(dispatched_features()),
     reason="numpy does not dispatch these x86-64 feature groups",
 )
+
+
+@needs_baseline_dispatch
 def test_goldens_hold_at_the_baseline_simd_level():
     """The same seed prints the same bytes whichever SIMD loops numpy runs."""
     problems = [
@@ -94,6 +98,30 @@ def test_goldens_hold_at_the_baseline_simd_level():
     for script in ("tsp_demo.py", "kakuro_demo.py"):
         golden = GOLDEN / script.replace(".py", ".out")
         assert run_demo(script, env=BASELINE_DISPATCH) == golden.read_bytes()
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize(
+    "env",
+    [
+        pytest.param({}, id="native"),
+        pytest.param(BASELINE_DISPATCH, id="baseline", marks=needs_baseline_dispatch),
+    ],
+)
+def test_wide_search_register_prints_its_golden_reports(output, env):
+    """A 24-bit search register (a 37-qubit layout, run at --max-qubits 64):
+    2**24 amplitudes in the walk's mean, where a sum that depends on the SIMD
+    level would show in the report."""
+    name = f"sat_wide24.{output}.out"
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "qsolve", "solve", "--input", str(GOLDEN / "sat_wide24.json"),
+            "--max-qubits", "64", "--output", output,
+        ],
+        capture_output=True, env=child_env(env),
+    )
+    assert result.returncode == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+    assert (result.stdout, result.stderr) == ((GOLDEN / name).read_bytes(), b"")
 
 
 def test_tsp_demo_on_eight_nodes_prints_its_pinned_report():

@@ -567,12 +567,10 @@ def test_solve_synthesizes_the_oracle_once(monkeypatch):
 
 
 def test_solve_applies_the_largest_round_count_not_the_sum(monkeypatch):
-    # a != a never holds, so the whole schedule [1, 2] runs: 2 rounds, not 1 + 2;
-    # a round is two sign flips and two H layers, so 2 * s kernel calls, and
-    # the uniform start is built by value, with none
+    # a != a never holds, so there are no sign flips and each round negates
+    # the uniform start u: the whole schedule [1, 2] ends at u after 2 rounds,
+    # at -u after 1 + 2; and the walk runs no gate kernel
     problem = SatProblem((VarDecl("a", 2),), (NotEqual("a", "a"),))
-    layout = qubit_layout(problem)
-    s = layout.search_width
     applied = [0]
     real_apply = qc.apply_unchecked
 
@@ -583,7 +581,12 @@ def test_solve_applies_the_largest_round_count_not_the_sum(monkeypatch):
     monkeypatch.setattr(qc, "apply_unchecked", counting_apply)
     report = solve(problem)
     assert report.schedule_trace == [(1, 0), (2, 0)]
-    assert applied[0] == 2 * (2 * s)
+    start = sv.uniform((4,))
+    walk = [(t, state.copy()) for t, state in schedule_states(problem, qubit_layout(problem))]
+    assert [t for t, _ in walk] == [1, 2]
+    assert np.array_equal(walk[0][1], -start)
+    assert walk[1][1].tobytes() == start.tobytes()
+    assert applied[0] == 0
 
 
 def test_solve_refuses_a_compute_block_that_is_not_only_x(monkeypatch):
@@ -640,14 +643,18 @@ def test_wide_layout_is_searched_on_the_search_register_alone():
 
 
 def assert_walk_matches_fresh_circuits(problem, steps=None):
-    """The carried search-register state at each schedule step is bitwise
-    the flags-and-scratch-zero column of the search circuit's state for that
-    round count, run from |0...0>, and every other column is exactly 0."""
+    """The carried search-register state at each schedule step is within
+    1e-12 of the flags-and-scratch-zero column of the search circuit's state
+    for that round count, run from |0...0>, and samples to the same
+    histograms at seeds 0, 7 and 123; every other column is exactly 0."""
     layout = qubit_layout(problem)
     for t, state in itertools.islice(schedule_states(problem, layout), steps):
         fresh, _ = execute(build_search_circuit(problem, layout, t))
         table = fresh.reshape(1 << layout.search_width, -1)
-        assert state.tobytes() == table[:, 0].tobytes(), f"differs after {t} rounds"
+        column = np.ascontiguousarray(table[:, 0])
+        assert np.abs(state - column).max() <= 1e-12, f"differs after {t} rounds"
+        for seed in (0, 7, 123):
+            assert sv.sample(state, 4096, seed) == sv.sample(column, 4096, seed), (t, seed)
         assert not table[:, 1:].any(), f"ancillas set after {t} rounds"
 
 
@@ -665,6 +672,29 @@ def test_schedule_states_match_fresh_circuits_on_bundled_problems(path):
     # the first two steps (the first carried one included) are compared
     steps = 2 if path.stem == "kakuro_cross_sums" else None
     assert_walk_matches_fresh_circuits(cli.parse_problem(path).sat, steps)
+
+
+def test_a_full_20_bit_schedule_follows_the_closed_form():
+    """After t rounds the marked mass is sin^2((2t+1)theta), where
+    sin^2(theta) is the marked fraction (Nielsen and Chuang, section 6.1):
+    all 805 rounds of a 20-bit schedule keep it, and the norm, within 1e-9."""
+    names = ["a", "b", "c", "d"]
+    widths = dict.fromkeys(names, 5)
+    specs = [("not_equal", a, b) for a, b in zip(names, names[1:])]
+    specs.append(("sum_equals", tuple(names), 50))
+    problem = problem_from_specs(widths, specs)
+    marked = oracles.satisfying_mask(widths, specs)
+    solutions = int(marked.sum())
+    assert 0 < solutions < marked.size == 1 << 20
+    steps = []
+    for t, state in schedule_states(problem, qubit_layout(problem, max_qubits=32)):
+        probs = state.real**2 + state.imag**2
+        expected = oracles.amplification_probability(20, solutions, t)
+        assert abs(probs[marked].sum() - expected) < 1e-9, t
+        assert abs(probs.sum() - 1.0) < 1e-9, t
+        steps.append(t)
+    assert steps == iteration_schedule(20)
+    assert steps[-1] == 805
 
 
 def test_solve_filters_unverified_candidates():

@@ -6,6 +6,8 @@ option or when stdout cannot take the report (closed, or on a full disk)."""
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from qsolve.cli import HelpParser, parse_problem, report_to_stdout
 from qsolve.grover_sat import (
     classical_check,
@@ -16,14 +18,13 @@ from qsolve.grover_sat import (
     solve,
 )
 from qsolve.problems import QsolveError, request_error
-from qsolve.statevector import probabilities
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def amplification_table(problem, layout):
     """Exact probability of each satisfying assignment after every scheduled
-    iteration count, straight from the statevector."""
+    iteration count, straight from the walk's two amplitudes."""
     n = layout.search_width
     satisfying = [
         index
@@ -33,8 +34,8 @@ def amplification_table(problem, layout):
     print(f"  search qubits: {n}, total qubits: {layout.num_qubits}, "
           f"satisfying assignments: {len(satisfying)}")
     print(f"  {'iterations':>10}  {'p(all solutions)':>16}  {'p(best single)':>15}")
-    for iterations, state in schedule_states(problem, layout):
-        per_index = probabilities(state)
+    for iterations, marked, a, b in schedule_states(problem, layout):
+        per_index = np.where(marked, a * a, b * b)
         total = sum(per_index[i] for i in satisfying)
         best = max((per_index[i] for i in satisfying), default=0.0)
         print(f"  {iterations:>10}  {total:>16.6f}  {best:>15.6f}")

@@ -28,7 +28,7 @@ from .problems import (
     SumEquals,
     validate_problem,
 )
-from .statevector import Histogram, X, Z, sample, uniform, zeros
+from .statevector import Histogram, X, Z, sample_probabilities, zeros
 
 import numpy as np
 
@@ -318,27 +318,31 @@ def build_search_circuit(problem: SatProblem, layout: QubitLayout, iterations: i
     return circ.extend(rounds)
 
 
-def schedule_states(problem: SatProblem, layout: QubitLayout) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(t, state)`` for each round count t of :func:`iteration_schedule`.
+def schedule_states(
+    problem: SatProblem, layout: QubitLayout
+) -> Iterator[tuple[int, np.ndarray, float, float]]:
+    """Yield ``(t, marked, a, b)`` for each round count t of :func:`iteration_schedule`.
 
-    ``state`` is the search register alone: within 1e-12 of the
-    flags-and-scratch-0 column of the state of
-    ``build_search_circuit(problem, layout, t)``, which is 0 elsewhere, and
-    sampled to the same histograms.  A round is the oracle's sign
-    (:func:`_marked`), then the diffuser as Grover's inversion about the
-    mean: H(I - 2|0><0|)H = I - 2|u><u| maps v to v - 2 mean(v).  The same
-    object is yielded each time and changes when the walk resumes."""
+    After t rounds every assignment :func:`_marked` sets has amplitude ``a``
+    and every other one ``b``: ``np.where(marked, a, b)`` is within 1e-12 of
+    the flags-and-scratch-0 column of ``build_search_circuit(problem, layout,
+    t)``'s state, which is 0 elsewhere, and samples to the same histograms.
+    This is Grover's two-dimensional subspace: a round negates ``a``, then
+    inverts about the mean, as H(I - 2|0><0|)H = I - 2|u><u| maps v to
+    v - 2 mean(v)."""
     s = layout.search_width
-    flips = np.flatnonzero(_marked(problem, layout))
-    # qubit_layout has held the whole layout, wider than this, to the cap
-    state = uniform((1 << s,))
+    marked = _marked(problem, layout)
+    k, n = int(np.count_nonzero(marked)), 1 << s
+    a = b = math.sqrt(1.0 / n)
     done = 0
     for t in iteration_schedule(s):
         for _ in range(t - done):
-            state[flips] *= -1.0
-            state -= 2.0 * state.mean()
+            a = -a
+            mean = (k * a + (n - k) * b) / n
+            a -= 2.0 * mean
+            b -= 2.0 * mean
         done = t
-        yield t, state
+        yield t, marked, a, b
 
 
 # --- decode / encode ---------------------------------------------------------
@@ -398,7 +402,7 @@ def solve(
 ) -> SolveReport:
     """Search with a growing iteration schedule.
 
-    One state is carried along the schedule (see :func:`schedule_states`)
+    One walk is carried along the schedule (see :func:`schedule_states`)
     and sampled with the same seed at every step; measured bitstrings at or
     above the frequency threshold are decoded and kept only if they pass
     :func:`classical_check`.  The first step that yields any verified
@@ -417,8 +421,8 @@ def solve(
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"frequency threshold must be in (0, 1], got {threshold}")
     trace: list[tuple[int, int]] = []
-    for iterations, state in schedule_states(problem, layout):
-        histogram = sample(state, shots, seed)
+    for iterations, marked, a, b in schedule_states(problem, layout):
+        histogram = sample_probabilities(np.where(marked, a * a, b * b), shots, seed)
         verified: list[tuple[int, str, Assignment]] = []
         for bits, count in histogram.counts.items():
             if count / shots < threshold:

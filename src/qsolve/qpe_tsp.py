@@ -188,7 +188,7 @@ def estimate_phases(
         # the draws below each CDF step, differenced, count each outcome's draws
         # (as sample would assign them); argmax takes the first maximum,
         # so count ties go to the lowest bitstring
-        raw = int(np.diff(draws.searchsorted(outcome_cdf(row)), prepend=0).argmax())
+        raw = int(np.diff(draws.searchsorted(outcome_cdf(probabilities(row))), prepend=0).argmax())
         estimates.append(PhaseEstimate(raw, m, raw / (1 << m), float(probabilities(row[raw]))))
     return estimates
 

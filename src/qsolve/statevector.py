@@ -269,13 +269,13 @@ def sorted_draws(shots: int, seed: int) -> np.ndarray:
     return draws
 
 
-def outcome_cdf(state: np.ndarray) -> np.ndarray:
-    """The cumulative distribution ``Generator.choice`` samples ``state`` by.
+def outcome_cdf(cdf: np.ndarray) -> np.ndarray:
+    """Turn float64 outcome probabilities (:func:`probabilities`) into the
+    cumulative distribution ``Generator.choice`` samples by, in place.
 
     Probabilities below ``PROB_ZERO_TOL`` are clamped to zero before
     normalizing, so numerically-dead outcomes can never fire.
     """
-    cdf = probabilities(state)
     cdf[cdf < PROB_ZERO_TOL] = 0.0
     total = cdf.sum()
     if not math.isfinite(total):
@@ -294,12 +294,8 @@ def sample(
     seed: int,
     qubits: Sequence[int] | None = None,
 ) -> Histogram:
-    """Draw ``shots`` basis-state measurements of a qubit subset.
-
-    Each draw of :func:`sorted_draws` selects, by the inverse of
-    :func:`outcome_cdf`, the basis state ``choice`` would, so the same seed
-    always yields the same histogram.
-    """
+    """Draw ``shots`` basis-state measurements of a qubit subset: the
+    operands are checked, then :func:`sample_probabilities` draws."""
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     n = _qubit_count(state)
@@ -313,11 +309,22 @@ def sample(
     for q in qs:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for a {n}-qubit register")
+    return sample_probabilities(probabilities(state), shots, seed, qs)
+
+
+def sample_probabilities(
+    probs: np.ndarray, shots: int, seed: int, qubits: Sequence[int] | None = None
+) -> Histogram:
+    """Draw ``shots`` measurements, over distinct in-range ``qubits``, from the
+    ``2**n`` outcome probabilities ``probs``, made their CDF in place.  Each
+    draw of :func:`sorted_draws` selects, by the inverse of :func:`outcome_cdf`,
+    the basis state ``choice`` would, so a seed always gives one histogram."""
+    n = probs.size.bit_length() - 1
     # sorted draws give sorted outcomes
-    outcomes = outcome_cdf(state).searchsorted(sorted_draws(shots, seed), side="right")
+    outcomes = outcome_cdf(probs).searchsorted(sorted_draws(shots, seed), side="right")
     starts = np.flatnonzero(np.diff(outcomes, prepend=-1))
     freq = np.diff(starts, append=shots)
-    keys = [bitstring(v, n, qs) for v in outcomes[starts].tolist()]
+    keys = [bitstring(v, n, qubits) for v in outcomes[starts].tolist()]
     counts: dict[str, int] = {}
     # distinct full-register outcomes may project onto the same subset key
     for key, c in sorted(zip(keys, freq.tolist())):

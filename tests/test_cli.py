@@ -34,7 +34,10 @@ TSP = PROBLEMS / "tsp_four_cities.json"
 EIGHT_CITIES = GOLDEN / "tsp_n8_seed0.json"
 # the README's example problem, the one golden case with an equal_const
 README_EXAMPLE = GOLDEN / "readme_example.json"
-GOLDEN_PROBLEMS = [*sorted(PROBLEMS.glob("*.json")), EIGHT_CITIES, README_EXAMPLE]
+# one solution of 2**20, found at t = 6: the golden case whose walk carries
+# its amplitudes across schedule steps
+NEEDLE = GOLDEN / "needle20.json"
+GOLDEN_PROBLEMS = [*sorted(PROBLEMS.glob("*.json")), EIGHT_CITIES, README_EXAMPLE, NEEDLE]
 
 
 def write_problem(tmp_path, payload) -> Path:
@@ -353,17 +356,22 @@ def test_parse_failures_exit_two(capsys, tmp_path):
     assert ":1:" in err
 
 
-@pytest.mark.parametrize("problem", [CROSS_SUMS, TSP], ids=["sat", "tsp"])
-def test_out_of_memory_exits_two_without_traceback(capsys, monkeypatch, problem):
+@pytest.mark.parametrize(
+    "problem, module, refused",
+    # each solver's first large array through sv.zeros: the SAT sign table's
+    # uint64 columns, and the TSP batch's complex128 rows (in sv.uniform)
+    [(CROSS_SUMS, grover_sat, np.uint64), (TSP, sv, np.complex128)],
+    ids=["sat", "tsp"],
+)
+def test_out_of_memory_exits_two_without_traceback(capsys, monkeypatch, problem, module, refused):
     real_zeros = sv.zeros
 
     def refuse_states(shape, dtype):
-        # only the complex128 state, which both solvers allocate through sv.uniform
-        if dtype == np.complex128:
+        if dtype == refused:
             raise MemoryError()
         return real_zeros(shape, dtype)
 
-    monkeypatch.setattr(sv, "zeros", refuse_states)
+    monkeypatch.setattr(module, "zeros", refuse_states)
     code, out, err = run_cli(capsys, "solve", "--input", str(problem))
     assert code == 2
     assert out == ""

@@ -89,6 +89,7 @@ def test_goldens_hold_at_the_baseline_simd_level():
         *sorted((ROOT / "problems").glob("*.json")),
         GOLDEN / "tsp_n8_seed0.json",
         GOLDEN / "readme_example.json",
+        GOLDEN / "needle20.json",
     ]
     result = subprocess.run(
         [sys.executable, "-c", BASELINE_CLI, str(GOLDEN), *map(str, problems)],
@@ -110,8 +111,9 @@ def test_goldens_hold_at_the_baseline_simd_level():
 )
 def test_wide_search_register_prints_its_golden_reports(output, env):
     """A 24-bit search register (a 37-qubit layout, run at --max-qubits 64):
-    2**24 amplitudes in the walk's mean, where a sum that depends on the SIMD
-    level would show in the report."""
+    its 16 MiB sign table, and the 2**24 outcome probabilities summed into the
+    sampling CDF, where a sum that depends on the SIMD level would show in
+    the report."""
     name = f"sat_wide24.{output}.out"
     result = subprocess.run(
         [

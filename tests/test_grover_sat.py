@@ -41,6 +41,7 @@ from qsolve.problems import (
 )
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 UNIT_KAKURO = SatProblem(
     tuple(VarDecl(name, 1) for name in "abcd"),
@@ -567,9 +568,9 @@ def test_solve_synthesizes_the_oracle_once(monkeypatch):
 
 
 def test_solve_applies_the_largest_round_count_not_the_sum(monkeypatch):
-    # a != a never holds, so there are no sign flips and each round negates
-    # the uniform start u: the whole schedule [1, 2] ends at u after 2 rounds,
-    # at -u after 1 + 2; and the walk runs no gate kernel
+    # a != a never holds, so nothing is marked and each round negates the
+    # uniform amplitude 1/2: the whole schedule [1, 2] ends at +1/2 after 2
+    # rounds, at -1/2 after 1 + 2; and the walk runs no gate kernel
     problem = SatProblem((VarDecl("a", 2),), (NotEqual("a", "a"),))
     applied = [0]
     real_apply = qc.apply_unchecked
@@ -581,36 +582,32 @@ def test_solve_applies_the_largest_round_count_not_the_sum(monkeypatch):
     monkeypatch.setattr(qc, "apply_unchecked", counting_apply)
     report = solve(problem)
     assert report.schedule_trace == [(1, 0), (2, 0)]
-    start = sv.uniform((4,))
-    walk = [(t, state.copy()) for t, state in schedule_states(problem, qubit_layout(problem))]
-    assert [t for t, _ in walk] == [1, 2]
-    assert np.array_equal(walk[0][1], -start)
-    assert walk[1][1].tobytes() == start.tobytes()
+    walk = list(schedule_states(problem, qubit_layout(problem)))
+    assert [(t, int(marked.sum()), b) for t, marked, _, b in walk] == [(1, 0, -0.5), (2, 0, 0.5)]
     assert applied[0] == 0
 
 
 def test_solve_refuses_a_compute_block_that_is_not_only_x(monkeypatch):
     real_synth = grover_sat.synth_not_equal
-    built = [0]
-    real_zeros = sv.zeros
+    sampled = [0]
+    real_sample = grover_sat.sample_probabilities
 
     def synth_with_h(frag, layout, a, b, flag):
         real_synth(frag, layout, a, b, flag)
         frag.h(0)
 
-    def counting_zeros(shape, dtype):
-        built[0] += dtype == np.complex128
-        return real_zeros(shape, dtype)
+    def counting_sample(*args):
+        sampled[0] += 1
+        return real_sample(*args)
 
-    # the walk's state comes from sv.uniform, which allocates through sv.zeros
-    monkeypatch.setattr(sv, "zeros", counting_zeros)
+    monkeypatch.setattr(grover_sat, "sample_probabilities", counting_sample)
     solve(UNIT_KAKURO)
-    assert built[0] == 1
-    built[0] = 0
+    assert sampled[0] == 1
+    sampled[0] = 0
     monkeypatch.setattr(grover_sat, "synth_not_equal", synth_with_h)
     with pytest.raises(ValueError, match="X gates only, got .h."):
         solve(UNIT_KAKURO)
-    assert built[0] == 0
+    assert sampled[0] == 0
 
 
 # 15 search + 4 flag + 6 scratch = 25 qubits: a 512 MiB state at full width
@@ -643,18 +640,21 @@ def test_wide_layout_is_searched_on_the_search_register_alone():
 
 
 def assert_walk_matches_fresh_circuits(problem, steps=None):
-    """The carried search-register state at each schedule step is within
-    1e-12 of the flags-and-scratch-zero column of the search circuit's state
-    for that round count, run from |0...0>, and samples to the same
+    """The walk's two amplitudes, spread over the marked and unmarked search
+    assignments, are at each schedule step within 1e-12 of the
+    flags-and-scratch-zero column of the search circuit's state for that
+    round count, run from |0...0>, and their squares sample to the column's
     histograms at seeds 0, 7 and 123; every other column is exactly 0."""
     layout = qubit_layout(problem)
-    for t, state in itertools.islice(schedule_states(problem, layout), steps):
+    for t, marked, a, b in itertools.islice(schedule_states(problem, layout), steps):
         fresh, _ = execute(build_search_circuit(problem, layout, t))
         table = fresh.reshape(1 << layout.search_width, -1)
         column = np.ascontiguousarray(table[:, 0])
+        state = np.where(marked, a, b) + 0j
         assert np.abs(state - column).max() <= 1e-12, f"differs after {t} rounds"
         for seed in (0, 7, 123):
-            assert sv.sample(state, 4096, seed) == sv.sample(column, 4096, seed), (t, seed)
+            walk = sv.sample_probabilities(np.where(marked, a * a, b * b), 4096, seed)
+            assert walk == sv.sample(column, 4096, seed), (t, seed)
         assert not table[:, 1:].any(), f"ancillas set after {t} rounds"
 
 
@@ -683,18 +683,70 @@ def test_a_full_20_bit_schedule_follows_the_closed_form():
     specs = [("not_equal", a, b) for a, b in zip(names, names[1:])]
     specs.append(("sum_equals", tuple(names), 50))
     problem = problem_from_specs(widths, specs)
-    marked = oracles.satisfying_mask(widths, specs)
-    solutions = int(marked.sum())
-    assert 0 < solutions < marked.size == 1 << 20
+    expected_marked = oracles.satisfying_mask(widths, specs)
+    solutions = int(expected_marked.sum())
+    assert 0 < solutions < expected_marked.size == 1 << 20
     steps = []
-    for t, state in schedule_states(problem, qubit_layout(problem, max_qubits=32)):
-        probs = state.real**2 + state.imag**2
+    for t, marked, a, b in schedule_states(problem, qubit_layout(problem, max_qubits=32)):
+        if not steps:
+            assert np.array_equal(marked, expected_marked)
         expected = oracles.amplification_probability(20, solutions, t)
-        assert abs(probs[marked].sum() - expected) < 1e-9, t
-        assert abs(probs.sum() - 1.0) < 1e-9, t
+        assert abs(solutions * a * a - expected) < 1e-9, t
+        assert abs(solutions * a * a + ((1 << 20) - solutions) * b * b - 1.0) < 1e-9, t
         steps.append(t)
     assert steps == iteration_schedule(20)
     assert steps[-1] == 805
+
+
+def marked_count_by_dp(bits, total):
+    """Assignments of six ``bits``-bit values, each unequal to the one before,
+    that sum to ``total``: a walk over (last value, running sum), which
+    shares nothing with the oracle or the walk."""
+    top = 1 << bits
+    ways = {(v, v): 1 for v in range(top)}
+    for _ in range(5):
+        step = {}
+        for (last, acc), count in ways.items():
+            for v in range(top):
+                if v != last and acc + v <= total:
+                    step[v, acc + v] = step.get((v, acc + v), 0) + count
+        ways = step
+    return sum(count for (_, acc), count in ways.items() if acc == total)
+
+
+def test_a_whole_24_bit_schedule_stays_on_the_closed_form():
+    """sat_wide24's walk, all 24 steps and 3,217 rounds, on two scalars: the
+    norm within 1e-12 and the marked mass within 1e-10 of sin^2((2t+1)theta)."""
+    problem = cli.parse_problem(GOLDEN / "sat_wide24.json").sat
+    solutions = marked_count_by_dp(4, 42)
+    assert solutions == 426_636
+    steps = []
+    for t, marked, a, b in schedule_states(problem, qubit_layout(problem, max_qubits=64)):
+        if not steps:
+            assert int(np.count_nonzero(marked)) == solutions
+        mass = solutions * a * a
+        assert abs(mass + ((1 << 24) - solutions) * b * b - 1.0) < 1e-12, t
+        assert abs(mass - oracles.amplification_probability(24, solutions, t)) < 1e-10, t
+        steps.append(t)
+    assert len(steps) == 24
+    assert steps == iteration_schedule(24)
+    assert steps[-1] == 3217
+
+
+def test_a_20_bit_solve_holds_no_complex_state():
+    """needle20 (one solution of 2**20, found at t = 6): the search register's
+    amplitudes are two floats, so the peak is the sign table and one float64
+    array of probabilities, not a 16 MiB complex128 state."""
+    problem = cli.parse_problem(GOLDEN / "needle20.json").sat
+    tracemalloc.start()
+    try:
+        report = solve(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.solutions == [{"a": 5, "b": 9, "c": 17, "d": 30}]
+    assert report.iterations_used == 6
+    assert peak < 12 << 20
 
 
 def test_solve_filters_unverified_candidates():

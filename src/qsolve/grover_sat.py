@@ -94,10 +94,10 @@ def qubit_layout(problem: SatProblem, max_qubits: int = DEFAULT_QUBIT_CAP) -> Qu
         raise QubitBudgetError(
             f"the search register alone needs {search_width} qubits but the cap is {max_qubits}"
         )
-    if search_width + 4 >= sys.maxsize.bit_length():  # 16 * 2**search_width > sys.maxsize
+    if search_width + 3 >= sys.maxsize.bit_length():  # 8 * 2**search_width > sys.maxsize
         raise MemoryError(
-            f"a {search_width}-qubit search state needs 2**{search_width + 4} bytes, "
-            "past the address space"
+            f"a {search_width}-bit search register has 2**{search_width} assignments, "
+            f"whose float64 probabilities need 2**{search_width + 3} bytes, past the address space"
         )
     widths = problem.widths()
     flag_qubits = tuple(range(search_width, search_width + len(problem.constraints)))

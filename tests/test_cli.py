@@ -29,8 +29,8 @@ UNSAT = PROBLEMS / "unsat_pair.json"
 TSP = PROBLEMS / "tsp_four_cities.json"
 # the benchmark's tsp_n8 problem at workload seed 0: 2,520 cycles sharing 64
 # exponents, so its output pins which batch row each cycle reads. It lives
-# here, not in problems/, so the smoke loop and the benchmark's list keep
-# their files.
+# here, not in problems/, so the benchmark's list of checked-in problems
+# keeps its files.
 EIGHT_CITIES = GOLDEN / "tsp_n8_seed0.json"
 # the README's example problem, the one golden case with an equal_const
 README_EXAMPLE = GOLDEN / "readme_example.json"
@@ -38,6 +38,7 @@ README_EXAMPLE = GOLDEN / "readme_example.json"
 # its amplitudes across schedule steps
 NEEDLE = GOLDEN / "needle20.json"
 GOLDEN_PROBLEMS = [*sorted(PROBLEMS.glob("*.json")), EIGHT_CITIES, README_EXAMPLE, NEEDLE]
+EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
 
 
 def write_problem(tmp_path, payload) -> Path:
@@ -354,6 +355,12 @@ def test_parse_failures_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", "--input", str(bad))
     assert code == 2
     assert ":1:" in err
+    bool_bits = write_problem(
+        tmp_path, {"type": "sat", "variables": [{"name": "a", "bits": True}], "constraints": []}
+    )
+    assert run_cli(capsys, "solve", "--input", str(bool_bits)) == (
+        2, "", f"error: {bool_bits}.variables[0].bits: expected an integer, got bool\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -487,12 +494,15 @@ def test_wide_range_bounds_are_written_without_building_them(capsys, tmp_path, k
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("bits, cap", [(200_000_000, 400_000_000), (10**11, 2 * 10**11)])
+@pytest.mark.parametrize(
+    "bits, cap", [(58, 64), (200_000_000, 400_000_000), (10**11, 2 * 10**11)]
+)
 def test_search_states_past_the_address_space_are_refused_before_sizing_sums(
     capsys, tmp_path, bits, cap
 ):
-    """A search register of 59 or more qubits is refused before any operand
-    range is built, within the cap or not."""
+    """A search register of 60 or more bits, whose float64 outcome
+    probabilities numpy cannot address, is refused before any operand range
+    is built, within the cap or not."""
     path = sat_file(tmp_path, bits, CONSTRAINTS_ON_A["sum_equals"])
     tracemalloc.start()
     try:
@@ -502,8 +512,8 @@ def test_search_states_past_the_address_space_are_refused_before_sizing_sums(
         tracemalloc.stop()
     assert (code, out) == (2, "")
     assert err == (
-        f"error: a {bits + 2}-qubit search state needs 2**{bits + 6} bytes, "
-        "past the address space\n"
+        f"error: a {bits + 2}-bit search register has 2**{bits + 2} assignments, "
+        f"whose float64 probabilities need 2**{bits + 5} bytes, past the address space\n"
     )
     assert peak < 1 << 20
 
@@ -690,14 +700,16 @@ def test_random_problem_files_never_escape_the_cli(tmp_path_factory, content, du
     "problem", GOLDEN_PROBLEMS, ids=lambda p: p.stem
 )
 def test_solve_output_matches_golden(capsys, problem, output):
-    """Exit code and stdout at seed 0 are pinned byte for byte; a change to
-    either must be deliberate and regenerate the files in tests/golden/."""
+    """Exit code and stdout at seed 0 are pinned byte for byte, and stderr
+    stays empty; a change to either must be deliberate and regenerate the
+    files in tests/golden/."""
     name = f"{problem.stem}.{output}.out"
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "solve", "--input", str(problem), "--output", output, "--seed", "0"
     )
-    assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+    assert code == EXIT_CODES[name]
     assert out.encode() == (GOLDEN / name).read_bytes()
+    assert err == ""
 
 
 @pytest.mark.parametrize(
@@ -708,10 +720,10 @@ def test_dump_circuit_matches_golden(capsys, tmp_path, problem):
     included: the dump tests below compare it with the very builders it
     comes from, so only this one sees a reordered op."""
     dump = tmp_path / "circuit.txt"
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         capsys, "solve", "--input", str(problem), "--seed", "0", "--dump-circuit", str(dump)
     )
-    assert code in (0, 1)
+    assert (code, err) == (EXIT_CODES[f"{problem.stem}.text.out"], "")
     assert dump.read_bytes() == (GOLDEN / f"{problem.stem}.dump").read_bytes()
 
 
@@ -929,6 +941,19 @@ def test_a_report_stdout_cannot_take_exits_two():
     assert result.returncode == 2
     assert len([line for line in lines if line.startswith("error:")]) == 1
     assert "Exception ignored" not in result.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+def test_a_report_on_a_full_disk_exits_two():
+    # buffered, the report reaches the disk only when stdout is flushed
+    env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "qsolve", "solve", "--input", str(CROSS_SUMS)],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
 
 
 @pytest.mark.parametrize("problem", [UNSAT, TSP], ids=["sat", "tsp"])

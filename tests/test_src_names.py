@@ -1,5 +1,7 @@
 """Every module-level name in src/qsolve has a caller outside tests/: code
-that only the tests use belongs in tests/, not in the package."""
+that only the tests use belongs in tests/, not in the package. The tests'
+reference computations in tests/oracles.py import nothing from the package
+they check."""
 
 import ast
 from pathlib import Path
@@ -73,3 +75,13 @@ def test_every_package_name_has_a_caller_outside_tests():
             if not any(name in names for other, names in refs.items() if other != path):
                 unused.append(f"{path.relative_to(ROOT)}: {name}")
     assert unused == []
+
+
+def test_the_oracles_import_nothing_from_qsolve():
+    imported = set()
+    for node in ast.walk(parse(ROOT / "tests" / "oracles.py")):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert sorted(m for m in imported if m.split(".")[0] == "qsolve") == []

@@ -5,7 +5,6 @@ line-oriented text format."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 # qsolve's modules first, so an uncached compile's memory is freed before numpy loads
@@ -25,19 +24,23 @@ from .statevector import (
 import numpy as np
 
 
-@dataclass(frozen=True)
-class QubitRegister:
-    """A named contiguous block of qubits."""
-
+class _RegisterFields(NamedTuple):
     name: str
     offset: int
     width: int
 
-    def __post_init__(self):
-        if not self.name.isidentifier():
-            raise ValueError(f"register name {self.name!r} is not an identifier")
-        if self.offset < 0 or self.width < 1:
-            raise ValueError(f"bad register extent: offset={self.offset} width={self.width}")
+
+class QubitRegister(_RegisterFields):
+    """A named contiguous block of qubits."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, offset: int, width: int) -> "QubitRegister":
+        if not name.isidentifier():
+            raise ValueError(f"register name {name!r} is not an identifier")
+        if offset < 0 or width < 1:
+            raise ValueError(f"bad register extent: offset={offset} width={width}")
+        return super().__new__(cls, name, offset, width)
 
     @property
     def qubits(self) -> range:
@@ -55,7 +58,6 @@ class CircuitOp(NamedTuple):
         return CircuitOp(self.gate.inverse(), self.controls, self.targets)
 
 
-@dataclass
 class Circuit:
     """An ordered tuple of operations on ``num_qubits`` qubits.
 
@@ -66,14 +68,12 @@ class Circuit:
     return ``self`` so constructions chain.
     """
 
-    num_qubits: int
-    registers: tuple[QubitRegister, ...] = ()
-    ops: tuple[CircuitOp, ...] = field(default=(), init=False)
-
-    def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError(f"need at least one qubit, got {self.num_qubits}")
-        self.registers = tuple(self.registers)
+    def __init__(self, num_qubits: int, registers: Iterable[QubitRegister] = ()):
+        if num_qubits < 1:
+            raise ValueError(f"need at least one qubit, got {num_qubits}")
+        self.num_qubits = num_qubits
+        self.registers = tuple(registers)
+        self.ops: tuple[CircuitOp, ...] = ()
         names = set()
         claimed: set[int] = set()
         for reg in self.registers:
@@ -81,13 +81,18 @@ class Circuit:
                 raise ValueError(f"duplicate register name {reg.name!r}")
             names.add(reg.name)
             for q in reg.qubits:
-                if q >= self.num_qubits:
-                    raise ValueError(
-                        f"register {reg.name!r} extends past qubit {self.num_qubits - 1}"
-                    )
+                if q >= num_qubits:
+                    raise ValueError(f"register {reg.name!r} extends past qubit {num_qubits - 1}")
                 if q in claimed:
                     raise ValueError(f"register {reg.name!r} overlaps qubit {q}")
                 claimed.add(q)
+
+    def __eq__(self, other):
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return (self.num_qubits, self.registers, self.ops) == (
+            other.num_qubits, other.registers, other.ops
+        )
 
     def add(
         self,

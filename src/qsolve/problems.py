@@ -4,7 +4,7 @@ the errors the package raises.
 
 This module imports only the standard library, so a problem file can be
 read, validated or refused without loading numpy or the simulator.  The
-types are named tuples: immutable like frozen dataclasses, and cheaper to
+types are named tuples: immutable, compared field by field, and cheap to
 define at import.
 """
 

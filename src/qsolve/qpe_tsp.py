@@ -175,12 +175,11 @@ def estimate_phases(
     bitstring)."""
     m = precision_bits
     batch = uniform((len(exponents), 1 << m))
-    # the kickback, with the phase kernel's scalar np.exp and rotate, so rows match bit for bit
+    # the kickback, with the phase kernel's np.exp and rotate, so rows match bit for bit
     amps = batch.reshape((-1,) + (2,) * m)
-    angles = [kickback_angles(e, scale, m) for e in exponents]
+    factors = np.exp(1j * np.array([kickback_angles(e, scale, m) for e in exponents]))
     for j in range(m):
-        factors = np.array([np.exp(1j * row[j]) for row in angles])
-        rotate(amps[(slice(None),) * (j + 1) + (1,)], factors.reshape((-1,) + (1,) * (m - 1)))
+        rotate(amps[(slice(None),) * (j + 1) + (1,)], factors[:, j].reshape((-1,) + (1,) * (m - 1)))
     apply_ops(batch, inverse(build_qft(m)).ops)
     draws = sorted_draws(shots, seed)
     estimates = []
@@ -232,8 +231,16 @@ def solve(
     if m > max_qubits:
         raise QubitBudgetError(f"{m} precision qubits requested but the cap is {max_qubits}")
     tours = enumerate_cycles(instance.n_nodes)
-    table = np.array(tours) - 1
-    exponents = np.array(instance.weights)[table, np.roll(table, -1, axis=1)].sum(axis=1).tolist()
+    # each cycle's closed walk, summed in a plain loop: no numpy table of the
+    # cycles, and no generator per tour
+    rows = [(), *((0, *row) for row in instance.weights)]  # rows[a][b]: edge a-b, 1-based
+    exponents = []
+    for tour in tours:
+        a, length = tour[-1], 0
+        for b in tour:
+            length += rows[a][b]
+            a = b
+        exponents.append(length)
     # a cycle's seeded readout depends only on its exponent: estimate and
     # decode each distinct exponent once, in batches no larger than one state
     # at the cap

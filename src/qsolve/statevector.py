@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -28,20 +27,24 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _GATE_NAMES = ("h", "x", "z", "phase", "swap")
 
 
-@dataclass(frozen=True)
-class Gate:
-    """A primitive gate kind; ``lam`` is the rotation angle for ``phase``."""
-
+class _GateFields(NamedTuple):
     name: str
     lam: float = 0.0
 
-    def __post_init__(self):
-        if self.name not in _GATE_NAMES:
-            raise ValueError(f"unknown gate kind {self.name!r}")
-        if not math.isfinite(self.lam):
+
+class Gate(_GateFields):
+    """A primitive gate kind; ``lam`` is the rotation angle for ``phase``."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, lam: float = 0.0) -> "Gate":
+        if name not in _GATE_NAMES:
+            raise ValueError(f"unknown gate kind {name!r}")
+        if not math.isfinite(lam):
             raise ValueError("phase angle must be finite")
-        if self.name != "phase" and self.lam != 0.0:
-            raise ValueError(f"gate {self.name!r} takes no angle")
+        if name != "phase" and lam != 0.0:
+            raise ValueError(f"gate {name!r} takes no angle")
+        return super().__new__(cls, name, lam)
 
     @property
     def num_targets(self) -> int:
@@ -392,19 +395,24 @@ def _pcg64_seed(seed: int) -> tuple[int, int]:
 def _advance(hi: np.ndarray, lo: np.ndarray, mult: int, add: int, scratch) -> None:
     """``(hi, lo) = (hi, lo) * mult + add`` mod 2**128 in place; ``scratch`` is
     four uint64 arrays the shape of ``hi``."""
-    words = (mult & _M32, mult >> 32 & _M32, mult & _M64, mult >> 64, add & _M64, add >> 64)
-    m0, m1, m_lo, m_hi, add_lo, add_hi = (np.uint64(w) for w in words)
+    m0, m1, m_lo, m_hi, add0, add1, add_lo, add_hi = (
+        np.uint64(w) for x in (mult, add) for w in (x & _M32, x >> 32 & _M32, x & _M64, x >> 64)
+    )
     a0, a1, t, u = scratch
-    # the high word of lo * m_lo, from 32-bit halves
+    # the high word of lo * m_lo + add_lo, from 32-bit halves: each partial
+    # sum stays below 2**64, so the low word's carry needs no comparison,
+    # whose bool result numpy would cast into a uint64 array
     np.bitwise_and(lo, _LOW32, out=a0)
     np.right_shift(lo, _32, out=a1)
     np.multiply(a0, m0, out=t)
+    t += add0
     t >>= _32
     np.multiply(a1, m0, out=u)
     t += u
     a0 *= m1
     np.bitwise_and(t, _LOW32, out=u)
     u += a0
+    u += add1
     a1 *= m1
     t >>= _32
     a1 += t
@@ -418,8 +426,6 @@ def _advance(hi: np.ndarray, lo: np.ndarray, mult: int, add: int, scratch) -> No
     hi += add_hi
     lo *= m_lo
     lo += add_lo
-    np.less(lo, add_lo, out=a0)  # the carry out of the low word
-    hi += a0
 
 
 def _pcg64_doubles(shots: int, seed: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """What a fresh interpreter loads, and in what order: importing qsolve loads
 OpenBLAS single-threaded unless told otherwise, a solve leaves numpy.random
-out, every qsolve module compiles before numpy loads, and a solve process
-freezes its objects out of the exit-time collections yet runs atexit hooks.
+and dataclasses out, every qsolve module compiles before numpy loads, and a
+solve process freezes its objects out of the exit-time collections yet runs
+atexit hooks.
 
 Each case runs in a fresh interpreter whose environment is built here
 without OPENBLAS_NUM_THREADS: this process has imported qsolve, so its own
@@ -73,6 +74,21 @@ print(*(m for m in ("numpy.random", "secrets", "_hashlib") if m in sys.modules))
 def test_a_solve_loads_numpy_but_not_numpy_random():
     # numpy.random imports secrets, whose hmac import loads libcrypto
     assert run_child(SOLVE_THEN_REPORT) == ["0", "1", "0", "True"]
+
+
+SOLVE_ONE = """\
+import contextlib, io, sys
+from qsolve import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["solve", "--input", sys.argv[1]])
+print(code, *(m in sys.modules for m in ("numpy", "dataclasses")))
+"""
+
+
+@pytest.mark.parametrize("problem", ["kakuro_cross_sums", "tsp_four_cities"], ids=["sat", "tsp"])
+def test_a_solve_loads_no_dataclasses(problem):
+    # numpy does not import dataclasses, so only a qsolve record could
+    assert run_child(SOLVE_ONE, f"problems/{problem}.json") == ["0", "True", "False"]
 
 
 COMPILE_ORDER = """\

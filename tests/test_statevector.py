@@ -475,6 +475,25 @@ def test_sorted_draws_are_kept_read_only_and_refuse_a_negative_seed():
         sv.sorted_draws(100, -1)
 
 
+M64, M128 = 2**64 - 1, 2**128 - 1
+
+
+@pytest.mark.parametrize("add_lo", [0, 1, 2, 2**32 - 1, 2**32, 2**63, M64 - 1, M64])
+@pytest.mark.parametrize("mult", [sv._PCG_MULT, 1, M128, 6 << 64 | 2**63 + 2**32 + 5])
+def test_advance_is_the_128_bit_affine_step(mult, add_lo):
+    add = 0x9E3779B97F4A7C15 << 64 | add_lo
+    rng = np.random.default_rng(add_lo % 997)
+    hi = rng.integers(0, M64, 64, dtype=np.uint64, endpoint=True)
+    lo = rng.integers(0, M64, 64, dtype=np.uint64, endpoint=True)
+    # the carry's edges: lo = 2**64 - 1 and 0, and a low product word of
+    # 2**64 - add_lo (the least that carries) and one below it
+    inv = pow(mult & M64, -1, 2**64)
+    lo[:4] = [M64, 0, -add_lo * inv & M64, (-add_lo - 1) * inv & M64]
+    expected = [((int(h) << 64 | int(x)) * mult + add) & M128 for h, x in zip(hi, lo)]
+    sv._advance(hi, lo, mult, add, [np.empty_like(hi) for _ in range(4)])
+    assert [int(h) << 64 | int(x) for h, x in zip(hi, lo)] == expected
+
+
 def test_histogram_most_common_orders_by_count_then_key():
     hist = sv.Histogram({"11": 3, "00": 4, "01": 3})
     assert hist.most_common() == [("00", 4), ("01", 3), ("11", 3)]

@@ -34,10 +34,11 @@ def amplification_table(problem, layout):
     print(f"  search qubits: {n}, total qubits: {layout.num_qubits}, "
           f"satisfying assignments: {len(satisfying)}")
     print(f"  {'iterations':>10}  {'p(all solutions)':>16}  {'p(best single)':>15}")
-    for iterations, marked, a, b in schedule_states(problem, layout):
-        per_index = np.where(marked, a * a, b * b)
-        total = sum(per_index[i] for i in satisfying)
-        best = max((per_index[i] for i in satisfying), default=0.0)
+    for iterations, mask, a, b in schedule_states(problem, layout):
+        marked = np.unpackbits(mask.view(np.uint8), bitorder="little")  # one byte per assignment
+        per_solution = [a * a if marked[i] else b * b for i in satisfying]
+        total = sum(per_solution)
+        best = max(per_solution, default=0.0)
         print(f"  {iterations:>10}  {total:>16.6f}  {best:>15.6f}")
 
 

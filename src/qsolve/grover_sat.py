@@ -28,7 +28,7 @@ from .problems import (
     SumEquals,
     validate_problem,
 )
-from .statevector import Histogram, X, Z, sample_probabilities, zeros
+from .statevector import Histogram, X, Z, sample_two_levels, zeros
 
 import numpy as np
 
@@ -94,10 +94,10 @@ def qubit_layout(problem: SatProblem, max_qubits: int = DEFAULT_QUBIT_CAP) -> Qu
         raise QubitBudgetError(
             f"the search register alone needs {search_width} qubits but the cap is {max_qubits}"
         )
-    if search_width + 3 >= sys.maxsize.bit_length():  # 8 * 2**search_width > sys.maxsize
+    if search_width - 3 >= sys.maxsize.bit_length():  # 2**search_width / 8 > sys.maxsize
         raise MemoryError(
             f"a {search_width}-bit search register has 2**{search_width} assignments, "
-            f"whose float64 probabilities need 2**{search_width + 3} bytes, past the address space"
+            f"whose packed mask needs 2**{search_width - 3} bytes, past the address space"
         )
     widths = problem.widths()
     flag_qubits = tuple(range(search_width, search_width + len(problem.constraints)))
@@ -231,43 +231,61 @@ def build_oracle(problem: SatProblem, layout: QubitLayout) -> Circuit:
 _LOW_BIT_WORDS = tuple(sum(1 << j for j in range(64) if j >> p & 1) for p in range(6))
 _WORD = np.dtype("<u8")  # little-endian, so a word's bytes unpack in assignment order
 _ONES = np.uint64((1 << 64) - 1)
+# words per column in one block of the sign table: 128 KiB each
+_TABLE_BLOCK = 1 << 14
 
 
 def _marked(problem: SatProblem, layout: QubitLayout) -> np.ndarray:
-    """True on each search assignment whose flags the compute block all sets.
+    """The packed sign table: bit j of little-endian ``uint64`` word w is set
+    exactly when the compute block sets every flag of search assignment
+    64w + j (a register under 6 bits fills part of one word, the rest 0).
 
     The block is X gates with any controls, which permute basis states, so
     on |x, 0> the oracle is the sign -1 exactly there and resets every
-    ancilla.  Its ops run once, bit-sliced: each qubit is a column of
-    64-bit words, bit j of word w holding its value on assignment 64w + j
-    (a register under 6 bits fills part of one word)."""
-    s = layout.search_width
-    columns = [zeros((max(1, 1 << s >> 6),), _WORD) for _ in range(layout.num_qubits)]
-    for q in layout.search_qubits:
-        p = s - 1 - q  # the index bit of qubit q: qubit 0 is the MSB
-        if p < 6:
-            columns[q][...] = _LOW_BIT_WORDS[p]
-        else:
-            columns[q].reshape(-1, 2, 1 << (p - 6))[:, 1] = _ONES
-    acc = np.empty_like(columns[0])
-    for op in _compute(problem, layout).ops:
+    ancilla.  Its ops run bit-sliced, on ``_TABLE_BLOCK`` words at a time:
+    each qubit is a column of 64-bit words, bit j of word w holding its
+    value on assignment 64w + j, and only the AND of the flag columns is kept."""
+    ops = _compute(problem, layout).ops
+    for op in ops:
         if op.gate != X:
             raise ValueError(f"the compute block must be X gates only, got {op.gate.name!r}")
-        target = columns[op.targets[0]]
-        controls = [columns[c] for c in op.controls]
-        if not controls:
-            target ^= _ONES  # not np.invert: XOR reuses the loops the PCG64 draws run
-        elif len(controls) == 1:
-            target ^= controls[0]
-        else:
-            np.bitwise_and(controls[0], controls[1], out=acc)
-            for c in controls[2:]:
-                acc &= c
-            target ^= acc
-    marked = columns[layout.flag_qubits[0]]
-    for f in layout.flag_qubits[1:]:
-        marked &= columns[f]
-    return np.unpackbits(marked.view(np.uint8), bitorder="little")[: 1 << s].view(bool)
+    s = layout.search_width
+    mask = zeros((max(1, 1 << s >> 6),), _WORD)
+    block = min(mask.size, _TABLE_BLOCK)
+    columns = [zeros((block,), _WORD) for _ in range(layout.num_qubits)]
+    acc = np.empty_like(columns[0])
+    for start in range(0, mask.size, block):
+        for q in layout.search_qubits:
+            column, p = columns[q], s - 1 - q  # the index bit of qubit q: qubit 0 is the MSB
+            if p < 6:
+                column[...] = _LOW_BIT_WORDS[p]
+            elif 1 << (p - 6) < block:
+                halves = column.reshape(-1, 2, 1 << (p - 6))
+                halves[:, 0] = 0
+                halves[:, 1] = _ONES
+            else:  # the bit is the same on every assignment of the block
+                column[...] = _ONES if start >> (p - 6) & 1 else 0
+        for column in columns[s:]:
+            column[...] = 0
+        for op in ops:
+            target = columns[op.targets[0]]
+            controls = [columns[c] for c in op.controls]
+            if not controls:
+                target ^= _ONES  # not np.invert: XOR reuses the loops the PCG64 draws run
+            elif len(controls) == 1:
+                target ^= controls[0]
+            else:
+                np.bitwise_and(controls[0], controls[1], out=acc)
+                for c in controls[2:]:
+                    acc &= c
+                target ^= acc
+        marked = mask[start : start + block]
+        marked[...] = columns[layout.flag_qubits[0]]
+        for f in layout.flag_qubits[1:]:
+            marked &= columns[f]
+    if s < 6:
+        mask &= np.uint64((1 << (1 << s)) - 1)
+    return mask
 
 
 def build_diffuser(search_width: int) -> Circuit:
@@ -321,18 +339,19 @@ def build_search_circuit(problem: SatProblem, layout: QubitLayout, iterations: i
 def schedule_states(
     problem: SatProblem, layout: QubitLayout
 ) -> Iterator[tuple[int, np.ndarray, float, float]]:
-    """Yield ``(t, marked, a, b)`` for each round count t of :func:`iteration_schedule`.
+    """Yield ``(t, mask, a, b)`` for each round count t of :func:`iteration_schedule`.
 
-    After t rounds every assignment :func:`_marked` sets has amplitude ``a``
-    and every other one ``b``: ``np.where(marked, a, b)`` is within 1e-12 of
-    the flags-and-scratch-0 column of ``build_search_circuit(problem, layout,
-    t)``'s state, which is 0 elsewhere, and samples to the same histograms.
+    ``mask`` is :func:`_marked`'s packed sign table.  After t rounds every
+    assignment it sets has amplitude ``a`` and every other one ``b``: spread
+    over the search register, these are within 1e-12 of the
+    flags-and-scratch-0 column of ``build_search_circuit(problem, layout,
+    t)``'s state, which is 0 elsewhere, and sample to the same histograms.
     This is Grover's two-dimensional subspace: a round negates ``a``, then
     inverts about the mean, as H(I - 2|0><0|)H = I - 2|u><u| maps v to
     v - 2 mean(v)."""
     s = layout.search_width
-    marked = _marked(problem, layout)
-    k, n = int(np.count_nonzero(marked)), 1 << s
+    mask = _marked(problem, layout)
+    k, n = int(np.bitwise_count(mask).sum()), 1 << s
     a = b = math.sqrt(1.0 / n)
     done = 0
     for t in iteration_schedule(s):
@@ -342,7 +361,7 @@ def schedule_states(
             a -= 2.0 * mean
             b -= 2.0 * mean
         done = t
-        yield t, marked, a, b
+        yield t, mask, a, b
 
 
 # --- decode / encode ---------------------------------------------------------
@@ -421,8 +440,8 @@ def solve(
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"frequency threshold must be in (0, 1], got {threshold}")
     trace: list[tuple[int, int]] = []
-    for iterations, marked, a, b in schedule_states(problem, layout):
-        histogram = sample_probabilities(np.where(marked, a * a, b * b), shots, seed)
+    for iterations, mask, a, b in schedule_states(problem, layout):
+        histogram = sample_two_levels(mask, layout.search_width, a * a, b * b, shots, seed)
         verified: list[tuple[int, str, Assignment]] = []
         for bits, count in histogram.counts.items():
             if count / shots < threshold:

@@ -22,6 +22,8 @@ from .problems import DEFAULT_QUBIT_CAP, QubitBudgetError
 PROB_ZERO_TOL = 1e-12
 # elements per imaginary-square temporary in probabilities: 512 KiB of float64
 _PROB_CHUNK = 1 << 16
+# outcomes per pass of sample_two_levels: 2 MiB of float64
+_CDF_CHUNK = 1 << 18
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _GATE_NAMES = ("h", "x", "z", "phase", "swap")
@@ -297,8 +299,9 @@ def sample(
     seed: int,
     qubits: Sequence[int] | None = None,
 ) -> Histogram:
-    """Draw ``shots`` basis-state measurements of a qubit subset: the
-    operands are checked, then :func:`sample_probabilities` draws."""
+    """Draw ``shots`` basis-state measurements of a qubit subset.  Each draw
+    of :func:`sorted_draws` selects, by the inverse of :func:`outcome_cdf`,
+    the basis state ``choice`` would, so a seed always gives one histogram."""
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     n = _qubit_count(state)
@@ -312,22 +315,86 @@ def sample(
     for q in qs:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for a {n}-qubit register")
-    return sample_probabilities(probabilities(state), shots, seed, qs)
+    cdf = outcome_cdf(probabilities(state))
+    return _histogram(cdf.searchsorted(sorted_draws(shots, seed), side="right"), n, qs)
 
 
-def sample_probabilities(
-    probs: np.ndarray, shots: int, seed: int, qubits: Sequence[int] | None = None
+def sample_two_levels(
+    mask: np.ndarray, num_qubits: int, hit: float, miss: float, shots: int, seed: int
 ) -> Histogram:
-    """Draw ``shots`` measurements, over distinct in-range ``qubits``, from the
-    ``2**n`` outcome probabilities ``probs``, made their CDF in place.  Each
-    draw of :func:`sorted_draws` selects, by the inverse of :func:`outcome_cdf`,
-    the basis state ``choice`` would, so a seed always gives one histogram."""
-    n = probs.size.bit_length() - 1
-    # sorted draws give sorted outcomes
-    outcomes = outcome_cdf(probs).searchsorted(sorted_draws(shots, seed), side="right")
+    """Draw ``shots`` measurements of ``num_qubits`` qubits whose outcome i
+    has probability ``hit`` where bit i of ``mask`` is set and ``miss``
+    elsewhere: bit for bit :func:`sample` of a state with those squares.
+
+    ``mask`` is little-endian ``uint64`` words, bit j of word w for outcome
+    64w + j.  No array of ``2**num_qubits`` elements is made: three passes
+    fill one buffer of ``_CDF_CHUNK`` outcomes at a time.  The first sums
+    each chunk and adds the sums as a binary tree, the order of numpy's
+    pairwise sum over the whole array.  The second carries the cumulative
+    sum from chunk to chunk, as ``np.cumsum`` runs, to its last value.  The
+    third repeats it, divides by that value, and finds the sorted draws
+    that fall in the chunk.  The clamp of :func:`outcome_cdf` applies to the
+    two levels themselves.
+    """
+    size = 1 << num_qubits
+    chunk = min(size, _CDF_CHUNK)
+    starts = range(0, size, chunk)
+    mask_bytes = mask.view(np.uint8)
+    buf = np.empty(chunk)
+
+    def fill(start: int, marked: float, unmarked: float) -> np.ndarray:
+        bits = np.unpackbits(
+            mask_bytes[start >> 3 : (start + chunk + 7) >> 3], count=chunk, bitorder="little"
+        )
+        buf.fill(unmarked)
+        np.copyto(buf, marked, where=bits.view(bool))
+        return buf
+
+    hit, miss = (0.0 if p < PROB_ZERO_TOL else p for p in (hit, miss))
+    total = _tree_sum([float(fill(start, hit, miss).sum()) for start in starts])
+    if not math.isfinite(total):
+        raise ValueError("state has non-finite probabilities")
+    if total <= 0.0:
+        raise ValueError("state has no measurable probability mass")
+    hit, miss = hit / total, miss / total
+
+    def cumulative(start: int, carry: float) -> np.ndarray:
+        fill(start, hit, miss)[0] += carry
+        return np.cumsum(buf, out=buf)
+
+    ends = [0.0]  # the cumulative sum before each chunk, then after the last
+    for start in starts:
+        ends.append(float(cumulative(start, ends[-1])[-1]))
+    last = ends[-1]
+    draws = sorted_draws(shots, seed)
+    outcomes = np.empty(shots, np.intp)
+    lo = 0
+    for start, carry, end in zip(starts, ends, ends[1:]):
+        hi = int(draws.searchsorted(end / last))  # the draws below this chunk's top
+        if hi > lo:
+            cdf = cumulative(start, carry)
+            cdf /= last
+            outcomes[lo:hi] = cdf.searchsorted(draws[lo:hi], side="right")
+            outcomes[lo:hi] += start
+            lo = hi
+    return _histogram(outcomes, num_qubits)
+
+
+def _tree_sum(sums: list[float]) -> float:
+    """The total of a power-of-two count of chunk sums, added as a binary
+    tree: the order in which numpy's pairwise sum adds the halves of an array."""
+    while len(sums) > 1:
+        sums = [x + y for x, y in zip(sums[::2], sums[1::2])]
+    return sums[0]
+
+
+def _histogram(
+    outcomes: np.ndarray, num_qubits: int, qubits: Sequence[int] | None = None
+) -> Histogram:
+    """The counts of sorted basis-state ``outcomes``, read out over ``qubits``."""
     starts = np.flatnonzero(np.diff(outcomes, prepend=-1))
-    freq = np.diff(starts, append=shots)
-    keys = [bitstring(v, n, qubits) for v in outcomes[starts].tolist()]
+    freq = np.diff(starts, append=outcomes.size)
+    keys = [bitstring(v, num_qubits, qubits) for v in outcomes[starts].tolist()]
     counts: dict[str, int] = {}
     # distinct full-register outcomes may project onto the same subset key
     for key, c in sorted(zip(keys, freq.tolist())):
@@ -346,7 +413,7 @@ _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 _LOW32, _32 = np.uint64(_M32), np.uint64(32)
 _PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
-# states advanced per pass of numpy ops: memory beyond the output is O(block)
+# most states advanced per pass of numpy ops: memory beyond the output is O(block)
 _DRAW_BLOCK = 1 << 14
 
 
@@ -432,7 +499,9 @@ def _pcg64_doubles(shots: int, seed: int) -> np.ndarray:
     """``np.random.default_rng(seed).random(shots)``, unsorted."""
     out = zeros((shots,), np.float64)
     state, inc = _pcg64_seed(seed)
-    block = min(shots, _DRAW_BLOCK)
+    # a power of two, as the doubling fill leaves a jump of 2**k steps, and
+    # about a quarter of the shots (at least 2**10), so few draws hold little scratch
+    block = min(shots, _DRAW_BLOCK, 1 << max(10, (shots // 4).bit_length() - 1))
     hi, lo, *scratch = (zeros((block,), np.uint64) for _ in range(6))
     first = (state * _PCG_MULT + inc) & _M128  # each draw steps, then outputs
     hi[0], lo[0] = first >> 64, first & _M64

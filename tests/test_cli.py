@@ -366,7 +366,7 @@ def test_parse_failures_exit_two(capsys, tmp_path):
 @pytest.mark.parametrize(
     "problem, module, refused",
     # each solver's first large array through sv.zeros: the SAT sign table's
-    # uint64 columns, and the TSP batch's complex128 rows (in sv.uniform)
+    # packed uint64 mask, and the TSP batch's complex128 rows (in sv.uniform)
     [(CROSS_SUMS, grover_sat, np.uint64), (TSP, sv, np.complex128)],
     ids=["sat", "tsp"],
 )
@@ -409,15 +409,20 @@ def test_huge_variable_widths_are_refused_without_allocating(capsys, tmp_path):
     assert peak < 1 << 20
 
 
-# a 59-qubit precision register (3 nodes, one 2**58 edge) and a 64-bit search
-# register: numpy cannot address either, and raises ValueError if asked
+def one_variable_sat(bits: int) -> dict:
+    return {
+        "type": "sat",
+        "variables": [{"name": "a", "bits": bits}],
+        "constraints": [{"kind": "equal_const", "args": ["a"], "value": 5}],
+    }
+
+
+# a 59-qubit precision register (3 nodes, one 2**58 edge), whose complex128
+# batch row needs 2**63 bytes, and a 66-bit search register, whose packed
+# mask needs 2**63 bytes: numpy cannot address either, and raises ValueError if asked
 WIDE_PROBLEMS = {
     "tsp_59": {"type": "tsp", "adjacency": [[0, 2**58, 1], [2**58, 0, 1], [1, 1, 0]]},
-    "sat_64": {
-        "type": "sat",
-        "variables": [{"name": "a", "bits": 64}],
-        "constraints": [{"kind": "equal_const", "args": ["a"], "value": 5}],
-    },
+    "sat_66": one_variable_sat(66),
 }
 
 
@@ -450,6 +455,17 @@ def test_solvers_raise_memory_error_on_registers_too_wide_for_numpy(tmp_path, na
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("bits", [60, 65])
+def test_search_registers_numpy_can_address_but_not_allocate_exit_two(capsys, tmp_path, bits):
+    """Below the address-space refusal, the packed mask's own allocation
+    fails: numpy's MemoryError names it on one line."""
+    path = write_problem(tmp_path, one_variable_sat(bits))
+    code, out, err = run_cli(capsys, "solve", "--input", str(path), "--max-qubits", "100")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert f"shape ({1 << bits >> 6},)" in err
 
 
 def sat_file(tmp_path, bits, constraint) -> Path:
@@ -495,13 +511,13 @@ def test_wide_range_bounds_are_written_without_building_them(capsys, tmp_path, k
 
 
 @pytest.mark.parametrize(
-    "bits, cap", [(58, 64), (200_000_000, 400_000_000), (10**11, 2 * 10**11)]
+    "bits, cap", [(64, 128), (200_000_000, 400_000_000), (10**11, 2 * 10**11)]
 )
 def test_search_states_past_the_address_space_are_refused_before_sizing_sums(
     capsys, tmp_path, bits, cap
 ):
-    """A search register of 60 or more bits, whose float64 outcome
-    probabilities numpy cannot address, is refused before any operand range
+    """A search register of 66 or more bits, whose packed mask of one bit
+    per assignment numpy cannot address, is refused before any operand range
     is built, within the cap or not."""
     path = sat_file(tmp_path, bits, CONSTRAINTS_ON_A["sum_equals"])
     tracemalloc.start()
@@ -513,7 +529,7 @@ def test_search_states_past_the_address_space_are_refused_before_sizing_sums(
     assert (code, out) == (2, "")
     assert err == (
         f"error: a {bits + 2}-bit search register has 2**{bits + 2} assignments, "
-        f"whose float64 probabilities need 2**{bits + 5} bytes, past the address space\n"
+        f"whose packed mask needs 2**{bits - 1} bytes, past the address space\n"
     )
     assert peak < 1 << 20
 
@@ -710,6 +726,31 @@ def test_solve_output_matches_golden(capsys, problem, output):
     assert code == EXIT_CODES[name]
     assert out.encode() == (GOLDEN / name).read_bytes()
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [p for p in GOLDEN_PROBLEMS if cli.parse_problem(p).kind == "sat"],
+    ids=lambda p: p.stem,
+)
+def test_sat_output_holds_with_the_smallest_blocks_and_chunks(capsys, monkeypatch, problem):
+    """Sign-table blocks of 2 words and CDF chunks of 2**7 outcomes change no
+    byte of the JSON report, histogram included, at seeds 0, 7 and 123: the
+    carries and edges between them are crossed, and a register under 6 bits
+    keeps its unused mask bits clear."""
+
+    def solve(seed):
+        return run_cli(
+            capsys, "solve", "--input", str(problem), "--output", "json", "--seed", str(seed)
+        )
+
+    name = f"{problem.stem}.json.out"
+    expected = {0: (EXIT_CODES[name], (GOLDEN / name).read_bytes().decode(), "")}
+    expected.update((seed, solve(seed)) for seed in (7, 123))
+    monkeypatch.setattr(grover_sat, "_TABLE_BLOCK", 2)
+    monkeypatch.setattr(sv, "_CDF_CHUNK", 1 << 7)
+    for seed, output in expected.items():
+        assert solve(seed) == output, seed
 
 
 @pytest.mark.parametrize(

@@ -332,6 +332,14 @@ _KINDS = {
 }
 
 
+def unpack(mask, bits):
+    """One bool per assignment of a ``bits``-bit register from a packed sign
+    table, whose bits past the register must be clear."""
+    flags = np.unpackbits(mask.view(np.uint8), bitorder="little").view(bool)
+    assert not flags[1 << bits :].any()
+    return flags[: 1 << bits]
+
+
 def problem_from_specs(widths, specs) -> SatProblem:
     return SatProblem(
         tuple(VarDecl(name, bits) for name, bits in widths.items()),
@@ -379,10 +387,10 @@ def test_sign_table_marks_exactly_the_brute_force_solutions(bits):
             index = index << width | assignment[name]
         expected[index] = True
     assert expected.any()
-    marked = grover_sat._marked(problem, qubit_layout(problem))
-    assert marked.dtype == bool
-    assert marked.shape == expected.shape
-    assert np.array_equal(marked, expected)
+    mask = grover_sat._marked(problem, qubit_layout(problem))
+    assert mask.dtype == np.dtype("<u8")
+    assert mask.shape == (max(1, 1 << bits >> 6),)
+    assert np.array_equal(unpack(mask, bits), expected)
 
 
 def test_sign_table_of_a_20_bit_register_peaks_under_8_mib():
@@ -394,11 +402,11 @@ def test_sign_table_of_a_20_bit_register_peaks_under_8_mib():
     assert layout.search_width == 20
     tracemalloc.start()
     try:
-        marked = grover_sat._marked(problem, layout)
+        mask = grover_sat._marked(problem, layout)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert int(marked.sum()) == 31134
+    assert int(np.bitwise_count(mask).sum()) == 31134
     assert peak < 8 << 20
 
 
@@ -583,14 +591,17 @@ def test_solve_applies_the_largest_round_count_not_the_sum(monkeypatch):
     report = solve(problem)
     assert report.schedule_trace == [(1, 0), (2, 0)]
     walk = list(schedule_states(problem, qubit_layout(problem)))
-    assert [(t, int(marked.sum()), b) for t, marked, _, b in walk] == [(1, 0, -0.5), (2, 0, 0.5)]
+    assert [(t, int(unpack(mask, 2).sum()), b) for t, mask, _, b in walk] == [
+        (1, 0, -0.5),
+        (2, 0, 0.5),
+    ]
     assert applied[0] == 0
 
 
 def test_solve_refuses_a_compute_block_that_is_not_only_x(monkeypatch):
     real_synth = grover_sat.synth_not_equal
     sampled = [0]
-    real_sample = grover_sat.sample_probabilities
+    real_sample = grover_sat.sample_two_levels
 
     def synth_with_h(frag, layout, a, b, flag):
         real_synth(frag, layout, a, b, flag)
@@ -600,7 +611,7 @@ def test_solve_refuses_a_compute_block_that_is_not_only_x(monkeypatch):
         sampled[0] += 1
         return real_sample(*args)
 
-    monkeypatch.setattr(grover_sat, "sample_probabilities", counting_sample)
+    monkeypatch.setattr(grover_sat, "sample_two_levels", counting_sample)
     solve(UNIT_KAKURO)
     assert sampled[0] == 1
     sampled[0] = 0
@@ -646,14 +657,15 @@ def assert_walk_matches_fresh_circuits(problem, steps=None):
     round count, run from |0...0>, and their squares sample to the column's
     histograms at seeds 0, 7 and 123; every other column is exactly 0."""
     layout = qubit_layout(problem)
-    for t, marked, a, b in itertools.islice(schedule_states(problem, layout), steps):
+    s = layout.search_width
+    for t, mask, a, b in itertools.islice(schedule_states(problem, layout), steps):
         fresh, _ = execute(build_search_circuit(problem, layout, t))
-        table = fresh.reshape(1 << layout.search_width, -1)
+        table = fresh.reshape(1 << s, -1)
         column = np.ascontiguousarray(table[:, 0])
-        state = np.where(marked, a, b) + 0j
+        state = np.where(unpack(mask, s), a, b) + 0j
         assert np.abs(state - column).max() <= 1e-12, f"differs after {t} rounds"
         for seed in (0, 7, 123):
-            walk = sv.sample_probabilities(np.where(marked, a * a, b * b), 4096, seed)
+            walk = sv.sample_two_levels(mask, s, a * a, b * b, 4096, seed)
             assert walk == sv.sample(column, 4096, seed), (t, seed)
         assert not table[:, 1:].any(), f"ancillas set after {t} rounds"
 
@@ -687,9 +699,9 @@ def test_a_full_20_bit_schedule_follows_the_closed_form():
     solutions = int(expected_marked.sum())
     assert 0 < solutions < expected_marked.size == 1 << 20
     steps = []
-    for t, marked, a, b in schedule_states(problem, qubit_layout(problem, max_qubits=32)):
+    for t, mask, a, b in schedule_states(problem, qubit_layout(problem, max_qubits=32)):
         if not steps:
-            assert np.array_equal(marked, expected_marked)
+            assert np.array_equal(unpack(mask, 20), expected_marked)
         expected = oracles.amplification_probability(20, solutions, t)
         assert abs(solutions * a * a - expected) < 1e-9, t
         assert abs(solutions * a * a + ((1 << 20) - solutions) * b * b - 1.0) < 1e-9, t
@@ -721,9 +733,9 @@ def test_a_whole_24_bit_schedule_stays_on_the_closed_form():
     solutions = marked_count_by_dp(4, 42)
     assert solutions == 426_636
     steps = []
-    for t, marked, a, b in schedule_states(problem, qubit_layout(problem, max_qubits=64)):
+    for t, mask, a, b in schedule_states(problem, qubit_layout(problem, max_qubits=64)):
         if not steps:
-            assert int(np.count_nonzero(marked)) == solutions
+            assert int(np.bitwise_count(mask).sum()) == solutions
         mass = solutions * a * a
         assert abs(mass + ((1 << 24) - solutions) * b * b - 1.0) < 1e-12, t
         assert abs(mass - oracles.amplification_probability(24, solutions, t)) < 1e-10, t
@@ -735,8 +747,9 @@ def test_a_whole_24_bit_schedule_stays_on_the_closed_form():
 
 def test_a_20_bit_solve_holds_no_complex_state():
     """needle20 (one solution of 2**20, found at t = 6): the search register's
-    amplitudes are two floats, so the peak is the sign table and one float64
-    array of probabilities, not a 16 MiB complex128 state."""
+    amplitudes are two floats, so the peak is one block of sign-table columns
+    and the 128 KiB packed mask, not a 16 MiB complex128 state or an 8 MiB
+    float64 array of probabilities."""
     problem = cli.parse_problem(GOLDEN / "needle20.json").sat
     tracemalloc.start()
     try:
@@ -746,7 +759,21 @@ def test_a_20_bit_solve_holds_no_complex_state():
         tracemalloc.stop()
     assert report.solutions == [{"a": 5, "b": 9, "c": 17, "d": 30}]
     assert report.iterations_used == 6
-    assert peak < 12 << 20
+    assert peak < 4 << 20
+
+
+def test_a_24_bit_solve_holds_no_array_of_an_element_per_assignment():
+    """sat_wide24: 37 columns of one 128 KiB block, the 2 MiB packed mask and
+    one 2 MiB chunk of the CDF; a bool per assignment alone would be 16 MiB."""
+    problem = cli.parse_problem(GOLDEN / "sat_wide24.json").sat
+    tracemalloc.start()
+    try:
+        report = solve(problem, max_qubits=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (report.iterations_used, len(report.solutions)) == (1, 875)
+    assert peak < 16 << 20
 
 
 def test_solve_filters_unverified_candidates():

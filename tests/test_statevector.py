@@ -441,11 +441,76 @@ def test_sample_holds_no_more_than_a_tenth_beyond_the_state():
     assert peak <= 1.1 * state.nbytes
 
 
+def test_chunk_sums_added_as_a_tree_are_numpys_sum():
+    """numpy sums a power-of-two float64 array pairwise: 128-element leaves,
+    split in halves.  So chunk sums added as a binary tree by ``_tree_sum``
+    equal ``np.sum`` bit for bit, and a cumulative sum carried from chunk to
+    chunk equals ``np.cumsum``.  Both are numpy implementation details; a
+    numpy that changes them fails here."""
+    rng = np.random.default_rng(5)
+    for bits in range(7, 23):
+        values = rng.random(1 << bits) * 10.0 ** rng.integers(-6, 6, 1 << bits)
+        total, running = np.sum(values), np.cumsum(values)
+        for chunk in sorted({1 << 7, 1 << 10, sv._CDF_CHUNK}):
+            chunk = min(chunk, values.size)
+            sums = [float(np.sum(values[i : i + chunk])) for i in range(0, values.size, chunk)]
+            assert sv._tree_sum(sums) == total, (bits, chunk)
+            carried = values.copy()
+            for i in range(0, values.size, chunk):
+                if i:
+                    carried[i] += carried[i - 1]
+                np.cumsum(carried[i : i + chunk], out=carried[i : i + chunk])
+            assert carried.tobytes() == running.tobytes(), (bits, chunk)
+
+
+@pytest.mark.parametrize("chunk", [1 << 7, sv._CDF_CHUNK])
+def test_two_level_sampling_is_the_sample_of_the_state(monkeypatch, chunk):
+    """Outcomes whose probability is one of two levels, chosen by a packed
+    mask, sample as :func:`sample` samples the state of those amplitudes,
+    for registers of 1 to 12 qubits, levels at and below the clamp, and
+    cumulative sums that meet a draw on a chunk's edge."""
+    monkeypatch.setattr(sv, "_CDF_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for case in range(300):
+        n = int(rng.integers(1, 13))
+        marked = rng.random(1 << n) < rng.choice([0.0, 0.01, 0.5, 1.0])
+        a, b = (rng.choice([0.0, 1e-7, 1.0 / 3, 1.0]) * rng.random() for _ in range(2))
+        if not (marked.any() and a * a >= 1e-12 or not marked.all() and b * b >= 1e-12):
+            marked[0], b = False, 1.0  # some mass stays above the clamp
+        words = np.zeros(max(1, (1 << n) // 64), np.uint64)
+        words.view(np.uint8)[: ((1 << n) + 7) // 8] = np.packbits(marked, bitorder="little")
+        shots, seed = int(rng.choice([1, 5, 4096])), int(rng.integers(0, 1000))
+        state = np.where(marked, a, b) + 0j
+        expected = sv.sample(state, shots, seed)
+        assert sv.sample_two_levels(words, n, a * a, b * b, shots, seed) == expected, case
+    # one half of 2**8 outcomes has no mass: in 2**7-outcome chunks, its chunk
+    # holds no draw, whether it comes first or last
+    ones = 2**64 - 1
+    for words, live in (([0, 0, ones, ones], range(128)), ([ones, ones, 0, 0], range(128, 256))):
+        hist = sv.sample_two_levels(np.array(words, np.uint64), 8, 0.0, 1.0, 4096, 0)
+        assert set(hist.counts) == {format(i, "08b") for i in live}
+
+
+def test_two_level_sampling_refuses_no_finite_measurable_mass():
+    words = np.array([0b1010], np.uint64)
+    with pytest.raises(ValueError, match="no measurable probability mass"):
+        sv.sample_two_levels(words, 2, 1e-13, 0.0, 10, 0)
+    with pytest.raises(ValueError, match="non-finite"):
+        sv.sample_two_levels(words, 2, np.nan, 0.5, 10, 0)
+    with pytest.raises(ValueError, match="non-finite"):
+        sv.sample_two_levels(words, 2, 0.5, np.inf, 10, 0)
+
+
 STREAM_SEEDS = [*range(200), 2**31 - 1, 2**32, 2**32 + 5, 2**63 + 17, 2**100 + 3, 2**160 + 1]
 BLOCK = sv._DRAW_BLOCK
 
 
-@pytest.mark.parametrize("shots", [1, 2, 3, 7, 4096, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
+@pytest.mark.parametrize(
+    "shots",
+    # the block is a power of two from 2**10 to BLOCK, about shots // 4
+    [1, 2, 3, 7, 1023, 1024, 1025, 4095, 4096, 4097, 8191, 8192, 8193]
+    + [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1],
+)
 def test_sorted_draws_are_numpys_default_rng_stream(shots):
     # 2**160 + 1 has six 32-bit words, more than SeedSequence's pool of four
     for seed in STREAM_SEEDS:

@@ -5,7 +5,7 @@ line-oriented text format."""
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 # qsolve's modules first, so an uncached compile's memory is freed before numpy loads
 from .statevector import (
@@ -61,7 +61,6 @@ class CircuitOp(NamedTuple):
 class Circuit:
     """An ordered tuple of operations on ``num_qubits`` qubits.
 
-    Equality is structural: same width, same registers, same op sequence.
     An op is validated once, when it enters a circuit through ``add``;
     ``extend`` of a circuit no wider than this one, ``inverse`` and
     ``execute`` rely on that and do not check again.  The builder methods
@@ -86,13 +85,6 @@ class Circuit:
                 if q in claimed:
                     raise ValueError(f"register {reg.name!r} overlaps qubit {q}")
                 claimed.add(q)
-
-    def __eq__(self, other):
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        return (self.num_qubits, self.registers, self.ops) == (
-            other.num_qubits, other.registers, other.ops
-        )
 
     def add(
         self,
@@ -189,21 +181,21 @@ def execute(circuit: Circuit, shots: int = 0, seed: int = 0) -> tuple[np.ndarray
 # --- text export -------------------------------------------------------------
 
 
-def export_text(circuit: Circuit) -> str:
-    """Render a circuit in the v1 text format.
+def export_text(circuit: Circuit) -> Iterator[str]:
+    """Render a circuit in the v1 text format, one line at a time.
 
-    One header line, one line per register, then one line per op in order.
-    Controls are written sorted; phase angles are written with ``repr``, the
-    shortest text that reads back as the identical float.
+    One header line, one line per register, then one line per op in order,
+    each ending in a newline. Controls are written sorted; phase angles are
+    written with ``repr``, the shortest text that reads back as the
+    identical float.
     """
-    lines = [f"qsolve-circuit v1 qubits={circuit.num_qubits}"]
+    yield f"qsolve-circuit v1 qubits={circuit.num_qubits}\n"
     for reg in circuit.registers:
-        lines.append(f"register {reg.name} {reg.offset} {reg.width}")
+        yield f"register {reg.name} {reg.offset} {reg.width}\n"
     for op in circuit.ops:
         kind = op.gate.name
         if kind == "phase":
             kind = f"phase({op.gate.lam!r})"
         ctrl = ",".join(str(q) for q in sorted(op.controls))
         tgt = ",".join(str(q) for q in op.targets)
-        lines.append(f"{kind} controls=[{ctrl}] targets=[{tgt}]")
-    return "\n".join(lines) + "\n"
+        yield f"{kind} controls=[{ctrl}] targets=[{tgt}]\n"

@@ -326,7 +326,8 @@ def _run_solve(args) -> int:
     if args.dump_circuit:
         from .circuit import export_text
 
-        Path(args.dump_circuit).write_text(export_text(circuit), encoding="utf-8")
+        with open(args.dump_circuit, "w", encoding="utf-8") as dump:
+            dump.writelines(export_text(circuit))
     with report_to_stdout() as out:
         render(report, args.output, out)
     return code

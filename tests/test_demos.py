@@ -1,8 +1,7 @@
 """The demo scripts' stdout, byte for byte, against reports pinned in
-tests/golden/, and their refusal of bad input; every golden report again
-with numpy's SIMD loops held to the x86-64 baseline; the 24-bit search
-register's reports at both SIMD levels; and the benchmark's op-by-op
-replay against the same reports."""
+tests/golden/, natively and with numpy's SIMD loops held to the x86-64
+baseline, and their refusal of bad input; and the benchmark's op-by-op
+replay against the CLI's golden reports."""
 
 import hashlib
 import json
@@ -13,22 +12,12 @@ from pathlib import Path
 
 import pytest
 
+from test_goldens import BASELINE_DISPATCH, CASES, needs_baseline_dispatch
+
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 # tsp_demo.py on the 8-node golden problem prints 2,520 rows (146 KB)
 TSP_N8_DEMO_SHA256 = "098f4639de3df51c21abfd1036234c51f79d9e5a0d8b27619cd26a601b1d29b3"
-
-
-# numpy picks each loop's SIMD level at import; this holds it below AVX2 and FMA
-BASELINE_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}
-
-
-def dispatched_features() -> list[str]:
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__
-    except ImportError:  # numpy 1
-        return []
-    return __cpu_dispatch__
 
 
 def child_env(extra=()) -> dict:
@@ -56,74 +45,12 @@ def test_demo_prints_its_golden_report(script):
     assert run_demo(script) == golden.read_bytes()
 
 
-# the CLI golden cases of test_cli.py, run in one child
-BASELINE_CLI = """
-import contextlib, io, json, sys
-from pathlib import Path
-from numpy._core._multiarray_umath import __cpu_features__
-assert not __cpu_features__["X86_V3"], "AVX2/FMA loops are still dispatched"
-from qsolve import cli
-golden = Path(sys.argv[1])
-codes = json.loads((golden / "exit_codes.json").read_text())
-for problem in sys.argv[2:]:
-    for output in ("text", "json"):
-        name = Path(problem).stem + "." + output + ".out"
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(["solve", "--input", problem, "--output", output, "--seed", "0"])
-        assert code == codes[name], name
-        assert out.getvalue().encode() == (golden / name).read_bytes(), name
-"""
-
-
-needs_baseline_dispatch = pytest.mark.skipif(
-    not set(BASELINE_DISPATCH["NPY_DISABLE_CPU_FEATURES"].split()) <= set(dispatched_features()),
-    reason="numpy does not dispatch these x86-64 feature groups",
-)
-
-
 @needs_baseline_dispatch
-def test_goldens_hold_at_the_baseline_simd_level():
+def test_demo_goldens_hold_at_the_baseline_simd_level():
     """The same seed prints the same bytes whichever SIMD loops numpy runs."""
-    problems = [
-        *sorted((ROOT / "problems").glob("*.json")),
-        GOLDEN / "tsp_n8_seed0.json",
-        GOLDEN / "readme_example.json",
-        GOLDEN / "needle20.json",
-    ]
-    result = subprocess.run(
-        [sys.executable, "-c", BASELINE_CLI, str(GOLDEN), *map(str, problems)],
-        capture_output=True, env=child_env(BASELINE_DISPATCH),
-    )
-    assert result.returncode == 0, result.stderr.decode()
     for script in ("tsp_demo.py", "kakuro_demo.py"):
         golden = GOLDEN / script.replace(".py", ".out")
         assert run_demo(script, env=BASELINE_DISPATCH) == golden.read_bytes()
-
-
-@pytest.mark.parametrize("output", ["text", "json"])
-@pytest.mark.parametrize(
-    "env",
-    [
-        pytest.param({}, id="native"),
-        pytest.param(BASELINE_DISPATCH, id="baseline", marks=needs_baseline_dispatch),
-    ],
-)
-def test_wide_search_register_prints_its_golden_reports(output, env):
-    """A 24-bit search register (a 37-qubit layout, run at --max-qubits 64):
-    its 16 MiB sign table, and the 2**24 outcome probabilities summed into the
-    sampling CDF, where a sum that depends on the SIMD level would show in
-    the report."""
-    name = f"sat_wide24.{output}.out"
-    result = subprocess.run(
-        [
-            sys.executable, "-m", "qsolve", "solve", "--input", str(GOLDEN / "sat_wide24.json"),
-            "--max-qubits", "64", "--output", output,
-        ],
-        capture_output=True, env=child_env(env),
-    )
-    assert result.returncode == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
-    assert (result.stdout, result.stderr) == ((GOLDEN / name).read_bytes(), b"")
 
 
 def test_tsp_demo_on_eight_nodes_prints_its_pinned_report():
@@ -240,7 +167,8 @@ def test_benchmark_replay_prints_the_golden_report(tmp_path, name):
         [sys.executable, str(traced), "replay", str(problem), "0", str(out)],
         capture_output=True, env=child_env(),
     )
-    golden = f"{name}.text.out"
-    assert result.returncode == json.loads((GOLDEN / "exit_codes.json").read_text())[golden]
-    assert (result.stdout, result.stderr) == ((GOLDEN / golden).read_bytes(), b"")
+    case = next(case for case in CASES if case.output == f"{name}.text.out")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        case.code, (GOLDEN / case.output).read_bytes(), b""
+    )
     assert json.loads(out.read_text().splitlines()[0])["counts"]["circuit.ops"] > 0

@@ -330,10 +330,17 @@ def build_search_circuit(problem: SatProblem, layout: QubitLayout, iterations: i
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
     circ = Circuit(layout.num_qubits, registers=layout.registers)
-    circ.extend(h_layer(layout.search_width))
     rounds = build_oracle(problem, layout).extend(build_diffuser(layout.search_width))
-    rounds.ops *= iterations  # one copy of the op tuple, not one per round
-    return circ.extend(rounds)
+    # the op tuple is built once, where extending would hold the rounds twice;
+    # so the width check of ``Circuit.extend`` is made here
+    if rounds.num_qubits > circ.num_qubits:
+        raise ValueError(
+            f"a {rounds.num_qubits}-qubit round does not fit in {circ.num_qubits} qubits"
+        )
+    circ.ops = tuple(
+        itertools.chain(h_layer(layout.search_width).ops, *itertools.repeat(rounds.ops, iterations))
+    )
+    return circ
 
 
 def schedule_states(

@@ -3,14 +3,13 @@ line and enforcing its wall-clock budget."""
 
 import json
 import math
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
 import oracles
+from checkout import CROSS_SUMS, TSP, UNIT_KAKURO, UNSAT, python
 from problem_gen import generate_corpus, instance_from_rows
 from qsolve.circuit import Circuit, execute
 from qsolve.grover_sat import (
@@ -31,7 +30,6 @@ from qsolve.qpe_tsp import (
 from qsolve.qpe_tsp import solve as tsp_solve
 from qsolve.statevector import Gate, apply_gate_in_place, init_zero
 from qsolve.circuit import build_qft
-from test_cli import CROSS_SUMS, TSP, UNIT_KAKURO, UNSAT
 from test_qpe_tsp import reference_estimate
 from qsolve import cli
 
@@ -222,9 +220,7 @@ def test_criterion_7_simulator_property_suite():
 
 def test_criterion_8_cli_runs_are_reproducible():
     def run(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "qsolve", *args], capture_output=True
-        )
+        return python("-m", "qsolve", *args)
 
     for fixture in (CROSS_SUMS, TSP):
         first = run("solve", "--input", str(fixture), "--seed", "7", "--output", "json")

@@ -6,31 +6,18 @@ replay against the CLI's golden reports."""
 import hashlib
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from checkout import GOLDEN, PROBLEMS, ROOT, python
 from test_goldens import BASELINE_DISPATCH, CASES, needs_baseline_dispatch
 
-ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "tests" / "golden"
 # tsp_demo.py on the 8-node golden problem prints 2,520 rows (146 KB)
 TSP_N8_DEMO_SHA256 = "098f4639de3df51c21abfd1036234c51f79d9e5a0d8b27619cd26a601b1d29b3"
 
 
-def child_env(extra=()) -> dict:
-    env = {**os.environ, **dict(extra)}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    return env
-
-
-def demo_process(script, *args, env=()) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, env=child_env(env),
-    )
+def demo_process(script, *args, **kwargs):
+    return python(str(ROOT / "scripts" / script), *args, **kwargs)
 
 
 def run_demo(script, *args, env=()) -> bytes:
@@ -69,10 +56,10 @@ def test_tsp_demo_on_eight_nodes_prints_its_pinned_report():
         ("kakuro_demo.py", ["--shots", "-5"], "--shots must be positive, got -5"),
         (
             "tsp_demo.py",
-            ["--input", str(ROOT / "problems" / "kakuro_unit_sums.json")],
+            ["--input", str(PROBLEMS / "kakuro_unit_sums.json")],
             "a 'sat' problem, not a tour problem",
         ),
-        ("tsp_demo.py", ["--input", str(ROOT / "problems" / "missing.json")], "missing.json"),
+        ("tsp_demo.py", ["--input", str(PROBLEMS / "missing.json")], "missing.json"),
         # 8 TB of draws, past a state at the default cap
         ("tsp_demo.py", ["--shots", str(10**12)], "needs more memory than a 26-qubit state"),
         ("kakuro_demo.py", ["--shots", str(10**12)], "needs more memory than a 26-qubit state"),
@@ -121,12 +108,8 @@ def test_demo_refuses_bad_input_before_any_output(script, args, message):
 )
 def test_demo_on_a_full_disk_exits_two(script, args):
     # buffered, the report reaches the disk only when stdout is flushed
-    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
     with open("/dev/full", "w") as full:
-        result = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / script), *args],
-            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
-        )
+        result = demo_process(script, *args, stdout=full, drop=("PYTHONUNBUFFERED",), text=True)
     assert result.returncode == 2
     assert [line for line in result.stderr.splitlines() if line.startswith("error:")] == [
         "error: [Errno 28] No space left on device"
@@ -139,12 +122,8 @@ def test_demo_on_a_full_disk_exits_two(script, args):
 @pytest.mark.parametrize("script", ["kakuro_demo.py", "tsp_demo.py"])
 def test_demo_help_on_a_full_disk_exits_two(script):
     # buffered, argparse's help would reach the disk only at the exit-time flush
-    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
     with open("/dev/full", "w") as full:
-        result = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / script), "--help"],
-            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
-        )
+        result = demo_process(script, "--help", stdout=full, drop=("PYTHONUNBUFFERED",), text=True)
     assert result.returncode == 2
     assert result.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
 
@@ -162,11 +141,8 @@ def test_benchmark_replay_prints_the_golden_report(tmp_path, name):
     """`perfbench/traced.py replay` runs each circuit op by op through
     `apply_gate_in_place`; it must print the CLI's report and exit code."""
     out = tmp_path / "record.jsonl"
-    traced, problem = ROOT / "perfbench" / "traced.py", ROOT / "problems" / f"{name}.json"
-    result = subprocess.run(
-        [sys.executable, str(traced), "replay", str(problem), "0", str(out)],
-        capture_output=True, env=child_env(),
-    )
+    traced, problem = ROOT / "perfbench" / "traced.py", PROBLEMS / f"{name}.json"
+    result = python(str(traced), "replay", str(problem), "0", str(out))
     case = next(case for case in CASES if case.output == f"{name}.text.out")
     assert (result.returncode, result.stdout, result.stderr) == (
         case.code, (GOLDEN / case.output).read_bytes(), b""

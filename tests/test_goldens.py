@@ -6,21 +6,16 @@ the code as it was before the change under test, never with the change."""
 
 import contextlib
 import io
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
+from checkout import CROSS_SUMS, EIGHT_CITIES, GOLDEN, TSP, UNIT_KAKURO, UNSAT, python
 from qsolve import cli, grover_sat
 from qsolve import statevector as sv
-from test_cli import CROSS_SUMS, EIGHT_CITIES, TSP, UNIT_KAKURO, UNSAT
 
-ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "tests" / "golden"
 # the README's example problem, the one golden case with an equal_const
 README_EXAMPLE = GOLDEN / "readme_example.json"
 # one solution of 2**20, found at t = 6: the golden case whose walk carries
@@ -131,13 +126,7 @@ for case in CASES:
 @needs_baseline_dispatch
 def test_seed_0_rows_hold_at_the_baseline_simd_level():
     """The same seed prints the same bytes whichever SIMD loops numpy runs."""
-    env = {**os.environ, **BASELINE_DISPATCH}
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")))
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", BASELINE_ROWS], capture_output=True, text=True, env=env
-    )
+    result = python("-c", BASELINE_ROWS, env=BASELINE_DISPATCH, text=True)
     assert result.returncode == 0, result.stderr
 
 

@@ -485,6 +485,23 @@ def test_search_circuit_registers():
     assert circ.registers[-1].width == 3
 
 
+def test_search_circuit_builds_its_op_tuple_once():
+    """20,000 rounds of unsat_pair (200,002 ops): building the tuple once
+    peaks near what the circuit then holds, where a second copy of the
+    repeated rounds would double it."""
+    problem = cli.parse_problem(PROBLEMS / "unsat_pair.json").sat
+    layout = qubit_layout(problem)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        circ = build_search_circuit(problem, layout, 20_000)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(circ.ops) == 200_002
+    assert peak - start < 1.5 * (held - start)
+
+
 def test_search_circuit_register_names_avoid_collisions():
     problem = SatProblem(
         (VarDecl("flags", 1), VarDecl("scratch", 1)),

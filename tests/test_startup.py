@@ -9,15 +9,11 @@ without OPENBLAS_NUM_THREADS: this process has imported qsolve, so its own
 environment would pass the package's default down to the child.
 """
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
+from checkout import ROOT, python
 
 needs_task_list = pytest.mark.skipif(
     not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task to count threads"
@@ -30,11 +26,8 @@ REPORT = (
 
 
 def run_child(code, *args, **env_vars):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    env.update(env_vars)
-    result = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, cwd=ROOT
+    result = python(
+        "-c", code, *args, env=env_vars, drop=("OPENBLAS_NUM_THREADS",), text=True, cwd=ROOT
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.split()
@@ -146,4 +139,4 @@ def test_a_solve_process_freezes_its_objects_and_still_runs_atexit():
 def test_the_installed_script_enters_where_python_m_does():
     # a text match: tomllib is not in Python 3.10
     assert 'qsolve = "qsolve.cli:process_main"' in (ROOT / "pyproject.toml").read_text()
-    assert "sys.exit(process_main())" in (SRC / "qsolve" / "__main__.py").read_text()
+    assert "sys.exit(process_main())" in (ROOT / "src" / "qsolve" / "__main__.py").read_text()

@@ -297,6 +297,13 @@ def _run_solve(args) -> int:
     )
     if fault:
         raise QsolveError(fault)
+    if args.dump_circuit:
+        # a dump into a missing directory is refused before the solve, with
+        # the error ``open`` would raise; ``open`` still refuses what gets past
+        try:
+            os.stat(os.path.dirname(args.dump_circuit) or ".")
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, args.dump_circuit) from None
     parsed = parse_problem(args.input)
     algorithm = select_algorithm(parsed.kind, args.algorithm)
     fault = solver_option_error(algorithm, args.threshold)

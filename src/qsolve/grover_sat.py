@@ -429,7 +429,8 @@ def solve(
     """Search with a growing iteration schedule.
 
     One walk is carried along the schedule (see :func:`schedule_states`)
-    and sampled with the same seed at every step; measured bitstrings at or
+    and sampled with the same seed at every step whose levels changed;
+    measured bitstrings at or
     above the frequency threshold are decoded and kept only if they pass
     :func:`classical_check`.  The first step that yields any verified
     assignment wins.  An exhausted schedule returns an empty solution list:
@@ -447,15 +448,26 @@ def solve(
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"frequency threshold must be in (0, 1], got {threshold}")
     trace: list[tuple[int, int]] = []
+    sampled = marked = None
     for iterations, mask, a, b in schedule_states(problem, layout):
-        histogram = sample_two_levels(mask, layout.search_width, a * a, b * b, shots, seed)
-        verified: list[tuple[int, str, Assignment]] = []
-        for bits, count in histogram.counts.items():
-            if count / shots < threshold:
-                continue
-            assignment = decode_bitstring(bits, problem)
-            if classical_check(assignment, problem):
-                verified.append((count, bits, assignment))
+        if marked is None:
+            # the popcount schedule_states takes; ``mask.any()`` would page in
+            # a numpy reduction loop that nothing else in a solve runs
+            marked = bool(np.bitwise_count(mask).sum())
+        # a histogram is a function of the levels the sampler reads: a step
+        # whose levels are those of the last one keeps its histogram and
+        # verified list; with nothing marked, a round maps b to exactly -b
+        levels = (a * a if marked else None, b * b)
+        if levels != sampled:
+            sampled = levels
+            histogram = sample_two_levels(mask, layout.search_width, a * a, b * b, shots, seed)
+            verified: list[tuple[int, str, Assignment]] = []
+            for bits, count in histogram.counts.items():
+                if count / shots < threshold:
+                    continue
+                assignment = decode_bitstring(bits, problem)
+                if classical_check(assignment, problem):
+                    verified.append((count, bits, assignment))
         trace.append((iterations, len(verified)))
         if verified:
             break

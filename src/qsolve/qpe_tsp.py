@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import NamedTuple, Sequence
 
 # qsolve's modules first, so an uncached compile's memory is freed before numpy loads
@@ -230,6 +231,11 @@ def solve(
     scale, m = phase_scale(instance)
     if m > max_qubits:
         raise QubitBudgetError(f"{m} precision qubits requested but the cap is {max_qubits}")
+    if 16 << m > sys.maxsize:
+        raise MemoryError(
+            f"a {m}-qubit precision register has 2**{m} outcomes, "
+            f"whose complex128 batch row needs 2**{m + 4} bytes, past the address space"
+        )
     tours = enumerate_cycles(instance.n_nodes)
     # each cycle's closed walk, summed in a plain loop: no numpy table of the
     # cycles, and no generator per tour

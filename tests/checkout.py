@@ -1,11 +1,13 @@
-"""This checkout's problem files, and one way for a test to start a fresh
-interpreter on it: ``src/`` and ``tests/`` go first on the child's
-PYTHONPATH, ahead of any installed ``qsolve``. This module imports neither
-numpy nor qsolve, so a child that must show it loads no numpy can import it."""
+"""This checkout's problem files; one way for a test to start a fresh
+interpreter on it, with ``src/`` and ``tests/`` first on the child's
+PYTHONPATH, ahead of any installed ``qsolve``; and the traced peak of a
+call. This module imports neither numpy nor qsolve, so a child that must
+show it loads no numpy can import it."""
 
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,3 +39,13 @@ def python(*args, env=(), drop=(), wrap=(), **kwargs) -> subprocess.CompletedPro
     kwargs.setdefault("stdout", subprocess.PIPE)
     kwargs.setdefault("stderr", subprocess.PIPE)
     return subprocess.run([*wrap, sys.executable, *args], env=child_env, **kwargs)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

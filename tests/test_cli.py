@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checkout import CROSS_SUMS, EIGHT_CITIES, PROBLEMS, TSP, UNIT_KAKURO, python
+from checkout import CROSS_SUMS, EIGHT_CITIES, PROBLEMS, TSP, UNIT_KAKURO, python, traced_peak
 from qsolve import cli, grover_sat, qpe_tsp
 from qsolve import statevector as sv
-from qsolve.circuit import export_text
-from qsolve.grover_sat import build_search_circuit, qubit_layout
-from qsolve.grover_sat import solve as grover_solve
 from qsolve.problems import AlgorithmMismatchError, NotEqual, ProblemFileError, SumEquals
 from test_refusals import SAT_66, TSP_59
 
@@ -186,14 +182,9 @@ def test_shots_within_the_state_budget_are_solved(capsys, problem):
     )
     assert (code, err) == (0, "")
     # a cap far wider than the shot count is compared without building 2**cap
-    tracemalloc.start()
-    try:
-        code, _, err = run_cli(
-            capsys, "solve", "--input", str(problem), "--max-qubits", str(10**7)
-        )
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (code, _, err), peak = traced_peak(
+        run_cli, capsys, "solve", "--input", str(problem), "--max-qubits", str(10**7)
+    )
     assert (code, err) == (0, "")
     assert peak < 1 << 20
 
@@ -223,17 +214,15 @@ def test_out_of_memory_exits_two_without_traceback(capsys, monkeypatch, problem,
 @pytest.mark.parametrize("payload", [SAT_66, TSP_59], ids=["sat_66", "tsp_59"])
 def test_solvers_raise_memory_error_on_registers_too_wide_for_numpy(tmp_path, payload):
     parsed = cli.parse_problem(write_problem(tmp_path, payload))
-    tracemalloc.start()
-    try:
+
+    def refuse():
         with pytest.raises(MemoryError):
             if parsed.kind == "sat":
                 grover_sat.solve(parsed.sat, max_qubits=100)
             else:
                 qpe_tsp.solve(parsed.tsp, max_qubits=100)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+
+    assert traced_peak(refuse)[1] < 1 << 20
 
 
 # --- random problem files through main() -------------------------------------------
@@ -399,41 +388,6 @@ def test_usage_errors_raise_system_exit_two():
     assert exc.value.code == 2
 
 
-def test_dump_circuit_grover(capsys, tmp_path):
-    dump = tmp_path / "circuit.txt"
-    code, _, _ = run_cli(
-        capsys, "solve", "--input", str(UNIT_KAKURO), "--dump-circuit", str(dump)
-    )
-    assert code == 0
-    # the dump reflects the iteration count the solver actually stopped at
-    problem = cli.parse_problem(UNIT_KAKURO).sat
-    report = grover_solve(problem)
-    reference = build_search_circuit(problem, qubit_layout(problem), report.iterations_used)
-    assert dump.read_bytes() == "".join(export_text(reference)).encode()
-    lines = dump.read_text().splitlines()
-    assert lines[0] == "qsolve-circuit v1 qubits=7"
-    registers = [line.split()[1] for line in lines if line.startswith("register ")]
-    assert registers == ["a", "b", "c", "d", "flags"]
-    flips = sum(1 for line in lines if line.startswith("z controls=[") and "[]" not in line)
-    assert flips == 2 * report.iterations_used  # one oracle + one diffuser flip each
-
-
-def test_dump_circuit_tsp(capsys, tmp_path):
-    dump = tmp_path / "circuit.txt"
-    code, _, _ = run_cli(
-        capsys, "solve", "--input", str(TSP), "--dump-circuit", str(dump)
-    )
-    assert code == 0
-    instance = cli.parse_problem(TSP).tsp
-    report = qpe_tsp.solve(instance)
-    unitary = qpe_tsp.build_phase_unitary(instance, report.scale)
-    eigenstate = qpe_tsp.encode_eigenstate(report.best_tour, instance.n_nodes)
-    reference = qpe_tsp.qpe_circuit(unitary, eigenstate, report.precision_bits)
-    assert dump.read_bytes() == "".join(export_text(reference)).encode()
-    lines = dump.read_text().splitlines()
-    assert lines[:2] == ["qsolve-circuit v1 qubits=4", "register precision 0 4"]
-
-
 def test_non_ascii_variable_names_solve_and_dump(capsys, tmp_path):
     path = write_problem(
         tmp_path,
@@ -474,19 +428,6 @@ def test_text_report_is_utf8_under_an_ascii_locale(tmp_path):
     assert (result.returncode, result.stdout, result.stderr) == (
         0, "é = 1\nb = 2\n".encode("utf-8"), b""
     )
-
-
-@pytest.mark.parametrize(
-    "problem, solver, other",
-    [(TSP, "qsolve.qpe_tsp", "qsolve.grover_sat"), (UNIT_KAKURO, "qsolve.grover_sat", "qsolve.qpe_tsp")],
-    ids=["tsp", "sat"],
-)
-def test_a_solve_process_imports_only_the_solver_its_problem_names(problem, solver, other):
-    result = python("-X", "importtime", "-m", "qsolve", "solve", "--input", str(problem), text=True)
-    assert result.returncode == 0, result.stderr
-    imported = {line.rpartition("|")[2].strip() for line in result.stderr.splitlines()}
-    assert solver in imported
-    assert other not in imported
 
 
 PARSE_ONLY = (

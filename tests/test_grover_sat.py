@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from checkout import traced_peak
 from problem_gen import generate_corpus
 import qsolve.circuit as qc
 from qsolve import cli, grover_sat
@@ -310,7 +311,7 @@ def test_oracle_of_contradiction_is_identity():
     assert leak < 1e-9
 
 
-@pytest.mark.parametrize("problem,specs", generate_corpus(6, seed=1234))
+@pytest.mark.parametrize("problem,specs", generate_corpus(22, seed=20260814))
 def test_oracle_diagonal_matches_classical_on_random_problems(problem, specs):
     signs, leak = _oracle_signs_and_leak(problem)
     names = [v.name for v in problem.vars]
@@ -359,6 +360,16 @@ SIGN_TABLE_CASES = {
         {"a": 2, "b": 2, "c": 2},
         [("not_equal", "a", "b"), ("not_equal", "b", "c"), ("sum_equals", ("a", "b", "c"), 5)],
     ),
+    # the bundled kakuro_cross_sums.json
+    8: (
+        dict.fromkeys("abcd", 2),
+        [
+            ("sum_equals", ("a", "c"), 5), ("not_equal", "a", "c"),
+            ("sum_equals", ("b", "d"), 4), ("not_equal", "b", "d"),
+            ("sum_equals", ("a", "b"), 4), ("not_equal", "a", "b"),
+            ("sum_equals", ("c", "d"), 5), ("not_equal", "c", "d"),
+        ],
+    ),
     12: (
         {"a": 3, "b": 3, "c": 3, "d": 3},
         [("not_equal", "a", "b"), ("not_equal", "c", "d"), ("sum_equals", tuple("abcd"), 14)],
@@ -387,6 +398,9 @@ def test_sign_table_marks_exactly_the_brute_force_solutions(bits):
             index = index << width | assignment[name]
         expected[index] = True
     assert expected.any()
+    if bits == 8:  # the one answer that the golden report of the bundled problem prints
+        assert problem == cli.parse_problem(PROBLEMS / "kakuro_cross_sums.json").sat
+        assert oracles.enumerate_satisfying(widths, specs) == [{"a": 3, "b": 1, "c": 2, "d": 3}]
     mask = grover_sat._marked(problem, qubit_layout(problem))
     assert mask.dtype == np.dtype("<u8")
     assert mask.shape == (max(1, 1 << bits >> 6),)
@@ -400,12 +414,7 @@ def test_sign_table_of_a_20_bit_register_peaks_under_8_mib():
     problem = problem_from_specs(dict.fromkeys(names, 4), specs)
     layout = qubit_layout(problem, max_qubits=32)  # 20 search + 5 flags + 7 scratch
     assert layout.search_width == 20
-    tracemalloc.start()
-    try:
-        mask = grover_sat._marked(problem, layout)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    mask, peak = traced_peak(grover_sat._marked, problem, layout)
     assert int(np.bitwise_count(mask).sum()) == 31134
     assert peak < 8 << 20
 
@@ -476,6 +485,7 @@ def test_marked_probability_follows_closed_form(iterations):
     expected = oracles.amplification_probability(4, 2, iterations)
     assert abs(marked - expected) < 1e-9
     assert abs(table[0b0110] - table[0b1001]) < 1e-9
+    assert np.abs(np.delete(table, [0b0110, 0b1001]) - (1 - expected) / 14).max() < 1e-9
 
 
 def test_search_circuit_registers():
@@ -545,14 +555,6 @@ def test_solve_orders_solutions_by_count_then_bitstring():
         assert keys == sorted(keys)
 
 
-def test_solve_is_deterministic():
-    first = solve(UNIT_KAKURO, seed=42)
-    second = solve(UNIT_KAKURO, seed=42)
-    assert first.solutions == second.solutions
-    assert first.histogram == second.histogram
-    assert first.schedule_trace == second.schedule_trace
-
-
 def test_solve_exhausts_schedule_on_contradiction():
     problem = SatProblem((VarDecl("a", 2),), (NotEqual("a", "a"),))
     report = solve(problem)
@@ -572,9 +574,24 @@ def test_solve_draws_once_over_the_whole_schedule(monkeypatch):
 
     monkeypatch.setattr(sv, "_pcg64_doubles", counting_doubles)
     sv.sorted_draws.cache_clear()
-    report = solve(cli.parse_problem(PROBLEMS / "unsat_pair.json").sat, shots=1000, seed=5)
-    assert report.schedule_trace == [(1, 0), (2, 0)]
+    # nothing reaches a threshold of 1, so all four steps sample
+    report = solve(UNIT_KAKURO, shots=1000, seed=5, frequency_threshold=1.0)
+    assert not report.found
+    assert len(report.schedule_trace) == len(iteration_schedule(4))
     assert calls == [(1000, 5)]
+
+
+def test_solve_samples_an_unchanged_level_once(monkeypatch):
+    # with nothing marked, a round maps the miss level b to exactly -b, so
+    # unsat_pair's second step reads the levels its first step sampled
+    sampled = []
+    real_sample = grover_sat.sample_two_levels
+    monkeypatch.setattr(
+        grover_sat, "sample_two_levels", lambda *args: sampled.append(args) or real_sample(*args)
+    )
+    report = solve(cli.parse_problem(PROBLEMS / "unsat_pair.json").sat)
+    assert report.schedule_trace == [(1, 0), (2, 0)]
+    assert len(sampled) == 1
 
 
 def test_solve_synthesizes_the_oracle_once(monkeypatch):
@@ -654,12 +671,7 @@ WIDE = SatProblem(
 def test_wide_layout_is_searched_on_the_search_register_alone():
     layout = qubit_layout(WIDE)
     assert (layout.search_width, len(layout.flag_qubits), layout.scratch_width) == (15, 4, 6)
-    tracemalloc.start()
-    try:
-        report = solve(WIDE)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(solve, WIDE)
     accepted = oracles.enumerate_satisfying(WIDE.widths(), WIDE_SPECS)
     assert report.iterations_used == 1
     assert report.solutions
@@ -768,12 +780,7 @@ def test_a_20_bit_solve_holds_no_complex_state():
     and the 128 KiB packed mask, not a 16 MiB complex128 state or an 8 MiB
     float64 array of probabilities."""
     problem = cli.parse_problem(GOLDEN / "needle20.json").sat
-    tracemalloc.start()
-    try:
-        report = solve(problem)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(solve, problem)
     assert report.solutions == [{"a": 5, "b": 9, "c": 17, "d": 30}]
     assert report.iterations_used == 6
     assert peak < 4 << 20
@@ -783,12 +790,7 @@ def test_a_24_bit_solve_holds_no_array_of_an_element_per_assignment():
     """sat_wide24: 37 columns of one 128 KiB block, the 2 MiB packed mask and
     one 2 MiB chunk of the CDF; a bool per assignment alone would be 16 MiB."""
     problem = cli.parse_problem(GOLDEN / "sat_wide24.json").sat
-    tracemalloc.start()
-    try:
-        report = solve(problem, max_qubits=64)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: solve(problem, max_qubits=64))
     assert (report.iterations_used, len(report.solutions)) == (1, 875)
     assert peak < 16 << 20
 
@@ -798,12 +800,6 @@ def test_solve_filters_unverified_candidates():
     report = solve(UNIT_KAKURO, frequency_threshold=1e-9)
     assert len(report.solutions) == 2
     assert all(classical_check(a, UNIT_KAKURO) for a in report.solutions)
-
-
-def test_solve_with_unreachable_threshold_finds_nothing():
-    report = solve(UNIT_KAKURO, frequency_threshold=1.0)
-    assert not report.found
-    assert len(report.schedule_trace) == len(iteration_schedule(4))
 
 
 def test_solve_config_validation():

@@ -10,13 +10,12 @@ import io
 import json
 import os
 import re
-import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
-from checkout import CROSS_SUMS, PROBLEMS, TSP, UNIT_KAKURO, UNSAT, python
+from checkout import CROSS_SUMS, PROBLEMS, TSP, UNIT_KAKURO, UNSAT, python, traced_peak
 from qsolve import cli
 
 
@@ -102,6 +101,10 @@ ROWS = [
     # an empty dump path would otherwise write nothing and still exit 0
     Refusal("empty_dump_path", TSP, ("--dump-circuit", ""),
             "error: --dump-circuit needs a file path"),
+    # and a dump into a missing directory, before the solve it would follow
+    *(Refusal(f"{kind}_dump_in_a_missing_directory", problem, ("--dump-circuit", "{tmp}/no/c"),
+              "error: [Errno 2] No such file or directory: '{tmp}/no/c'")
+      for kind, problem in (("sat", UNIT_KAKURO), ("tsp", TSP))),
     # the problem file
     Refusal("missing_file", PROBLEMS / "missing.json", (),
             "error: {problem}: No such file or directory"),
@@ -145,16 +148,17 @@ ROWS = [
               ("--max-qubits", str(cap)), NO_ADDRESS.format(bits + 2, bits - 1), early=False)
       for bits, cap in ((64, 128), (200_000_000, 400_000_000), (10**11, 2 * 10**11))),
     Refusal("sat_66", SAT_66, CAP_100, NO_ADDRESS.format(66, 63), early=False),
-    Refusal("tsp_59", TSP_59, CAP_100, "error: an array of shape (1, 576460752303423488) "
-            "needs 9223372036854775808 bytes, past the address space", early=False),
+    Refusal("tsp_59", TSP_59, CAP_100, "error: a 59-qubit precision register has 2**59 "
+            "outcomes, whose complex128 batch row needs 2**63 bytes, past the address space",
+            early=False),
     # numpy can address these packed masks but not allocate them
     *(Refusal(f"sat_{bits}", sat(bits), CAP_100, "error: Unable to allocate {...} for an array "
               f"with shape ({1 << bits >> 6},) and data type uint64", early=False, bounded=False)
       for bits in (60, 65)),
-    # the dump is written before the report, so a failed dump prints no report
-    *(Refusal(f"{kind}_dump_in_a_missing_directory", problem, ("--dump-circuit", "{tmp}/no/c"),
-              "error: [Errno 2] No such file or directory: '{tmp}/no/c'", early=False)
-      for kind, problem in (("sat", UNIT_KAKURO), ("tsp", TSP))),
+    # the dump is written before the report, so a dump that cannot be opened
+    # prints no report
+    Refusal("dump_under_a_file", sat(2, value=1), ("--dump-circuit", "{tmp}/problem.json/c"),
+            "error: [Errno 20] Not a directory: '{tmp}/problem.json/c'", early=False),
 ]
 
 HOLE = re.compile(r"\{(problem|tmp|\.\.\.)\}")
@@ -170,13 +174,8 @@ def refuse(row: Refusal, tmp: Path) -> None:
                             json.dumps(row.problem).encode())
     args = [arg.replace("{tmp}", str(tmp)) for arg in row.args]
     out, err = io.StringIO(), io.StringIO()
-    tracemalloc.start()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["solve", "--input", str(problem), *args])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code, peak = traced_peak(cli.main, ["solve", "--input", str(problem), *args])
     err = err.getvalue()
     assert (code, out.getvalue(), err.count("\n"), err[-1:]) == (2, "", 1, "\n"), err
     assert "Traceback" not in err

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from checkout import traced_peak
 from qsolve import statevector as sv
 from qsolve.circuit import apply_ops, h_layer
 from qsolve.problems import QubitBudgetError
@@ -105,14 +105,11 @@ def test_uniform_batch_rows_are_the_h_layer_bit_for_bit(m):
 
 @pytest.mark.parametrize("shape", [(1 << 60,), (64, 1 << 58)], ids=["state", "batch"])
 def test_uniform_refuses_a_shape_past_the_address_space(shape):
-    tracemalloc.start()
-    try:
+    def refuse():
         with pytest.raises(MemoryError, match="past the address space"):
             sv.uniform(shape)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+
+    assert traced_peak(refuse)[1] < 1 << 20
 
 
 def test_statevector_rejects_wrong_length():
@@ -274,11 +271,6 @@ def test_operand_validation_errors():
 # --- probabilities and marginals ----------------------------------------------------
 
 
-def test_probabilities_sum_to_one():
-    state = random_state(5, 11)
-    assert abs(sv.probabilities(state).sum() - 1.0) < 1e-12
-
-
 def _random_amplitudes(shape, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -304,28 +296,18 @@ def test_probabilities_are_the_squares_summed_byte_for_byte(make):
     assert probs.tobytes() == expected.tobytes()
 
 
-def _traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
 @pytest.mark.parametrize("target", [0, 10, 19])
 def test_an_h_call_holds_one_half_state_temporary(target):
     state = sv.uniform((1 << 20,))
     half = state.nbytes // 2
-    assert _traced_peak(lambda: sv.apply_unchecked(state, sv.H, (), (target,))) <= 1.1 * half
+    assert traced_peak(sv.apply_unchecked, state, sv.H, (), (target,))[1] <= 1.1 * half
 
 
 def test_probabilities_hold_the_result_and_one_chunk():
     n = 20
     state = np.full(1 << n, 2.0 ** (-n / 2) * (1 + 1j))
     result = state.nbytes // 2  # float64 per complex128 amplitude
-    assert _traced_peak(lambda: sv.probabilities(state)) <= 1.1 * result
+    assert traced_peak(sv.probabilities, state)[1] <= 1.1 * result
 
 
 # --- sampling ---------------------------------------------------------------------
@@ -336,15 +318,6 @@ def _uniform_state(num_qubits: int) -> np.ndarray:
     for q in range(num_qubits):
         state = apply_gate(state, sv.H, targets=(q,))
     return state
-
-
-def test_sample_deterministic_for_fixed_seed():
-    state = _uniform_state(3)
-    first = sv.sample(state, 2000, seed=7)
-    second = sv.sample(state, 2000, seed=7)
-    assert first == second
-    assert sum(first.counts.values()) == 2000
-    assert list(first.counts) == sorted(first.counts)
 
 
 def test_sample_varies_with_seed():
@@ -432,13 +405,7 @@ def test_sample_holds_no_more_than_a_tenth_beyond_the_state():
     n = 20
     state = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
     sv.sorted_draws.cache_clear()  # count the draws too
-    tracemalloc.start()
-    try:
-        sv.sample(state, 4096, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * state.nbytes
+    assert traced_peak(sv.sample, state, 4096, 0)[1] <= 1.1 * state.nbytes
 
 
 def test_chunk_sums_added_as_a_tree_are_numpys_sum():
@@ -521,14 +488,8 @@ def test_sorted_draws_are_numpys_default_rng_stream(shots):
 def test_sorted_draws_hold_the_draws_and_one_block():
     shots = 1 << 20
     sv.sorted_draws.cache_clear()
-    tracemalloc.start()
-    try:
-        sv.sorted_draws(shots, 11)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     # six uint64 arrays of one block each, and a little more
-    assert peak <= 8 * shots + 48 * BLOCK + 64 * 1024
+    assert traced_peak(sv.sorted_draws, shots, 11)[1] <= 8 * shots + 48 * BLOCK + 64 * 1024
 
 
 def test_sorted_draws_are_kept_read_only_and_refuse_a_negative_seed():

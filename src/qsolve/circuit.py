@@ -8,6 +8,7 @@ import math
 from typing import Iterable, Iterator, NamedTuple
 
 # qsolve's modules first, so an uncached compile's memory is freed before numpy loads
+from .problems import QubitRegister
 from .statevector import (
     Gate,
     H,
@@ -22,29 +23,6 @@ from .statevector import (
 )
 
 import numpy as np
-
-
-class _RegisterFields(NamedTuple):
-    name: str
-    offset: int
-    width: int
-
-
-class QubitRegister(_RegisterFields):
-    """A named contiguous block of qubits."""
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, offset: int, width: int) -> "QubitRegister":
-        if not name.isidentifier():
-            raise ValueError(f"register name {name!r} is not an identifier")
-        if offset < 0 or width < 1:
-            raise ValueError(f"bad register extent: offset={offset} width={width}")
-        return super().__new__(cls, name, offset, width)
-
-    @property
-    def qubits(self) -> range:
-        return range(self.offset, self.offset + self.width)
 
 
 class CircuitOp(NamedTuple):

@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-# parsing needs only the numpy-free problem model; a child imports the solver
-# its problem names, and with it numpy and the simulator, in that problem's branch
+# parsing and the size plan need only the numpy-free problem model; a child imports
+# the solver its problem names, and with it numpy and the simulator, in its branch
 from .problems import (
     DEFAULT_QUBIT_CAP,
     AlgorithmMismatchError,
@@ -31,6 +31,8 @@ from .problems import (
     SumEquals,
     TspInstance,
     VarDecl,
+    precision_plan,
+    qubit_layout,
     request_error,
     solver_option_error,
     validate_instance,
@@ -312,14 +314,15 @@ def _run_solve(args) -> int:
     common = {"shots": args.shots, "seed": args.seed, "max_qubits": args.max_qubits}
 
     if algorithm == "grover":
+        layout = qubit_layout(parsed.sat, args.max_qubits)
         from . import grover_sat
 
         report = grover_sat.solve(parsed.sat, frequency_threshold=args.threshold, **common)
         if args.dump_circuit:
-            layout = grover_sat.qubit_layout(parsed.sat, args.max_qubits)
             circuit = grover_sat.build_search_circuit(parsed.sat, layout, report.iterations_used)
         render, code = _render_sat, 0 if report.found else 1
     else:
+        precision_plan(parsed.tsp, args.max_qubits)
         from . import qpe_tsp
 
         report = qpe_tsp.solve(parsed.tsp, **common)

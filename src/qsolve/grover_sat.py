@@ -13,20 +13,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from typing import Iterator, NamedTuple, Sequence
 
 # qsolve's modules first, so an uncached compile's memory is freed before numpy loads
-from .circuit import Circuit, QubitRegister, h_layer, inverse
+from .circuit import Circuit, h_layer, inverse
 from .problems import (
     DEFAULT_QUBIT_CAP,
+    TABLE_BLOCK,
     EqualConst,
     NotEqual,
-    ProblemValidationError,
-    QubitBudgetError,
+    QubitLayout,
     SatProblem,
-    SumEquals,
-    validate_problem,
+    qubit_layout,
 )
 from .statevector import Histogram, X, Z, sample_two_levels, zeros
 
@@ -49,83 +47,6 @@ def classical_check(assignment: Assignment, problem: SatProblem) -> bool:
             if sum(assignment[n] for n in c.vars) != c.value:
                 return False
     return True
-
-
-# --- qubit layout ------------------------------------------------------------
-
-
-class QubitLayout(NamedTuple):
-    """Placement of a problem on qubits: search register first (variables in
-    declaration order, each MSB-first), one flag qubit per constraint, then a
-    shared sum scratch register sized for the widest sum constraint.
-
-    ``registers`` names these blocks for the search circuit: one per
-    variable, then ``flags`` and, if any sum needs it, ``scratch``, each
-    prefixed with underscores until no variable has its name."""
-
-    registers: tuple[QubitRegister, ...]
-    search_width: int
-    flag_qubits: tuple[int, ...]
-    scratch_width: int
-    num_qubits: int
-
-    def var_qubits(self, name: str) -> range:
-        for reg in self.registers:
-            if reg.name == name and reg.offset < self.search_width:
-                return reg.qubits
-        raise KeyError(f"no variable named {name!r}")
-
-    @property
-    def search_qubits(self) -> range:
-        return range(self.search_width)
-
-    @property
-    def scratch_qubits(self) -> range:
-        return range(self.num_qubits - self.scratch_width, self.num_qubits)
-
-
-def qubit_layout(problem: SatProblem, max_qubits: int = DEFAULT_QUBIT_CAP) -> QubitLayout:
-    diags = validate_problem(problem)
-    if diags:
-        raise ProblemValidationError(diags)
-    search_width = problem.search_width
-    if search_width > max_qubits:
-        # refused before the sum ranges, which take memory in proportion to bits
-        raise QubitBudgetError(
-            f"the search register alone needs {search_width} qubits but the cap is {max_qubits}"
-        )
-    if search_width - 3 >= sys.maxsize.bit_length():  # 2**search_width / 8 > sys.maxsize
-        raise MemoryError(
-            f"a {search_width}-bit search register has 2**{search_width} assignments, "
-            f"whose packed mask needs 2**{search_width - 3} bytes, past the address space"
-        )
-    widths = problem.widths()
-    flag_qubits = tuple(range(search_width, search_width + len(problem.constraints)))
-    scratch_width = 0
-    for c in problem.constraints:
-        if isinstance(c, SumEquals):
-            top = sum((1 << widths[n]) - 1 for n in c.vars)
-            scratch_width = max(scratch_width, top.bit_length())
-    num_qubits = search_width + len(flag_qubits) + scratch_width
-    if num_qubits > max_qubits:
-        raise QubitBudgetError(
-            f"layout needs {num_qubits} qubits "
-            f"({search_width} search + {len(flag_qubits)} flags + {scratch_width} scratch) "
-            f"but the cap is {max_qubits}"
-        )
-
-    def fresh(name: str) -> str:
-        while name in widths:
-            name = "_" + name
-        return name
-
-    offsets = itertools.accumulate((v.bits for v in problem.vars), initial=0)
-    registers = [QubitRegister(v.name, offset, v.bits) for v, offset in zip(problem.vars, offsets)]
-    # a valid problem has at least one constraint, so always a flag
-    registers.append(QubitRegister(fresh("flags"), search_width, len(flag_qubits)))
-    if scratch_width:
-        registers.append(QubitRegister(fresh("scratch"), num_qubits - scratch_width, scratch_width))
-    return QubitLayout(tuple(registers), search_width, flag_qubits, scratch_width, num_qubits)
 
 
 # --- constraint synthesis ------------------------------------------------------
@@ -231,8 +152,6 @@ def build_oracle(problem: SatProblem, layout: QubitLayout) -> Circuit:
 _LOW_BIT_WORDS = tuple(sum(1 << j for j in range(64) if j >> p & 1) for p in range(6))
 _WORD = np.dtype("<u8")  # little-endian, so a word's bytes unpack in assignment order
 _ONES = np.uint64((1 << 64) - 1)
-# words per column in one block of the sign table: 128 KiB each
-_TABLE_BLOCK = 1 << 14
 
 
 def _marked(problem: SatProblem, layout: QubitLayout) -> np.ndarray:
@@ -242,7 +161,7 @@ def _marked(problem: SatProblem, layout: QubitLayout) -> np.ndarray:
 
     The block is X gates with any controls, which permute basis states, so
     on |x, 0> the oracle is the sign -1 exactly there and resets every
-    ancilla.  Its ops run bit-sliced, on ``_TABLE_BLOCK`` words at a time:
+    ancilla.  Its ops run bit-sliced, on ``TABLE_BLOCK`` words at a time:
     each qubit is a column of 64-bit words, bit j of word w holding its
     value on assignment 64w + j, and only the AND of the flag columns is kept."""
     ops = _compute(problem, layout).ops
@@ -251,7 +170,7 @@ def _marked(problem: SatProblem, layout: QubitLayout) -> np.ndarray:
             raise ValueError(f"the compute block must be X gates only, got {op.gate.name!r}")
     s = layout.search_width
     mask = zeros((max(1, 1 << s >> 6),), _WORD)
-    block = min(mask.size, _TABLE_BLOCK)
+    block = min(mask.size, TABLE_BLOCK)
     columns = [zeros((block,), _WORD) for _ in range(layout.num_qubits)]
     acc = np.empty_like(columns[0])
     for start in range(0, mask.size, block):

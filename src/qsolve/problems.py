@@ -1,6 +1,6 @@
 """The problem model: constraint problems and tour instances, their semantic
-validation, the limits a request is held to before anything is built, and
-the errors the package raises.
+validation, the size plan a request is held to before anything is built,
+and the errors the package raises.
 
 This module imports only the standard library, so a problem file can be
 read, validated or refused without loading numpy or the simulator.  The
@@ -10,10 +10,14 @@ define at import.
 
 from __future__ import annotations
 
+import itertools
+import sys
 from typing import NamedTuple, Sequence, Union
 
 # a dense register takes 16 * 2**n bytes, so 26 qubits top out at 1 GiB
 DEFAULT_QUBIT_CAP = 26
+# words per column in one block of the sign table: 128 KiB each
+TABLE_BLOCK = 1 << 14
 
 MIN_NODES = 3
 MAX_NODES = 8
@@ -24,7 +28,7 @@ class QsolveError(Exception):
 
 
 class QubitBudgetError(QsolveError):
-    """A register or layout would exceed the configured qubit cap."""
+    """A register, or what a solve holds, would exceed the configured qubit cap."""
 
 
 class ProblemValidationError(QsolveError):
@@ -55,14 +59,13 @@ def request_error(
 ) -> str | None:
     """The first refusal of a request's ``--shots``, ``--max-qubits``,
     ``--seed``, ``--threshold`` and ``--dump-circuit``, or None.  Draws take
-    8 bytes a shot, a state 16 * 2**max_qubits; the bit-length test keeps a
-    cap wider than the shot count from building 2**max_qubits.  An empty dump
-    path would write nothing without a word, so it is refused too."""
+    8 bytes a shot, held to :func:`state_budget`.  An empty dump path would
+    write nothing without a word, so it is refused too."""
     if shots < 1:
         return f"--shots must be positive, got {shots}"
     if max_qubits < 1:
         return f"--max-qubits must be positive, got {max_qubits}"
-    if max_qubits < shots.bit_length() and 8 * shots > 16 << max_qubits:
+    if 8 * shots > state_budget(max_qubits):
         return f"--shots {shots} needs more memory than a {max_qubits}-qubit state"
     if seed < 0:
         return f"--seed must be non-negative, got {seed}"
@@ -232,3 +235,142 @@ def validate_instance(instance: TspInstance) -> list[str]:
                     f"got {w} vs adjacency[{j}][{i}] = {instance.weights[j][i]}"
                 )
     return diags
+
+
+def phase_scale(instance: TspInstance) -> tuple[int, int]:
+    """(scale, precision_bits): the smallest power of two strictly greater
+    than the sum of the n largest edge weights.
+
+    Any Hamiltonian cycle uses n distinct edges, so every tour length is
+    strictly below the scale and maps to a distinct exact m-bit phase.
+    """
+    n, w = instance.n_nodes, instance.weights
+    edges = sorted((w[i][j] for i in range(n) for j in range(i + 1, n)), reverse=True)
+    bound = sum(edges[:n])
+    m = max(1, bound.bit_length())
+    return 1 << m, m
+
+
+# --- the size plan: the cap counts the register a solve samples ---------------------
+
+
+def state_budget(max_qubits: int) -> int:
+    """The most bytes a solve holds: one complex128 state at the cap, 16 *
+    2**max_qubits, clamped to ``sys.maxsize``.  The exponents are compared,
+    so a huge cap builds no huge number."""
+    if max_qubits + 4 >= sys.maxsize.bit_length():
+        return sys.maxsize
+    return 16 << max_qubits
+
+
+def precision_plan(instance: TspInstance, max_qubits: int) -> tuple[int, int]:
+    """:func:`phase_scale` of a valid instance whose precision register fits
+    the cap and one of whose complex128 batch rows fits the budget."""
+    diags = validate_instance(instance)
+    if diags:
+        raise ProblemValidationError(diags)
+    scale, m = phase_scale(instance)
+    if m > max_qubits:
+        raise QubitBudgetError(f"{m} precision qubits requested but the cap is {max_qubits}")
+    if 16 << m > state_budget(max_qubits):  # only a budget clamped to the address space
+        raise MemoryError(
+            f"a {m}-qubit precision register has 2**{m} outcomes, "
+            f"whose complex128 batch row needs 2**{m + 4} bytes, past the address space"
+        )
+    return scale, m
+
+
+class QubitRegister(NamedTuple("_Fields", [("name", str), ("offset", int), ("width", int)])):
+    """A named contiguous block of qubits."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, offset: int, width: int) -> "QubitRegister":
+        if not name.isidentifier():
+            raise ValueError(f"register name {name!r} is not an identifier")
+        if offset < 0 or width < 1:
+            raise ValueError(f"bad register extent: offset={offset} width={width}")
+        return super().__new__(cls, name, offset, width)
+
+    @property
+    def qubits(self) -> range:
+        return range(self.offset, self.offset + self.width)
+
+
+class QubitLayout(NamedTuple):
+    """Placement of a problem on qubits: search register first (variables in
+    declaration order, each MSB-first), one flag qubit per constraint, then a
+    shared sum scratch register sized for the widest sum constraint.
+
+    ``registers`` names these blocks for the search circuit: one per
+    variable, then ``flags`` and, if any sum needs it, ``scratch``, each
+    prefixed with underscores until no variable has its name."""
+
+    registers: tuple[QubitRegister, ...]
+    search_width: int
+    flag_qubits: tuple[int, ...]
+    scratch_width: int
+    num_qubits: int
+
+    def var_qubits(self, name: str) -> range:
+        for reg in self.registers:
+            if reg.name == name and reg.offset < self.search_width:
+                return reg.qubits
+        raise KeyError(f"no variable named {name!r}")
+
+    @property
+    def search_qubits(self) -> range:
+        return range(self.search_width)
+
+    @property
+    def scratch_qubits(self) -> range:
+        return range(self.num_qubits - self.scratch_width, self.num_qubits)
+
+
+def qubit_layout(problem: SatProblem, max_qubits: int = DEFAULT_QUBIT_CAP) -> QubitLayout:
+    """The layout of a valid problem whose search register fits the cap and whose
+    sign table fits the budget: a packed mask of one bit per assignment, and a
+    block of ``TABLE_BLOCK`` words in a column per qubit and one more."""
+    diags = validate_problem(problem)
+    if diags:
+        raise ProblemValidationError(diags)
+    search_width = problem.search_width
+    if search_width > max_qubits:
+        # refused before the sum ranges, which take memory in proportion to bits
+        raise QubitBudgetError(
+            f"the search register alone needs {search_width} qubits but the cap is {max_qubits}"
+        )
+    if search_width - 3 >= sys.maxsize.bit_length():  # 2**search_width / 8 > sys.maxsize
+        raise MemoryError(
+            f"a {search_width}-bit search register has 2**{search_width} assignments, "
+            f"whose packed mask needs 2**{search_width - 3} bytes, past the address space"
+        )
+    widths = problem.widths()
+    flag_qubits = tuple(range(search_width, search_width + len(problem.constraints)))
+    scratch_width = 0
+    for c in problem.constraints:
+        if isinstance(c, SumEquals):
+            top = sum((1 << widths[n]) - 1 for n in c.vars)
+            scratch_width = max(scratch_width, top.bit_length())
+    num_qubits = search_width + len(flag_qubits) + scratch_width
+    words = max(1, 1 << search_width >> 6)
+    column = 8 * min(words, TABLE_BLOCK)
+    held = 8 * words + (num_qubits + 1) * column
+    if held > state_budget(max_qubits):
+        raise QubitBudgetError(
+            f"the sign table needs {held} bytes (a mask of {8 * words} and {num_qubits + 1} "
+            f"columns of {column}) but a {max_qubits}-qubit cap allows {state_budget(max_qubits)}"
+        )
+
+    def fresh(name: str) -> str:
+        while name in widths:
+            name = "_" + name
+        return name
+
+    offsets = itertools.accumulate((v.bits for v in problem.vars), initial=0)
+    registers = [QubitRegister(v.name, offset, v.bits) for v, offset in zip(problem.vars, offsets)]
+    # a valid problem has at least one constraint, so always a flag
+    registers.append(QubitRegister(fresh("flags"), search_width, len(flag_qubits)))
+    if scratch_width:
+        registers.append(QubitRegister(fresh("scratch"), num_qubits - scratch_width, scratch_width))
+    return QubitLayout(tuple(registers), search_width, flag_qubits, scratch_width, num_qubits)

@@ -12,18 +12,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from typing import NamedTuple, Sequence
 
 # qsolve's modules first, so an uncached compile's memory is freed before numpy loads
 from .circuit import Circuit, QubitRegister, apply_ops, build_qft, h_layer, inverse
-from .problems import (
+from .problems import (  # phase_scale and validate_instance are reached from here too
     DEFAULT_QUBIT_CAP,
     MAX_NODES,
     MIN_NODES,
-    ProblemValidationError,
-    QubitBudgetError,
     TspInstance,
+    phase_scale,
+    precision_plan,
+    state_budget,
     validate_instance,
 )
 from .statevector import outcome_cdf, probabilities, rotate, sorted_draws, uniform
@@ -60,23 +60,6 @@ def tour_length(instance: TspInstance, tour: Sequence[int]) -> int:
 
 def bits_per_node(n_nodes: int) -> int:
     return (n_nodes - 1).bit_length()  # ceil(log2 n) for n >= 2
-
-
-def phase_scale(instance: TspInstance) -> tuple[int, int]:
-    """(scale, precision_bits): the smallest power of two strictly greater
-    than the sum of the n largest edge weights.
-
-    Any Hamiltonian cycle uses n distinct edges, so every tour length is
-    strictly below the scale and maps to a distinct exact m-bit phase.
-    """
-    n = instance.n_nodes
-    edges = sorted(
-        (instance.weights[i][j] for i in range(n) for j in range(i + 1, n)),
-        reverse=True,
-    )
-    bound = sum(edges[:n])
-    m = max(1, bound.bit_length())
-    return 1 << m, m
 
 
 def encode_eigenstate(tour: Sequence[int], n_nodes: int) -> int:
@@ -225,17 +208,7 @@ def solve(
         raise ValueError(f"shots must be positive, got {shots}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    diags = validate_instance(instance)
-    if diags:
-        raise ProblemValidationError(diags)
-    scale, m = phase_scale(instance)
-    if m > max_qubits:
-        raise QubitBudgetError(f"{m} precision qubits requested but the cap is {max_qubits}")
-    if 16 << m > sys.maxsize:
-        raise MemoryError(
-            f"a {m}-qubit precision register has 2**{m} outcomes, "
-            f"whose complex128 batch row needs 2**{m + 4} bytes, past the address space"
-        )
+    scale, m = precision_plan(instance, max_qubits)
     tours = enumerate_cycles(instance.n_nodes)
     # each cycle's closed walk, summed in a plain loop: no numpy table of the
     # cycles, and no generator per tour
@@ -247,11 +220,10 @@ def solve(
             length += rows[a][b]
             a = b
         exponents.append(length)
-    # a cycle's seeded readout depends only on its exponent: estimate and
-    # decode each distinct exponent once, in batches no larger than one state
-    # at the cap
+    # a cycle's seeded readout depends only on its exponent: estimate and decode
+    # each distinct exponent once, in batches of as many rows as the budget holds
     distinct = list(dict.fromkeys(exponents))
-    chunk = 1 << min(max_qubits - m, len(distinct).bit_length())
+    chunk = state_budget(max_qubits) // (16 << m)
     estimates: dict[int, PhaseEstimate] = {}
     for start in range(0, len(distinct), chunk):
         rows = distinct[start : start + chunk]

@@ -53,92 +53,117 @@ def test_parse_invalid_json_reports_location(tmp_path):
 @pytest.mark.parametrize(
     "payload, fragment",
     [
-        ([], "expected an object"),
-        ({}, "missing required field 'type'"),
-        ({"type": "maze"}, "unknown problem type 'maze'"),
-        ({"type": 3}, "expected a string"),
-        ({"type": "sat", "variables": {}, "constraints": []}, "expected an array"),
-        (
+        pytest.param([], "expected an object", id="not_an_object"),
+        pytest.param({}, "missing required field 'type'", id="no_type"),
+        pytest.param({"type": "maze"}, "unknown problem type 'maze'", id="unknown_type"),
+        pytest.param({"type": 3}, "expected a string", id="type_not_a_string"),
+        pytest.param(
+            {"type": "sat", "variables": {}, "constraints": []},
+            "expected an array",
+            id="variables_not_an_array",
+        ),
+        pytest.param(
             {"type": "sat", "variables": [[]], "constraints": []},
             "variables\\[0\\]: expected an object",
+            id="variable_not_an_object",
         ),
-        (
+        pytest.param(
             {"type": "sat", "variables": [{"bits": 1}], "constraints": []},
             "missing required field 'name'",
+            id="variable_without_name",
         ),
-        (
+        pytest.param(
             {"type": "sat", "variables": [{"name": "a"}], "constraints": []},
             "missing required field 'bits'",
+            id="variable_without_bits",
         ),
-        (
+        pytest.param(
             {"type": "sat", "variables": [{"name": "a", "bits": True}], "constraints": []},
             "bits: expected an integer, got bool",
+            id="bool_bits",
         ),
-        (
+        pytest.param(
             {"type": "sat", "variables": [{"name": "a", "bits": 1}]},
             "missing required field 'constraints'",
+            id="no_constraints_field",
         ),
-        (
+        pytest.param(
             {
                 "type": "sat",
                 "variables": [{"name": "a", "bits": 1}],
                 "constraints": [{"kind": "frobnicate", "args": ["a"]}],
             },
             "constraints\\[0\\]: unknown constraint kind 'frobnicate'",
+            id="unknown_constraint_kind",
         ),
-        (
+        pytest.param(
             {
                 "type": "sat",
                 "variables": [{"name": "a", "bits": 1}],
                 "constraints": [{"kind": "not_equal", "args": ["a", "a", "a"]}],
             },
             "exactly 2 args, got 3",
+            id="not_equal_with_three_args",
         ),
-        (
+        pytest.param(
             {
                 "type": "sat",
                 "variables": [{"name": "a", "bits": 1}],
                 "constraints": [{"kind": "not_equal", "args": ["a", "a"], "value": 1}],
             },
             "takes no 'value'",
+            id="not_equal_with_a_value",
         ),
-        (
+        pytest.param(
             {
                 "type": "sat",
                 "variables": [{"name": "a", "bits": 1}],
                 "constraints": [{"kind": "equal_const", "args": ["a"]}],
             },
             "missing required field 'value'",
+            id="equal_const_without_value",
         ),
-        (
+        pytest.param(
             {
                 "type": "sat",
                 "variables": [{"name": "a", "bits": 1}],
                 "constraints": [{"kind": "sum_equals", "args": [], "value": 0}],
             },
             "at least 1 arg",
+            id="sum_equals_without_args",
         ),
-        (
+        pytest.param(
             {
                 "type": "sat",
                 "variables": [{"name": "a", "bits": 1}],
                 "constraints": [{"kind": "equal_const", "args": [7], "value": 0}],
             },
             "args\\[0\\]: expected a string",
+            id="arg_not_a_string",
         ),
-        (
+        pytest.param(
             {
                 "type": "sat",
                 "variables": [{"name": "a", "bits": 1}],
                 "constraints": [{"kind": "equal_const", "args": ["z"], "value": 0}],
             },
             "undeclared variable 'z'",
+            id="undeclared_variable",
         ),
-        ({"type": "tsp"}, "missing required field 'adjacency'"),
-        ({"type": "tsp", "adjacency": [[0, 1.5], [1.5, 0]]}, "expected an integer, got float"),
-        (
+        pytest.param(
+            {"type": "tsp"},
+            "missing required field 'adjacency'",
+            id="tsp_without_adjacency",
+        ),
+        pytest.param(
+            {"type": "tsp", "adjacency": [[0, 1.5], [1.5, 0]]},
+            "expected an integer, got float",
+            id="float_weight",
+        ),
+        pytest.param(
             {"type": "tsp", "adjacency": [[0, 1, 2], [1, 0, 3], [9, 3, 0]]},
             "symmetric",
+            id="asymmetric_weights",
         ),
     ],
 )

@@ -21,12 +21,12 @@ README_EXAMPLE = GOLDEN / "readme_example.json"
 # one solution of 2**20, found at t = 6: the golden case whose walk carries
 # its amplitudes across schedule steps
 NEEDLE = GOLDEN / "needle20.json"
-# a 24-bit search register in a 37-qubit layout, past the default cap: its
-# 2**24 outcome probabilities are summed into the sampling CDF, where a sum
-# that depends on the SIMD level would show in the report
+# a 24-bit search register in a 37-qubit layout, within the default cap,
+# which counts the search register: its 2**24 outcome probabilities are
+# summed into the sampling CDF, where a sum that depends on the SIMD level
+# would show in the report
 WIDE = GOLDEN / "sat_wide24.json"
 JSON = ("--output", "json")
-CAP_64 = ("--max-qubits", "64")
 
 
 class Case(NamedTuple):
@@ -64,8 +64,8 @@ CASES = [
     Case(NEEDLE, (), 0, "needle20.text.out", 0, None),
     Case(NEEDLE, JSON, 0, "needle20.json.out", 0, None),
     Case(NEEDLE, (), 0, "needle20.text.out", 0, "needle20.dump"),
-    Case(WIDE, CAP_64, 0, "sat_wide24.text.out", 0, None),
-    Case(WIDE, (*CAP_64, *JSON), 0, "sat_wide24.json.out", 0, None),
+    Case(WIDE, (), 0, "sat_wide24.text.out", 0, None),
+    Case(WIDE, JSON, 0, "sat_wide24.json.out", 0, None),
 ]
 
 
@@ -149,6 +149,6 @@ def test_sat_output_holds_with_the_smallest_blocks_and_chunks(monkeypatch, case,
     unused mask bits clear."""
     reseeded = case._replace(seed=seed)
     expected = golden(case) if seed == case.seed else run(reseeded)
-    monkeypatch.setattr(grover_sat, "_TABLE_BLOCK", 2)
+    monkeypatch.setattr(grover_sat, "TABLE_BLOCK", 2)
     monkeypatch.setattr(sv, "_CDF_CHUNK", 1 << 7)
     assert run(reseeded) == expected

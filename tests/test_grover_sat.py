@@ -75,26 +75,53 @@ def test_validate_accepts_well_formed_problems():
 @pytest.mark.parametrize(
     "problem, fragment",
     [
-        (SatProblem((), (EqualConst("a", 0),)), "no variables"),
-        (SatProblem((VarDecl("a", 1),), ()), "no constraints"),
-        (
+        pytest.param(SatProblem((), (EqualConst("a", 0),)), "no variables", id="no_variables"),
+        pytest.param(SatProblem((VarDecl("a", 1),), ()), "no constraints", id="no_constraints"),
+        pytest.param(
             SatProblem((VarDecl("a", 1), VarDecl("a", 2)), (EqualConst("a", 0),)),
             "duplicate variable",
+            id="duplicate_name",
         ),
-        (SatProblem((VarDecl("a", 0),), (EqualConst("a", 0),)), "width"),
-        (SatProblem((VarDecl("2x", 1),), (EqualConst("2x", 0),)), "identifier"),
-        (SatProblem((VarDecl("a", 1),), (NotEqual("a", "z"),)), "undeclared"),
-        (
+        pytest.param(
+            SatProblem((VarDecl("a", 0),), (EqualConst("a", 0),)),
+            "width",
+            id="zero_width",
+        ),
+        pytest.param(
+            SatProblem((VarDecl("2x", 1),), (EqualConst("2x", 0),)),
+            "identifier",
+            id="name_not_an_identifier",
+        ),
+        pytest.param(
+            SatProblem((VarDecl("a", 1),), (NotEqual("a", "z"),)),
+            "undeclared",
+            id="undeclared_variable",
+        ),
+        pytest.param(
             SatProblem((VarDecl("a", 1), VarDecl("b", 2)), (NotEqual("a", "b"),)),
             "equal widths",
+            id="unequal_widths",
         ),
-        (SatProblem((VarDecl("a", 2),), (EqualConst("a", 4),)), "outside the range"),
-        (SatProblem((VarDecl("a", 2),), (EqualConst("a", -1),)), "outside the range"),
-        (
+        pytest.param(
+            SatProblem((VarDecl("a", 2),), (EqualConst("a", 4),)),
+            "outside the range",
+            id="value_above_the_range",
+        ),
+        pytest.param(
+            SatProblem((VarDecl("a", 2),), (EqualConst("a", -1),)),
+            "outside the range",
+            id="value_below_the_range",
+        ),
+        pytest.param(
             SatProblem((VarDecl("a", 2),), (SumEquals(("a", "a"), 7),)),
             "achievable sum",
+            id="sum_above_the_range",
         ),
-        (SatProblem((VarDecl("a", 2),), (SumEquals((), 0),)), "at least one"),
+        pytest.param(
+            SatProblem((VarDecl("a", 2),), (SumEquals((), 0),)),
+            "at least one",
+            id="sum_of_no_variables",
+        ),
     ],
 )
 def test_validate_reports_defects(problem, fragment):
@@ -162,8 +189,12 @@ def test_layout_without_sums_has_no_scratch():
 
 
 def test_layout_enforces_qubit_budget():
-    with pytest.raises(QubitBudgetError, match="19"):
-        qubit_layout(CROSS_SUM_KAKURO, max_qubits=18)
+    # the cap counts the 8-qubit search register, not the 19-qubit layout
+    assert qubit_layout(CROSS_SUM_KAKURO, max_qubits=8).num_qubits == 19
+    with pytest.raises(
+        QubitBudgetError, match="^the search register alone needs 8 qubits but the cap is 7$"
+    ):
+        qubit_layout(CROSS_SUM_KAKURO, max_qubits=7)
 
 
 def test_layout_rejects_invalid_problem():
@@ -412,7 +443,7 @@ def test_sign_table_of_a_20_bit_register_peaks_under_8_mib():
     specs = [("not_equal", a, b) for a, b in zip(names, names[1:])]
     specs.append(("sum_equals", tuple(names), 35))
     problem = problem_from_specs(dict.fromkeys(names, 4), specs)
-    layout = qubit_layout(problem, max_qubits=32)  # 20 search + 5 flags + 7 scratch
+    layout = qubit_layout(problem)  # 20 search + 5 flags + 7 scratch
     assert layout.search_width == 20
     mask, peak = traced_peak(grover_sat._marked, problem, layout)
     assert int(np.bitwise_count(mask).sum()) == 31134
@@ -728,7 +759,7 @@ def test_a_full_20_bit_schedule_follows_the_closed_form():
     solutions = int(expected_marked.sum())
     assert 0 < solutions < expected_marked.size == 1 << 20
     steps = []
-    for t, mask, a, b in schedule_states(problem, qubit_layout(problem, max_qubits=32)):
+    for t, mask, a, b in schedule_states(problem, qubit_layout(problem)):
         if not steps:
             assert np.array_equal(unpack(mask, 20), expected_marked)
         expected = oracles.amplification_probability(20, solutions, t)
@@ -762,7 +793,7 @@ def test_a_whole_24_bit_schedule_stays_on_the_closed_form():
     solutions = marked_count_by_dp(4, 42)
     assert solutions == 426_636
     steps = []
-    for t, mask, a, b in schedule_states(problem, qubit_layout(problem, max_qubits=64)):
+    for t, mask, a, b in schedule_states(problem, qubit_layout(problem)):
         if not steps:
             assert int(np.bitwise_count(mask).sum()) == solutions
         mass = solutions * a * a
@@ -790,7 +821,7 @@ def test_a_24_bit_solve_holds_no_array_of_an_element_per_assignment():
     """sat_wide24: 37 columns of one 128 KiB block, the 2 MiB packed mask and
     one 2 MiB chunk of the CDF; a bool per assignment alone would be 16 MiB."""
     problem = cli.parse_problem(GOLDEN / "sat_wide24.json").sat
-    report, peak = traced_peak(lambda: solve(problem, max_qubits=64))
+    report, peak = traced_peak(solve, problem)
     assert (report.iterations_used, len(report.solutions)) == (1, 875)
     assert peak < 16 << 20
 
@@ -807,8 +838,8 @@ def test_solve_config_validation():
         solve(UNIT_KAKURO, shots=0)
     with pytest.raises(ValueError):
         solve(UNIT_KAKURO, frequency_threshold=1.5)
-    with pytest.raises(QubitBudgetError):
-        solve(CROSS_SUM_KAKURO, max_qubits=10)
+    with pytest.raises(QubitBudgetError, match="needs 8 qubits but the cap is 7$"):
+        solve(CROSS_SUM_KAKURO, max_qubits=7)
 
 
 def test_solve_rejects_a_negative_seed():

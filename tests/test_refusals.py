@@ -35,6 +35,13 @@ def sat(*widths, kind="equal_const", value=5) -> dict:
 # mask needs 2**63 bytes: numpy cannot address either
 TSP_59 = {"type": "tsp", "adjacency": [[0, 2**58, 1], [2**58, 0, 1], [1, 1, 0]]}
 SAT_66 = sat(66)
+# a 58-qubit precision register with three distinct tour lengths, whose
+# 2**62-byte rows run one to a batch at any cap
+B = 2**56
+TSP_58 = {"type": "tsp", "adjacency": [[0, B, B, 1], [B, 0, 2, B], [B, 2, 0, 3], [1, B, 3, 0]]}
+# one bit, so the mask is one word, and three flags: 8 + 5 * 8 bytes
+THREE_FLAGS = {**sat(1, value=1), "constraints": [
+    {"kind": "equal_const", "args": ["a"], "value": 1}] * 3}
 # two 10**8-bit variables: validation range-checks 5 against a and 3
 # against a + b without building either range, then the layout is refused
 TWO_1E8 = {
@@ -139,22 +146,27 @@ ROWS = [
             MISMATCH.format("grover", "tsp", "qpe")),
     Refusal("threshold_on_tsp", TSP, ("--threshold", "0.5"),
             "error: --threshold applies to the grover solver only, not to qpe"),
-    # the solver's layout and allocations
+    # the size plan, made before numpy loads: the cap counts the register a
+    # solve samples, and what the solve holds must fit one state at the cap
     Refusal("two_1e8_bit_variables", TWO_1E8, (),
-            "error: the search register alone needs 200000000 qubits but the cap is 26",
-            early=False),
+            "error: the search register alone needs 200000000 qubits but the cap is 26"),
     # 66 or more search bits, within the cap or not, are refused before any sum is sized
     *(Refusal(f"sat_{bits + 2}_cap_{cap}", sat(bits, 2, kind="sum_equals", value=9),
-              ("--max-qubits", str(cap)), NO_ADDRESS.format(bits + 2, bits - 1), early=False)
+              ("--max-qubits", str(cap)), NO_ADDRESS.format(bits + 2, bits - 1))
       for bits, cap in ((64, 128), (200_000_000, 400_000_000), (10**11, 2 * 10**11))),
-    Refusal("sat_66", SAT_66, CAP_100, NO_ADDRESS.format(66, 63), early=False),
+    Refusal("sat_66", SAT_66, CAP_100, NO_ADDRESS.format(66, 63)),
+    # a search register within the cap whose sign table is not
+    Refusal("sign_table_past_the_cap", THREE_FLAGS, ("--max-qubits", "1", "--shots", "4"),
+            "error: the sign table needs 48 bytes (a mask of 8 and 5 columns of 8) but a "
+            "1-qubit cap allows 32"),
     Refusal("tsp_59", TSP_59, CAP_100, "error: a 59-qubit precision register has 2**59 "
-            "outcomes, whose complex128 batch row needs 2**63 bytes, past the address space",
-            early=False),
-    # numpy can address these packed masks but not allocate them
+            "outcomes, whose complex128 batch row needs 2**63 bytes, past the address space"),
+    # numpy can address these packed masks and this batch row but not allocate them
     *(Refusal(f"sat_{bits}", sat(bits), CAP_100, "error: Unable to allocate {...} for an array "
               f"with shape ({1 << bits >> 6},) and data type uint64", early=False, bounded=False)
       for bits in (60, 65)),
+    Refusal("tsp_58", TSP_58, CAP_100, "error: Unable to allocate {...} for an array with shape "
+            "(1, 288230376151711744) and data type complex128", early=False, bounded=False),
     # the dump is written before the report, so a dump that cannot be opened
     # prints no report
     Refusal("dump_under_a_file", sat(2, value=1), ("--dump-circuit", "{tmp}/problem.json/c"),

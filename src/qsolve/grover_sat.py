@@ -19,14 +19,14 @@ from typing import Iterator, NamedTuple, Sequence
 from .circuit import Circuit, h_layer, inverse
 from .problems import (
     DEFAULT_QUBIT_CAP,
-    TABLE_BLOCK,
     EqualConst,
     NotEqual,
     QubitLayout,
     SatProblem,
     qubit_layout,
+    request_error,
 )
-from .statevector import Histogram, X, Z, sample_two_levels, zeros
+from .statevector import Histogram, X, Z, sample_two_levels
 
 import numpy as np
 
@@ -161,7 +161,7 @@ def _marked(problem: SatProblem, layout: QubitLayout) -> np.ndarray:
 
     The block is X gates with any controls, which permute basis states, so
     on |x, 0> the oracle is the sign -1 exactly there and resets every
-    ancilla.  Its ops run bit-sliced, on ``TABLE_BLOCK`` words at a time:
+    ancilla.  Its ops run bit-sliced, on ``layout.table_block`` words at a time:
     each qubit is a column of 64-bit words, bit j of word w holding its
     value on assignment 64w + j, and only the AND of the flag columns is kept."""
     ops = _compute(problem, layout).ops
@@ -169,11 +169,11 @@ def _marked(problem: SatProblem, layout: QubitLayout) -> np.ndarray:
         if op.gate != X:
             raise ValueError(f"the compute block must be X gates only, got {op.gate.name!r}")
     s = layout.search_width
-    mask = zeros((max(1, 1 << s >> 6),), _WORD)
-    block = min(mask.size, TABLE_BLOCK)
-    columns = [zeros((block,), _WORD) for _ in range(layout.num_qubits)]
+    words, block = layout.mask_words, layout.table_block
+    mask = np.zeros((words,), _WORD)
+    columns = [np.zeros((block,), _WORD) for _ in range(layout.num_qubits)]
     acc = np.empty_like(columns[0])
-    for start in range(0, mask.size, block):
+    for start in range(0, words, block):
         for q in layout.search_qubits:
             column, p = columns[q], s - 1 - q  # the index bit of qubit q: qubit 0 is the MSB
             if p < 6:
@@ -356,16 +356,13 @@ def solve(
     "no solution found" is a result, not an error.  A ``frequency_threshold``
     of None means the unknown-solution-count default, 2 / 2**search_width.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    fault = request_error(shots, seed, max_qubits, frequency_threshold)
+    if fault:
+        raise ValueError(fault)
     layout = qubit_layout(problem, max_qubits)
     threshold = frequency_threshold
     if threshold is None:
         threshold = 2.0 / (1 << layout.search_width)
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"frequency threshold must be in (0, 1], got {threshold}")
     trace: list[tuple[int, int]] = []
     sampled = marked = None
     for iterations, mask, a, b in schedule_states(problem, layout):

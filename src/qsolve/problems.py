@@ -16,6 +16,8 @@ from typing import NamedTuple, Sequence, Union
 
 # a dense register takes 16 * 2**n bytes, so 26 qubits top out at 1 GiB
 DEFAULT_QUBIT_CAP = 26
+# the widest cap whose state numpy can address: 2**62 bytes on a 64-bit build
+MAX_QUBIT_CAP = sys.maxsize.bit_length() - 5
 # words per column in one block of the sign table: 128 KiB each
 TABLE_BLOCK = 1 << 14
 
@@ -58,14 +60,16 @@ def request_error(
     dump_path: str | None = None,
 ) -> str | None:
     """The first refusal of a request's ``--shots``, ``--max-qubits``,
-    ``--seed``, ``--threshold`` and ``--dump-circuit``, or None.  Draws take
-    8 bytes a shot, held to :func:`state_budget`.  An empty dump path would
-    write nothing without a word, so it is refused too."""
+    ``--seed``, ``--threshold`` and ``--dump-circuit``, or None, by the CLI
+    and both solvers.  Draws take 8 bytes a shot, held to :func:`state_budget`.
+    An empty dump path would write nothing without a word, so it is refused."""
     if shots < 1:
         return f"--shots must be positive, got {shots}"
-    if max_qubits < 1:
-        return f"--max-qubits must be positive, got {max_qubits}"
-    if 8 * shots > state_budget(max_qubits):
+    try:
+        budget = state_budget(max_qubits)
+    except QubitBudgetError as exc:
+        return str(exc)
+    if 8 * shots > budget:
         return f"--shots {shots} needs more memory than a {max_qubits}-qubit state"
     if seed < 0:
         return f"--seed must be non-negative, got {seed}"
@@ -256,28 +260,25 @@ def phase_scale(instance: TspInstance) -> tuple[int, int]:
 
 def state_budget(max_qubits: int) -> int:
     """The most bytes a solve holds: one complex128 state at the cap, 16 *
-    2**max_qubits, clamped to ``sys.maxsize``.  The exponents are compared,
-    so a huge cap builds no huge number."""
-    if max_qubits + 4 >= sys.maxsize.bit_length():
-        return sys.maxsize
+    2**max_qubits.  A cap outside 1..MAX_QUBIT_CAP is refused, so a huge cap
+    builds no huge number and every planned array is one numpy can address."""
+    if not 1 <= max_qubits <= MAX_QUBIT_CAP:
+        raise QubitBudgetError(f"--max-qubits must be in 1..{MAX_QUBIT_CAP}, got {max_qubits}")
     return 16 << max_qubits
 
 
-def precision_plan(instance: TspInstance, max_qubits: int) -> tuple[int, int]:
-    """:func:`phase_scale` of a valid instance whose precision register fits
-    the cap and one of whose complex128 batch rows fits the budget."""
+def precision_plan(instance: TspInstance, max_qubits: int) -> tuple[int, int, int]:
+    """``(scale, m, rows)``: :func:`phase_scale` of a valid instance whose
+    precision register fits the cap, and how many of its complex128 batch
+    rows, 16 * 2**m bytes each, the budget holds at once."""
+    budget = state_budget(max_qubits)
     diags = validate_instance(instance)
     if diags:
         raise ProblemValidationError(diags)
     scale, m = phase_scale(instance)
     if m > max_qubits:
         raise QubitBudgetError(f"{m} precision qubits requested but the cap is {max_qubits}")
-    if 16 << m > state_budget(max_qubits):  # only a budget clamped to the address space
-        raise MemoryError(
-            f"a {m}-qubit precision register has 2**{m} outcomes, "
-            f"whose complex128 batch row needs 2**{m + 4} bytes, past the address space"
-        )
-    return scale, m
+    return scale, m, budget // (16 << m)
 
 
 class QubitRegister(NamedTuple("_Fields", [("name", str), ("offset", int), ("width", int)])):
@@ -304,13 +305,16 @@ class QubitLayout(NamedTuple):
 
     ``registers`` names these blocks for the search circuit: one per
     variable, then ``flags`` and, if any sum needs it, ``scratch``, each
-    prefixed with underscores until no variable has its name."""
+    prefixed with underscores until no variable has its name.  The sign table
+    is ``mask_words`` words, one bit per assignment, built ``table_block`` at a time."""
 
     registers: tuple[QubitRegister, ...]
     search_width: int
     flag_qubits: tuple[int, ...]
     scratch_width: int
     num_qubits: int
+    mask_words: int
+    table_block: int
 
     def var_qubits(self, name: str) -> range:
         for reg in self.registers:
@@ -329,8 +333,8 @@ class QubitLayout(NamedTuple):
 
 def qubit_layout(problem: SatProblem, max_qubits: int = DEFAULT_QUBIT_CAP) -> QubitLayout:
     """The layout of a valid problem whose search register fits the cap and whose
-    sign table fits the budget: a packed mask of one bit per assignment, and a
-    block of ``TABLE_BLOCK`` words in a column per qubit and one more."""
+    sign table, its mask and one block of a column per qubit and one more, fits the budget."""
+    budget = state_budget(max_qubits)
     diags = validate_problem(problem)
     if diags:
         raise ProblemValidationError(diags)
@@ -339,11 +343,6 @@ def qubit_layout(problem: SatProblem, max_qubits: int = DEFAULT_QUBIT_CAP) -> Qu
         # refused before the sum ranges, which take memory in proportion to bits
         raise QubitBudgetError(
             f"the search register alone needs {search_width} qubits but the cap is {max_qubits}"
-        )
-    if search_width - 3 >= sys.maxsize.bit_length():  # 2**search_width / 8 > sys.maxsize
-        raise MemoryError(
-            f"a {search_width}-bit search register has 2**{search_width} assignments, "
-            f"whose packed mask needs 2**{search_width - 3} bytes, past the address space"
         )
     widths = problem.widths()
     flag_qubits = tuple(range(search_width, search_width + len(problem.constraints)))
@@ -354,12 +353,12 @@ def qubit_layout(problem: SatProblem, max_qubits: int = DEFAULT_QUBIT_CAP) -> Qu
             scratch_width = max(scratch_width, top.bit_length())
     num_qubits = search_width + len(flag_qubits) + scratch_width
     words = max(1, 1 << search_width >> 6)
-    column = 8 * min(words, TABLE_BLOCK)
-    held = 8 * words + (num_qubits + 1) * column
-    if held > state_budget(max_qubits):
+    block = min(words, TABLE_BLOCK)
+    held = 8 * words + (num_qubits + 1) * 8 * block
+    if held > budget:
         raise QubitBudgetError(
             f"the sign table needs {held} bytes (a mask of {8 * words} and {num_qubits + 1} "
-            f"columns of {column}) but a {max_qubits}-qubit cap allows {state_budget(max_qubits)}"
+            f"columns of {8 * block}) but a {max_qubits}-qubit cap allows {budget}"
         )
 
     def fresh(name: str) -> str:
@@ -373,4 +372,6 @@ def qubit_layout(problem: SatProblem, max_qubits: int = DEFAULT_QUBIT_CAP) -> Qu
     registers.append(QubitRegister(fresh("flags"), search_width, len(flag_qubits)))
     if scratch_width:
         registers.append(QubitRegister(fresh("scratch"), num_qubits - scratch_width, scratch_width))
-    return QubitLayout(tuple(registers), search_width, flag_qubits, scratch_width, num_qubits)
+    return QubitLayout(
+        tuple(registers), search_width, flag_qubits, scratch_width, num_qubits, words, block
+    )

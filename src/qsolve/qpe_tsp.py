@@ -23,7 +23,7 @@ from .problems import (  # phase_scale and validate_instance are reached from he
     TspInstance,
     phase_scale,
     precision_plan,
-    state_budget,
+    request_error,
     validate_instance,
 )
 from .statevector import outcome_cdf, probabilities, rotate, sorted_draws, uniform
@@ -204,11 +204,10 @@ def solve(
     """Estimate every canonical cycle's length through the phase register,
     one phase estimation of ``shots`` draws per distinct exponent, and
     return the minimum (ties broken by lexicographic tour)."""
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    scale, m = precision_plan(instance, max_qubits)
+    fault = request_error(shots, seed, max_qubits)
+    if fault:
+        raise ValueError(fault)
+    scale, m, chunk = precision_plan(instance, max_qubits)
     tours = enumerate_cycles(instance.n_nodes)
     # each cycle's closed walk, summed in a plain loop: no numpy table of the
     # cycles, and no generator per tour
@@ -223,7 +222,6 @@ def solve(
     # a cycle's seeded readout depends only on its exponent: estimate and decode
     # each distinct exponent once, in batches of as many rows as the budget holds
     distinct = list(dict.fromkeys(exponents))
-    chunk = state_budget(max_qubits) // (16 << m)
     estimates: dict[int, PhaseEstimate] = {}
     for start in range(0, len(distinct), chunk):
         rows = distinct[start : start + chunk]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -78,15 +77,6 @@ class Histogram(NamedTuple):
         return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """``np.zeros``, refusing with a MemoryError, before allocating, an array
-    whose bytes numpy cannot address (numpy raises a ValueError there)."""
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    if nbytes > sys.maxsize:
-        raise MemoryError(f"an array of shape {shape} needs {nbytes} bytes, past the address space")
-    return np.zeros(shape, dtype)
-
-
 def _qubit_count(state: np.ndarray) -> int:
     """n for a state: ``2**n`` complex128 amplitudes, index 0 = all zeros,
     or a ``(rows, 2**n)`` batch of such states, one per row."""
@@ -111,7 +101,7 @@ def init_zero(num_qubits: int) -> np.ndarray:
         raise QubitBudgetError(
             f"{num_qubits} qubits requested but the simulator cap is {DEFAULT_QUBIT_CAP}"
         )
-    state = zeros((1 << num_qubits,), np.complex128)
+    state = np.zeros((1 << num_qubits,), np.complex128)
     state[0] = 1.0
     return state
 
@@ -122,10 +112,9 @@ def uniform(shape: tuple[int, ...]) -> np.ndarray:
 
     The H kernel sums an amplitude with a 0 and scales by ``_INV_SQRT2``, so
     after k layers every reached amplitude is 1 scaled k times in turn, with
-    a +0 imaginary part.  Allocated through :func:`zeros`, so a shape past
-    the address space is refused before any allocation.
+    a +0 imaginary part.
     """
-    state = zeros(shape, np.complex128)
+    state = np.zeros(shape, np.complex128)
     amp = 1.0
     for _ in range(shape[-1].bit_length() - 1):
         amp *= _INV_SQRT2
@@ -497,12 +486,12 @@ def _advance(hi: np.ndarray, lo: np.ndarray, mult: int, add: int, scratch) -> No
 
 def _pcg64_doubles(shots: int, seed: int) -> np.ndarray:
     """``np.random.default_rng(seed).random(shots)``, unsorted."""
-    out = zeros((shots,), np.float64)
+    out = np.zeros((shots,), np.float64)
     state, inc = _pcg64_seed(seed)
     # a power of two, as the doubling fill leaves a jump of 2**k steps, and
     # about a quarter of the shots (at least 2**10), so few draws hold little scratch
     block = min(shots, _DRAW_BLOCK, 1 << max(10, (shots // 4).bit_length() - 1))
-    hi, lo, *scratch = (zeros((block,), np.uint64) for _ in range(6))
+    hi, lo, *scratch = (np.zeros((block,), np.uint64) for _ in range(6))
     first = (state * _PCG_MULT + inc) & _M128  # each draw steps, then outputs
     hi[0], lo[0] = first >> 64, first & _M64
     # fill states 2 .. block by doubling: a jump of `filled` steps is

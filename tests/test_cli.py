@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from checkout import CROSS_SUMS, EIGHT_CITIES, PROBLEMS, TSP, UNIT_KAKURO, python, traced_peak
 from qsolve import cli, grover_sat, qpe_tsp
-from qsolve import statevector as sv
 from qsolve.problems import AlgorithmMismatchError, NotEqual, ProblemFileError, SumEquals
 from test_refusals import SAT_66, TSP_59
 
@@ -206,46 +206,58 @@ def test_shots_within_the_state_budget_are_solved(capsys, problem):
         capsys, "solve", "--input", str(problem), "--shots", "8192", "--max-qubits", "12"
     )
     assert (code, err) == (0, "")
-    # a cap far wider than the shot count is compared without building 2**cap
+    # the widest cap, whose 2**62-byte budget holds far more than the solve needs
     (code, _, err), peak = traced_peak(
-        run_cli, capsys, "solve", "--input", str(problem), "--max-qubits", str(10**7)
+        run_cli, capsys, "solve", "--input", str(problem), "--max-qubits", "58"
     )
     assert (code, err) == (0, "")
     assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
-    "problem, module, refused",
-    # each solver's first large array through sv.zeros: the SAT sign table's
-    # packed uint64 mask, and the TSP batch's complex128 rows (in sv.uniform)
-    [(CROSS_SUMS, grover_sat, np.uint64), (TSP, sv, np.complex128)],
+    "problem, refused",
+    # each solver's first large array: the SAT sign table's packed uint64
+    # mask, and the TSP batch's complex128 rows (in statevector.uniform)
+    [(CROSS_SUMS, np.uint64), (TSP, np.complex128)],
     ids=["sat", "tsp"],
 )
-def test_out_of_memory_exits_two_without_traceback(capsys, monkeypatch, problem, module, refused):
-    real_zeros = sv.zeros
+def test_out_of_memory_exits_two_without_traceback(capsys, monkeypatch, problem, refused):
+    real_zeros = np.zeros
 
-    def refuse_states(shape, dtype):
+    def refuse_states(shape, dtype=float, **kwargs):
         if dtype == refused:
             raise MemoryError()
-        return real_zeros(shape, dtype)
+        return real_zeros(shape, dtype, **kwargs)
 
-    monkeypatch.setattr(module, "zeros", refuse_states)
+    monkeypatch.setattr(np, "zeros", refuse_states)
     code, out, err = run_cli(capsys, "solve", "--input", str(problem))
     assert code == 2
     assert out == ""
     assert err == "error: out of memory\n"
 
 
-@pytest.mark.parametrize("payload", [SAT_66, TSP_59], ids=["sat_66", "tsp_59"])
-def test_solvers_raise_memory_error_on_registers_too_wide_for_numpy(tmp_path, payload):
-    parsed = cli.parse_problem(write_problem(tmp_path, payload))
+@pytest.mark.parametrize(
+    "problems, options, error",
+    [
+        # draws of 8 MiB against the 256-byte budget of a 4-qubit cap
+        ({"sat": UNIT_KAKURO, "tsp": TSP}, {"shots": 2**20, "max_qubits": 4},
+         "--shots 1048576 needs more memory than a 4-qubit state"),
+        # registers numpy could not address, refused with their cap before they are sized
+        ({"sat": SAT_66, "tsp": TSP_59}, {"max_qubits": 59},
+         "--max-qubits must be in 1..58, got 59"),
+    ],
+    ids=["shots_2**20_cap_4", "cap_59"],
+)
+@pytest.mark.parametrize("kind", ["sat", "tsp"])
+def test_library_solvers_refuse_what_the_cli_refuses(tmp_path, kind, problems, options, error):
+    problem = problems[kind]
+    parsed = cli.parse_problem(problem if isinstance(problem, Path) else
+                               write_problem(tmp_path, problem))
+    solve = grover_sat.solve if kind == "sat" else qpe_tsp.solve
 
     def refuse():
-        with pytest.raises(MemoryError):
-            if parsed.kind == "sat":
-                grover_sat.solve(parsed.sat, max_qubits=100)
-            else:
-                qpe_tsp.solve(parsed.tsp, max_qubits=100)
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            solve(getattr(parsed, kind), **options)
 
     assert traced_peak(refuse)[1] < 1 << 20
 

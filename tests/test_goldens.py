@@ -13,7 +13,7 @@ from typing import NamedTuple
 import pytest
 
 from checkout import CROSS_SUMS, EIGHT_CITIES, GOLDEN, TSP, UNIT_KAKURO, UNSAT, python
-from qsolve import cli, grover_sat
+from qsolve import cli, problems
 from qsolve import statevector as sv
 
 # the README's example problem, the one golden case with an equal_const
@@ -149,6 +149,6 @@ def test_sat_output_holds_with_the_smallest_blocks_and_chunks(monkeypatch, case,
     unused mask bits clear."""
     reseeded = case._replace(seed=seed)
     expected = golden(case) if seed == case.seed else run(reseeded)
-    monkeypatch.setattr(grover_sat, "TABLE_BLOCK", 2)
+    monkeypatch.setattr(problems, "TABLE_BLOCK", 2)
     monkeypatch.setattr(sv, "_CDF_CHUNK", 1 << 7)
     assert run(reseeded) == expected

@@ -838,12 +838,13 @@ def test_solve_config_validation():
         solve(UNIT_KAKURO, shots=0)
     with pytest.raises(ValueError):
         solve(UNIT_KAKURO, frequency_threshold=1.5)
+    # 256 shots of draws fill the 2 KiB budget of a 7-qubit cap
     with pytest.raises(QubitBudgetError, match="needs 8 qubits but the cap is 7$"):
-        solve(CROSS_SUM_KAKURO, max_qubits=7)
+        solve(CROSS_SUM_KAKURO, shots=256, max_qubits=7)
 
 
 def test_solve_rejects_a_negative_seed():
-    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+    with pytest.raises(ValueError, match="^--seed must be non-negative, got -1$"):
         solve(UNIT_KAKURO, seed=-1)
 
 

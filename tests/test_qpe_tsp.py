@@ -307,18 +307,19 @@ def test_solve_rejects_invalid_instances():
 
 @pytest.mark.parametrize("shots", [0, -1])
 def test_solve_rejects_non_positive_shots(shots):
-    with pytest.raises(ValueError, match=f"^shots must be positive, got {shots}$"):
+    with pytest.raises(ValueError, match=f"^--shots must be positive, got {shots}$"):
         solve(FOUR_CITIES, shots=shots)
 
 
 def test_solve_rejects_a_negative_seed():
-    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+    with pytest.raises(ValueError, match="^--seed must be non-negative, got -1$"):
         solve(FOUR_CITIES, seed=-1)
 
 
 def test_solve_respects_qubit_cap():
+    # 16 shots of draws fill the 128-byte budget of a 3-qubit cap
     with pytest.raises(QubitBudgetError, match="4 precision qubits requested but the cap is 3"):
-        solve(FOUR_CITIES, max_qubits=3)
+        solve(FOUR_CITIES, shots=16, max_qubits=3)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -31,12 +31,12 @@ def sat(*widths, kind="equal_const", value=5) -> dict:
 
 
 # a 59-qubit precision register (3 nodes, one 2**58 edge), whose complex128
-# batch row needs 2**63 bytes, and a 66-bit search register, whose packed
-# mask needs 2**63 bytes: numpy cannot address either
+# batch row would need 2**63 bytes, and a 66-bit search register, whose packed
+# mask would: neither fits the widest cap, 58, whose state numpy can address
 TSP_59 = {"type": "tsp", "adjacency": [[0, 2**58, 1], [2**58, 0, 1], [1, 1, 0]]}
 SAT_66 = sat(66)
 # a 58-qubit precision register with three distinct tour lengths, whose
-# 2**62-byte rows run one to a batch at any cap
+# 2**62-byte rows run one to a batch at the widest cap
 B = 2**56
 TSP_58 = {"type": "tsp", "adjacency": [[0, B, B, 1], [B, 0, 2, B], [B, 2, 0, 3], [1, B, 3, 0]]}
 # one bit, so the mask is one word, and three flags: 8 + 5 * 8 bytes
@@ -82,11 +82,9 @@ NO_INT = (
     "error: {problem}: unreadable JSON: Exceeds the limit {...} for integer string conversion: "
     "value has 4301 digits"
 )
-NO_ADDRESS = (
-    "error: a {0}-bit search register has 2**{0} assignments, whose packed mask needs "
-    "2**{1} bytes, past the address space"
-)
-CAP_100 = ("--max-qubits", "100")
+CAP = "error: --max-qubits must be in 1..58, got {}"
+CAP_58 = ("--max-qubits", "58")
+SEARCH = "error: the search register alone needs {} qubits but the cap is {}"
 
 ROWS = [
     # the options, in the order they are refused, before the file is read
@@ -94,6 +92,11 @@ ROWS = [
     Refusal("shots_0", UNIT_KAKURO, ("--shots", "0"), "error: --shots must be positive, got 0"),
     Refusal("shots_0_seed_-1", UNIT_KAKURO, ("--shots", "0", "--seed", "-1"),
             "error: --shots must be positive, got 0"),
+    # a cap outside 1..58 (a wider state is one numpy could not address),
+    # whatever the problem: here a 10**11-bit search register, never read
+    *(Refusal(f"max_qubits_{cap}", problem, ("--max-qubits", str(cap)), CAP.format(cap))
+      for cap, problem in ((0, TSP), (59, UNIT_KAKURO),
+                           (10**7, sat(10**11, 2, kind="sum_equals", value=9)))),
     Refusal("shots_1e12_seed_-1", UNIT_KAKURO, ("--shots", str(10**12), "--seed", "-1"),
             SHOTS.format(10**12, 26)),
     # 8 * 8193 bytes of draws is one shot past the 16 * 2**12 bytes of a 12-qubit state
@@ -148,24 +151,19 @@ ROWS = [
             "error: --threshold applies to the grover solver only, not to qpe"),
     # the size plan, made before numpy loads: the cap counts the register a
     # solve samples, and what the solve holds must fit one state at the cap
-    Refusal("two_1e8_bit_variables", TWO_1E8, (),
-            "error: the search register alone needs 200000000 qubits but the cap is 26"),
-    # 66 or more search bits, within the cap or not, are refused before any sum is sized
-    *(Refusal(f"sat_{bits + 2}_cap_{cap}", sat(bits, 2, kind="sum_equals", value=9),
-              ("--max-qubits", str(cap)), NO_ADDRESS.format(bits + 2, bits - 1))
-      for bits, cap in ((64, 128), (200_000_000, 400_000_000), (10**11, 2 * 10**11))),
-    Refusal("sat_66", SAT_66, CAP_100, NO_ADDRESS.format(66, 63)),
+    Refusal("two_1e8_bit_variables", TWO_1E8, (), SEARCH.format(200_000_000, 26)),
+    # registers past the widest cap, whose arrays numpy could not allocate or address
+    *(Refusal(f"sat_{bits}", sat(bits), CAP_58, SEARCH.format(bits, 58)) for bits in (60, 65, 66)),
     # a search register within the cap whose sign table is not
     Refusal("sign_table_past_the_cap", THREE_FLAGS, ("--max-qubits", "1", "--shots", "4"),
             "error: the sign table needs 48 bytes (a mask of 8 and 5 columns of 8) but a "
             "1-qubit cap allows 32"),
-    Refusal("tsp_59", TSP_59, CAP_100, "error: a 59-qubit precision register has 2**59 "
-            "outcomes, whose complex128 batch row needs 2**63 bytes, past the address space"),
-    # numpy can address these packed masks and this batch row but not allocate them
-    *(Refusal(f"sat_{bits}", sat(bits), CAP_100, "error: Unable to allocate {...} for an array "
-              f"with shape ({1 << bits >> 6},) and data type uint64", early=False, bounded=False)
-      for bits in (60, 65)),
-    Refusal("tsp_58", TSP_58, CAP_100, "error: Unable to allocate {...} for an array with shape "
+    Refusal("tsp_59", TSP_59, CAP_58, "error: 59 precision qubits requested but the cap is 58"),
+    # numpy can address this packed mask and this batch row at the widest cap
+    # but not allocate them
+    Refusal("sat_58", sat(58), CAP_58, "error: Unable to allocate {...} for an array with shape "
+            f"({1 << 58 >> 6},) and data type uint64", early=False, bounded=False),
+    Refusal("tsp_58", TSP_58, CAP_58, "error: Unable to allocate {...} for an array with shape "
             "(1, 288230376151711744) and data type complex128", early=False, bounded=False),
     # the dump is written before the report, so a dump that cannot be opened
     # prints no report

@@ -1,7 +1,8 @@
 """Every module-level name in src/qsolve has a caller outside tests/: code
-that only the tests use belongs in tests/, not in the package. The tests'
-reference computations in tests/oracles.py import nothing from the package
-they check."""
+that only the tests use belongs in tests/, not in the package. Every name a
+module imports is read by it or reached through it from outside tests/. The
+tests' reference computations in tests/oracles.py import nothing from the
+package they check."""
 
 import ast
 from pathlib import Path
@@ -37,19 +38,15 @@ def annotation_names(annotation: ast.AST) -> set[str]:
     return names
 
 
-def referenced_names(tree: ast.AST, skip: set[int] = frozenset()) -> set[str]:
-    """Names read, imported or annotated anywhere in ``tree``, ignoring the
-    nodes whose ids are in ``skip``; docstrings and comments never count."""
+def read_names(tree: ast.AST, skip: set[int] = frozenset()) -> set[str]:
+    """Plain names read or annotated anywhere in ``tree``, ignoring the nodes
+    whose ids are in ``skip``; docstrings and comments never count."""
     names = set()
     for node in ast.walk(tree):
         if id(node) in skip:
             continue
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names |= {alias.name.rpartition(".")[2] for alias in node.names}
         elif isinstance(node, ast.arg) and node.annotation is not None:
             names |= annotation_names(node.annotation)
         elif isinstance(node, ast.FunctionDef) and node.returns:
@@ -57,6 +54,45 @@ def referenced_names(tree: ast.AST, skip: set[int] = frozenset()) -> set[str]:
         elif isinstance(node, ast.AnnAssign):
             names |= annotation_names(node.annotation)
     return names
+
+
+def referenced_names(tree: ast.AST, skip: set[int] = frozenset()) -> set[str]:
+    """:func:`read_names`, and the names of attributes and imports."""
+    names = read_names(tree, skip)
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name.rpartition(".")[2] for alias in node.names}
+    return names
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    """The names the import statements anywhere in ``tree`` bind; a
+    ``from __future__`` import is a compiler directive, not a name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
+def reached_names(tree: ast.Module) -> set[tuple[str, str]]:
+    """``(module, name)`` for each ``module.name`` read and each ``from
+    module import name`` in ``tree``, the module by the last part of its
+    dotted name (or the name it is held under)."""
+    pairs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, (ast.Name, ast.Attribute)):
+            owner = node.value
+            pairs.add((owner.id if isinstance(owner, ast.Name) else owner.attr, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            pairs |= {(node.module.rpartition(".")[2], alias.name) for alias in node.names}
+    return pairs
 
 
 def parse(path: Path) -> ast.Module:
@@ -75,6 +111,18 @@ def test_every_package_name_has_a_caller_outside_tests():
             if not any(name in names for other, names in refs.items() if other != path):
                 unused.append(f"{path.relative_to(ROOT)}: {name}")
     assert unused == []
+
+
+def test_every_import_in_src_is_read_or_reached_through_its_module():
+    trees = {path: parse(path) for root in CALLER_DIRS for path in sorted(root.rglob("*.py"))}
+    reached = set().union(*map(reached_names, trees.values()))
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = PACKAGE.name if path.stem == "__init__" else path.stem
+        for name in sorted(imported_names(trees[path]) - read_names(trees[path])):
+            if (module, name) not in reached:
+                unread.append(f"{path.relative_to(ROOT)}: {name}")
+    assert unread == []
 
 
 def test_the_oracles_import_nothing_from_qsolve():

@@ -97,19 +97,10 @@ def test_uniform_is_the_h_layer_on_all_zeros_bit_for_bit(n):
 
 @pytest.mark.parametrize("m", range(1, 12))
 def test_uniform_batch_rows_are_the_h_layer_bit_for_bit(m):
-    batch = sv.zeros((64, 1 << m), np.complex128)
+    batch = np.zeros((64, 1 << m), np.complex128)
     batch[:, 0] = 1.0
     apply_ops(batch, h_layer(m).ops)
     assert sv.uniform((64, 1 << m)).tobytes() == batch.tobytes()
-
-
-@pytest.mark.parametrize("shape", [(1 << 60,), (64, 1 << 58)], ids=["state", "batch"])
-def test_uniform_refuses_a_shape_past_the_address_space(shape):
-    def refuse():
-        with pytest.raises(MemoryError, match="past the address space"):
-            sv.uniform(shape)
-
-    assert traced_peak(refuse)[1] < 1 << 20
 
 
 def test_statevector_rejects_wrong_length():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from qsolve import statevector
 from qsolve.cli import HelpParser, parse_problem, report_to_stdout
 from qsolve.grover_sat import (
     classical_check,
@@ -34,7 +35,7 @@ def amplification_table(problem, layout):
     print(f"  search qubits: {n}, total qubits: {layout.num_qubits}, "
           f"satisfying assignments: {len(satisfying)}")
     print(f"  {'iterations':>10}  {'p(all solutions)':>16}  {'p(best single)':>15}")
-    for iterations, mask, a, b in schedule_states(problem, layout):
+    for iterations, mask, a, b in schedule_states(problem, layout, statevector):
         marked = np.unpackbits(mask.view(np.uint8), bitorder="little")  # one byte per assignment
         per_solution = [a * a if marked[i] else b * b for i in satisfying]
         total = sum(per_solution)

@@ -1,5 +1,6 @@
 """Quantum-circuit solvers for small constraint and routing problems,
-backed by a dense statevector simulator."""
+backed by a dense statevector simulator, or by pure-Python kernels that
+give the same reports for a solve too small to be worth loading numpy."""
 
 import os
 import sys
@@ -9,16 +10,17 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # the CLI and the problem model import no numpy; each solver module is
-# imported by the first problem that names it
+# imported by the first problem that names it, and imports numpy only for a
+# solve past the bound of problems.pick_kernels
 from . import cli
 
 __version__ = "0.1.0"
 
-_LAZY_SUBMODULES = frozenset({"circuit", "grover_sat", "qpe_tsp", "statevector"})
+_LAZY_SUBMODULES = frozenset({"circuit", "grover_sat", "qpe_tsp", "scalar", "statevector"})
 
 
 def __getattr__(name):
-    """Import a numpy-backed submodule on first attribute access (PEP 562).
+    """Import a solver or simulator submodule on first attribute access (PEP 562).
 
     ``__import__``, unlike ``importlib.import_module``, is logged by
     ``python -X importtime``."""

@@ -1,28 +1,17 @@
 """Circuit representation: named registers, an ordered gate list, structural
 inversion, H-layer and Fourier-transform builders, execution, and export to a
-line-oriented text format."""
+line-oriented text format.  Only execution imports the simulator, and numpy."""
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-# qsolve's modules first, so an uncached compile's memory is freed before numpy loads
 from .problems import QubitRegister
-from .statevector import (
-    Gate,
-    H,
-    Histogram,
-    SWAP,
-    X,
-    apply_unchecked,
-    check_operands,
-    init_zero,
-    phase,
-    sample,
-)
+from .scalar import Gate, H, Histogram, SWAP, X, check_operands, phase
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CircuitOp(NamedTuple):
@@ -138,6 +127,7 @@ def build_qft(num_qubits: int) -> Circuit:
 
 def apply_ops(state: np.ndarray, ops: Iterable[CircuitOp]) -> None:
     """Apply ops, validated when they entered a circuit, in order and in place."""
+    from .statevector import apply_unchecked
     for op in ops:
         apply_unchecked(state, op.gate, op.controls, op.targets)
 
@@ -151,6 +141,7 @@ def execute(circuit: Circuit, shots: int = 0, seed: int = 0) -> tuple[np.ndarray
     """
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
+    from .statevector import init_zero, sample
     state = init_zero(circuit.num_qubits)
     apply_ops(state, circuit.ops)
     return state, (sample(state, shots, seed) if shots else None)

@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 # parsing and the size plan need only the numpy-free problem model; a child imports
-# the solver its problem names, and with it numpy and the simulator, in its branch
+# the solver its problem names in its branch, and the solver loads numpy only
+# for a solve too large for its pure-Python kernels
 from .problems import (
     DEFAULT_QUBIT_CAP,
     AlgorithmMismatchError,
@@ -314,18 +315,20 @@ def _run_solve(args) -> int:
     common = {"shots": args.shots, "seed": args.seed, "max_qubits": args.max_qubits}
 
     if algorithm == "grover":
-        layout = qubit_layout(parsed.sat, args.max_qubits)
+        layout = qubit_layout(parsed.sat, args.max_qubits, validated=True)
         from . import grover_sat
 
-        report = grover_sat.solve(parsed.sat, frequency_threshold=args.threshold, **common)
+        report = grover_sat.solve(
+            parsed.sat, frequency_threshold=args.threshold, layout=layout, **common
+        )
         if args.dump_circuit:
             circuit = grover_sat.build_search_circuit(parsed.sat, layout, report.iterations_used)
         render, code = _render_sat, 0 if report.found else 1
     else:
-        precision_plan(parsed.tsp, args.max_qubits)
+        plan = precision_plan(parsed.tsp, args.max_qubits, validated=True)
         from . import qpe_tsp
 
-        report = qpe_tsp.solve(parsed.tsp, **common)
+        report = qpe_tsp.solve(parsed.tsp, plan=plan, **common)
         if args.dump_circuit:
             unitary = qpe_tsp.build_phase_unitary(parsed.tsp, report.scale)
             eigenstate = qpe_tsp.encode_eigenstate(report.best_tour, parsed.tsp.n_nodes)

@@ -15,20 +15,19 @@ import itertools
 import math
 from typing import Iterator, NamedTuple, Sequence
 
-# qsolve's modules first, so an uncached compile's memory is freed before numpy loads
 from .circuit import Circuit, h_layer, inverse
-from .problems import (
+from .problems import (  # qubit_layout and iteration_schedule are reached from here too
     DEFAULT_QUBIT_CAP,
     EqualConst,
     NotEqual,
     QubitLayout,
     SatProblem,
+    iteration_schedule,
+    pick_kernels,
     qubit_layout,
     request_error,
 )
-from .statevector import Histogram, X, Z, sample_two_levels
-
-import numpy as np
+from .scalar import Histogram, X, Z
 
 Assignment = dict[str, int]
 
@@ -148,65 +147,6 @@ def build_oracle(problem: SatProblem, layout: QubitLayout) -> Circuit:
     return oracle.extend(uncompute)
 
 
-# bit j of word ``_LOW_BIT_WORDS[p]`` is bit p of j, for the index bits inside a word
-_LOW_BIT_WORDS = tuple(sum(1 << j for j in range(64) if j >> p & 1) for p in range(6))
-_WORD = np.dtype("<u8")  # little-endian, so a word's bytes unpack in assignment order
-_ONES = np.uint64((1 << 64) - 1)
-
-
-def _marked(problem: SatProblem, layout: QubitLayout) -> np.ndarray:
-    """The packed sign table: bit j of little-endian ``uint64`` word w is set
-    exactly when the compute block sets every flag of search assignment
-    64w + j (a register under 6 bits fills part of one word, the rest 0).
-
-    The block is X gates with any controls, which permute basis states, so
-    on |x, 0> the oracle is the sign -1 exactly there and resets every
-    ancilla.  Its ops run bit-sliced, on ``layout.table_block`` words at a time:
-    each qubit is a column of 64-bit words, bit j of word w holding its
-    value on assignment 64w + j, and only the AND of the flag columns is kept."""
-    ops = _compute(problem, layout).ops
-    for op in ops:
-        if op.gate != X:
-            raise ValueError(f"the compute block must be X gates only, got {op.gate.name!r}")
-    s = layout.search_width
-    words, block = layout.mask_words, layout.table_block
-    mask = np.zeros((words,), _WORD)
-    columns = [np.zeros((block,), _WORD) for _ in range(layout.num_qubits)]
-    acc = np.empty_like(columns[0])
-    for start in range(0, words, block):
-        for q in layout.search_qubits:
-            column, p = columns[q], s - 1 - q  # the index bit of qubit q: qubit 0 is the MSB
-            if p < 6:
-                column[...] = _LOW_BIT_WORDS[p]
-            elif 1 << (p - 6) < block:
-                halves = column.reshape(-1, 2, 1 << (p - 6))
-                halves[:, 0] = 0
-                halves[:, 1] = _ONES
-            else:  # the bit is the same on every assignment of the block
-                column[...] = _ONES if start >> (p - 6) & 1 else 0
-        for column in columns[s:]:
-            column[...] = 0
-        for op in ops:
-            target = columns[op.targets[0]]
-            controls = [columns[c] for c in op.controls]
-            if not controls:
-                target ^= _ONES  # not np.invert: XOR reuses the loops the PCG64 draws run
-            elif len(controls) == 1:
-                target ^= controls[0]
-            else:
-                np.bitwise_and(controls[0], controls[1], out=acc)
-                for c in controls[2:]:
-                    acc &= c
-                target ^= acc
-        marked = mask[start : start + block]
-        marked[...] = columns[layout.flag_qubits[0]]
-        for f in layout.flag_qubits[1:]:
-            marked &= columns[f]
-    if s < 6:
-        mask &= np.uint64((1 << (1 << s)) - 1)
-    return mask
-
-
 def build_diffuser(search_width: int) -> Circuit:
     """Reflection about the uniform superposition of the search register
     (up to a global phase): H X on every search qubit, a search-wide
@@ -218,29 +158,6 @@ def build_diffuser(search_width: int) -> Circuit:
     for q in range(search_width):
         frag.x(q)
     return frag.extend(h_layer(search_width))
-
-
-def iteration_schedule(search_width: int) -> list[int]:
-    """Iteration counts ceil(sqrt(2)**j) for j = 0, 1, ..., deduplicated and
-    ascending, capped by the single-solution optimum ceil((pi/4)*sqrt(2**n)).
-
-    Computed in exact integer arithmetic: isqrt(2**j - 1) + 1 is the
-    ceiling of sqrt(2**j) for every j >= 0.
-    """
-    if search_width < 1:
-        raise ValueError(f"search register needs at least one qubit, got {search_width}")
-    cap = math.ceil((math.pi / 4) * math.sqrt(1 << search_width))
-    steps: list[int] = []
-    j = 0
-    while True:
-        t = math.isqrt((1 << j) - 1) + 1
-        if t >= cap:
-            break
-        if not steps or t > steps[-1]:
-            steps.append(t)
-        j += 1
-    steps.append(cap)
-    return steps
 
 
 def build_search_circuit(problem: SatProblem, layout: QubitLayout, iterations: int) -> Circuit:
@@ -262,22 +179,27 @@ def build_search_circuit(problem: SatProblem, layout: QubitLayout, iterations: i
     return circ
 
 
-def schedule_states(
-    problem: SatProblem, layout: QubitLayout
-) -> Iterator[tuple[int, np.ndarray, float, float]]:
+def schedule_states(problem: SatProblem, layout: QubitLayout, kernels) -> Iterator[tuple]:
     """Yield ``(t, mask, a, b)`` for each round count t of :func:`iteration_schedule`.
 
-    ``mask`` is :func:`_marked`'s packed sign table.  After t rounds every
-    assignment it sets has amplitude ``a`` and every other one ``b``: spread
+    ``mask`` is the sign table of ``kernels``, :mod:`qsolve.statevector` or
+    :mod:`qsolve.scalar`.  The compute block is X gates, which
+    permute basis states, so on |x, 0> the oracle is the sign -1 exactly
+    where it sets every flag, and resets every ancilla.  After t rounds
+    every assignment the mask sets has amplitude ``a`` and every other one ``b``: spread
     over the search register, these are within 1e-12 of the
     flags-and-scratch-0 column of ``build_search_circuit(problem, layout,
     t)``'s state, which is 0 elsewhere, and sample to the same histograms.
     This is Grover's two-dimensional subspace: a round negates ``a``, then
     inverts about the mean, as H(I - 2|0><0|)H = I - 2|u><u| maps v to
     v - 2 mean(v)."""
+    ops = _compute(problem, layout).ops
+    for op in ops:
+        if op.gate != X:
+            raise ValueError(f"the compute block must be X gates only, got {op.gate.name!r}")
     s = layout.search_width
-    mask = _marked(problem, layout)
-    k, n = int(np.bitwise_count(mask).sum()), 1 << s
+    mask = kernels.sign_table(ops, layout)
+    k, n = kernels.count_marked(mask), 1 << s
     a = b = math.sqrt(1.0 / n)
     done = 0
     for t in iteration_schedule(s):
@@ -344,6 +266,7 @@ def solve(
     seed: int = 0,
     frequency_threshold: float | None = None,
     max_qubits: int = DEFAULT_QUBIT_CAP,
+    layout: QubitLayout | None = None,
 ) -> SolveReport:
     """Search with a growing iteration schedule.
 
@@ -355,28 +278,28 @@ def solve(
     assignment wins.  An exhausted schedule returns an empty solution list:
     "no solution found" is a result, not an error.  A ``frequency_threshold``
     of None means the unknown-solution-count default, 2 / 2**search_width.
+    ``layout`` is the :func:`qubit_layout` the caller made, if any;
+    :func:`pick_kernels` of the schedule picks the kernels.
     """
     fault = request_error(shots, seed, max_qubits, frequency_threshold)
     if fault:
         raise ValueError(fault)
-    layout = qubit_layout(problem, max_qubits)
-    threshold = frequency_threshold
-    if threshold is None:
-        threshold = 2.0 / (1 << layout.search_width)
+    layout = layout or qubit_layout(problem, max_qubits)
+    s = layout.search_width
+    kernels = pick_kernels(8 * len(iteration_schedule(s)) << s, shots)
+    threshold = 2.0 / (1 << s) if frequency_threshold is None else frequency_threshold
     trace: list[tuple[int, int]] = []
     sampled = marked = None
-    for iterations, mask, a, b in schedule_states(problem, layout):
+    for iterations, mask, a, b in schedule_states(problem, layout, kernels):
         if marked is None:
-            # the popcount schedule_states takes; ``mask.any()`` would page in
-            # a numpy reduction loop that nothing else in a solve runs
-            marked = bool(np.bitwise_count(mask).sum())
+            marked = kernels.count_marked(mask) > 0
         # a histogram is a function of the levels the sampler reads: a step
         # whose levels are those of the last one keeps its histogram and
         # verified list; with nothing marked, a round maps b to exactly -b
         levels = (a * a if marked else None, b * b)
         if levels != sampled:
             sampled = levels
-            histogram = sample_two_levels(mask, layout.search_width, a * a, b * b, shots, seed)
+            histogram = kernels.sample_two_levels(mask, s, a * a, b * b, shots, seed)
             verified: list[tuple[int, str, Assignment]] = []
             for bits, count in histogram.counts.items():
                 if count / shots < threshold:

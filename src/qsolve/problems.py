@@ -1,6 +1,6 @@
 """The problem model: constraint problems and tour instances, their semantic
 validation, the size plan a request is held to before anything is built,
-and the errors the package raises.
+the rule that picks a solve's kernels, and the errors the package raises.
 
 This module imports only the standard library, so a problem file can be
 read, validated or refused without loading numpy or the simulator.  The
@@ -11,6 +11,7 @@ define at import.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from typing import NamedTuple, Sequence, Union
 
@@ -20,6 +21,9 @@ DEFAULT_QUBIT_CAP = 26
 MAX_QUBIT_CAP = sys.maxsize.bit_length() - 5
 # words per column in one block of the sign table: 128 KiB each
 TABLE_BLOCK = 1 << 14
+# the most work, in amplitude updates, a solve runs on qsolve.scalar's kernels:
+# in paired children, one at the bound still ends before one that imports numpy
+SCALAR_WORK = 1 << 20
 
 MIN_NODES = 3
 MAX_NODES = 8
@@ -267,12 +271,48 @@ def state_budget(max_qubits: int) -> int:
     return 16 << max_qubits
 
 
-def precision_plan(instance: TspInstance, max_qubits: int) -> tuple[int, int, int]:
+def pick_kernels(work: int, shots: int):
+    """:mod:`qsolve.scalar` for a solve of at most ``SCALAR_WORK``, else :mod:`qsolve.statevector`,
+    with the same report: a search's work is 8 per outcome of each schedule
+    step, a tour's its batch rows times 2**m * m**2, and each draw adds 20."""
+    if work + 20 * shots <= SCALAR_WORK:
+        from . import scalar as kernels
+    else:
+        from . import statevector as kernels
+    return kernels
+
+
+def iteration_schedule(search_width: int) -> list[int]:
+    """Iteration counts ceil(sqrt(2)**j) for j = 0, 1, ..., deduplicated and
+    ascending, capped by the single-solution optimum ceil((pi/4)*sqrt(2**n)).
+
+    Computed in exact integer arithmetic: isqrt(2**j - 1) + 1 is the
+    ceiling of sqrt(2**j) for every j >= 0.
+    """
+    if search_width < 1:
+        raise ValueError(f"search register needs at least one qubit, got {search_width}")
+    cap = math.ceil((math.pi / 4) * math.sqrt(1 << search_width))
+    steps: list[int] = []
+    j = 0
+    while True:
+        t = math.isqrt((1 << j) - 1) + 1
+        if t >= cap:
+            break
+        if not steps or t > steps[-1]:
+            steps.append(t)
+        j += 1
+    steps.append(cap)
+    return steps
+
+
+def precision_plan(
+    instance: TspInstance, max_qubits: int, *, validated: bool = False
+) -> tuple[int, int, int]:
     """``(scale, m, rows)``: :func:`phase_scale` of a valid instance whose
     precision register fits the cap, and how many of its complex128 batch
-    rows, 16 * 2**m bytes each, the budget holds at once."""
+    rows, 16 * 2**m bytes each, the budget holds at once; validated first unless ``validated``."""
     budget = state_budget(max_qubits)
-    diags = validate_instance(instance)
+    diags = [] if validated else validate_instance(instance)
     if diags:
         raise ProblemValidationError(diags)
     scale, m = phase_scale(instance)
@@ -331,11 +371,14 @@ class QubitLayout(NamedTuple):
         return range(self.num_qubits - self.scratch_width, self.num_qubits)
 
 
-def qubit_layout(problem: SatProblem, max_qubits: int = DEFAULT_QUBIT_CAP) -> QubitLayout:
+def qubit_layout(
+    problem: SatProblem, max_qubits: int = DEFAULT_QUBIT_CAP, *, validated: bool = False
+) -> QubitLayout:
     """The layout of a valid problem whose search register fits the cap and whose
-    sign table, its mask and one block of a column per qubit and one more, fits the budget."""
+    sign table, its mask and one block of a column per qubit and one more, fits the budget;
+    validated first unless ``validated`` (as ``cli.parse_problem`` validates)."""
     budget = state_budget(max_qubits)
-    diags = validate_problem(problem)
+    diags = [] if validated else validate_problem(problem)
     if diags:
         raise ProblemValidationError(diags)
     search_width = problem.search_width

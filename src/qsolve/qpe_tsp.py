@@ -14,21 +14,18 @@ import itertools
 import math
 from typing import NamedTuple, Sequence
 
-# qsolve's modules first, so an uncached compile's memory is freed before numpy loads
-from .circuit import Circuit, QubitRegister, apply_ops, build_qft, h_layer, inverse
+from .circuit import Circuit, QubitRegister, build_qft, h_layer, inverse
 from .problems import (  # phase_scale and validate_instance are reached from here too
     DEFAULT_QUBIT_CAP,
     MAX_NODES,
     MIN_NODES,
     TspInstance,
     phase_scale,
+    pick_kernels,
     precision_plan,
     request_error,
     validate_instance,
 )
-from .statevector import outcome_cdf, probabilities, rotate, sorted_draws, uniform
-
-import numpy as np
 
 Tour = tuple[int, ...]
 
@@ -151,29 +148,16 @@ def qpe_circuit(unitary: WeightPhaseDiagonal, eigenstate: int, precision_bits: i
 
 
 def estimate_phases(
-    exponents: Sequence[int], scale: int, precision_bits: int, shots: int, seed: int
+    exponents: Sequence[int], scale: int, precision_bits: int, shots: int, seed: int, kernels
 ) -> list[PhaseEstimate]:
     """:func:`qpe_circuit` for one eigenstate of each exponent, as rows of one
-    batch run through a single pass of the ops.  Each row reads out its modal
-    bitstring over ``shots`` draws at ``seed`` (count ties broken by
-    bitstring)."""
+    batch run through a single pass of the ops by ``kernels`` (:mod:`qsolve.scalar`
+    or :mod:`qsolve.statevector`).  Each row reads out its modal bitstring
+    over ``shots`` draws at ``seed`` (count ties broken by bitstring)."""
     m = precision_bits
-    batch = uniform((len(exponents), 1 << m))
-    # the kickback, with the phase kernel's np.exp and rotate, so rows match bit for bit
-    amps = batch.reshape((-1,) + (2,) * m)
-    factors = np.exp(1j * np.array([kickback_angles(e, scale, m) for e in exponents]))
-    for j in range(m):
-        rotate(amps[(slice(None),) * (j + 1) + (1,)], factors[:, j].reshape((-1,) + (1,) * (m - 1)))
-    apply_ops(batch, inverse(build_qft(m)).ops)
-    draws = sorted_draws(shots, seed)
-    estimates = []
-    for row in batch:
-        # the draws below each CDF step, differenced, count each outcome's draws
-        # (as sample would assign them); argmax takes the first maximum,
-        # so count ties go to the lowest bitstring
-        raw = int(np.diff(draws.searchsorted(outcome_cdf(probabilities(row))), prepend=0).argmax())
-        estimates.append(PhaseEstimate(raw, m, raw / (1 << m), float(probabilities(row[raw]))))
-    return estimates
+    angles = [kickback_angles(e, scale, m) for e in exponents]
+    readouts = kernels.phase_readouts(angles, inverse(build_qft(m)).ops, shots, seed)
+    return [PhaseEstimate(raw, m, raw / (1 << m), p) for raw, p in readouts]
 
 
 def decode_phase(estimate: PhaseEstimate, scale: int) -> int:
@@ -200,14 +184,17 @@ def solve(
     shots: int = 4096,
     seed: int = 0,
     max_qubits: int = DEFAULT_QUBIT_CAP,
+    plan: tuple[int, int, int] | None = None,
 ) -> TspReport:
     """Estimate every canonical cycle's length through the phase register,
     one phase estimation of ``shots`` draws per distinct exponent, and
-    return the minimum (ties broken by lexicographic tour)."""
+    return the minimum (ties broken by lexicographic tour).  ``plan`` is the
+    :func:`precision_plan` the caller made, if any; :func:`pick_kernels`
+    of the batch picks the kernels."""
     fault = request_error(shots, seed, max_qubits)
     if fault:
         raise ValueError(fault)
-    scale, m, chunk = precision_plan(instance, max_qubits)
+    scale, m, chunk = plan or precision_plan(instance, max_qubits)
     tours = enumerate_cycles(instance.n_nodes)
     # each cycle's closed walk, summed in a plain loop: no numpy table of the
     # cycles, and no generator per tour
@@ -222,10 +209,11 @@ def solve(
     # a cycle's seeded readout depends only on its exponent: estimate and decode
     # each distinct exponent once, in batches of as many rows as the budget holds
     distinct = list(dict.fromkeys(exponents))
+    kernels = pick_kernels(len(distinct) * (m * m << m), shots)
     estimates: dict[int, PhaseEstimate] = {}
     for start in range(0, len(distinct), chunk):
         rows = distinct[start : start + chunk]
-        estimates.update(zip(rows, estimate_phases(rows, scale, m, shots, seed)))
+        estimates.update(zip(rows, estimate_phases(rows, scale, m, shots, seed, kernels)))
     decoded = {e: decode_phase(estimate, scale) for e, estimate in estimates.items()}
     lengths = [decoded[e] for e in exponents]
     # tours are in lexicographic order, so the first minimum breaks ties

@@ -1,80 +1,33 @@
-"""Dense statevector simulation with strided-view gate kernels.
+"""Dense statevector simulation with strided-view gate kernels, and a solve's
+numpy kernels: sign table, two-level sampler, phase-estimation rows, draws.
 
 Convention used everywhere in this package: qubit 0 is the most
 significant bit of a basis-state index, so the leftmost character of a
 measured bitstring is qubit 0.  Equivalently, qubit q is axis q of the
 amplitudes reshaped to ``(2,) * n``.  Controlled gates of any arity are
 applied natively on views of that array, with each control axis fixed at
-1; they are never decomposed into smaller gates.
+1; they are never decomposed into smaller gates.  The numpy-free half, and
+a small solve's pure-Python kernels, are in :mod:`qsolve.scalar`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
+
+# qsolve's modules first, so an uncached compile's memory is freed before numpy
+# loads; H, X, Z, SWAP, phase and Histogram are reached from here too
+from .problems import DEFAULT_QUBIT_CAP, QubitBudgetError, QubitLayout
+from .scalar import _INV_SQRT2, _M32, _M64, _M128, _PCG_MULT, PROB_ZERO_TOL, SWAP, Gate, H
+from .scalar import Histogram, X, Z, _pcg64_seed, _tree_sum, bitstring, check_operands, phase
 
 import numpy as np
 
-from .problems import DEFAULT_QUBIT_CAP, QubitBudgetError
-
-PROB_ZERO_TOL = 1e-12
 # elements per imaginary-square temporary in probabilities: 512 KiB of float64
 _PROB_CHUNK = 1 << 16
 # outcomes per pass of sample_two_levels: 2 MiB of float64
 _CDF_CHUNK = 1 << 18
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_GATE_NAMES = ("h", "x", "z", "phase", "swap")
-
-
-class _GateFields(NamedTuple):
-    name: str
-    lam: float = 0.0
-
-
-class Gate(_GateFields):
-    """A primitive gate kind; ``lam`` is the rotation angle for ``phase``."""
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, lam: float = 0.0) -> "Gate":
-        if name not in _GATE_NAMES:
-            raise ValueError(f"unknown gate kind {name!r}")
-        if not math.isfinite(lam):
-            raise ValueError("phase angle must be finite")
-        if name != "phase" and lam != 0.0:
-            raise ValueError(f"gate {name!r} takes no angle")
-        return super().__new__(cls, name, lam)
-
-    @property
-    def num_targets(self) -> int:
-        return 2 if self.name == "swap" else 1
-
-    def inverse(self) -> "Gate":
-        if self.name == "phase":
-            return Gate("phase", -self.lam)
-        return self  # h, x, z and swap are their own inverses
-
-
-H = Gate("h")
-X = Gate("x")
-Z = Gate("z")
-SWAP = Gate("swap")
-
-
-def phase(lam: float) -> Gate:
-    return Gate("phase", float(lam))
-
-
-class Histogram(NamedTuple):
-    """Measurement outcome counts keyed by bitstring, keys sorted."""
-
-    counts: dict[str, int]
-
-    def most_common(self) -> list[tuple[str, int]]:
-        """Outcomes by descending count, ties broken by bitstring."""
-        return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def _qubit_count(state: np.ndarray) -> int:
@@ -120,30 +73,6 @@ def uniform(shape: tuple[int, ...]) -> np.ndarray:
         amp *= _INV_SQRT2
     state.real = amp
     return state
-
-
-def check_operands(
-    num_qubits: int,
-    gate: Gate,
-    controls: Iterable[int],
-    targets: Iterable[int],
-) -> tuple[frozenset[int], tuple[int, ...]]:
-    """Validate and normalize an operation's qubit operands."""
-    controls = frozenset(int(q) for q in controls)
-    targets = tuple(int(q) for q in targets)
-    if len(targets) != gate.num_targets:
-        raise ValueError(
-            f"gate {gate.name!r} takes {gate.num_targets} target(s), got {len(targets)}"
-        )
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate target qubits in {targets}")
-    for q in (*targets, *controls):
-        if not 0 <= q < num_qubits:
-            raise ValueError(f"qubit {q} out of range for a {num_qubits}-qubit register")
-    overlap = controls.intersection(targets)
-    if overlap:
-        raise ValueError(f"controls and targets overlap on qubits {sorted(overlap)}")
-    return controls, targets
 
 
 def apply_gate_in_place(
@@ -238,12 +167,6 @@ def probabilities(state: np.ndarray) -> np.ndarray:
         chunk = slice(start, start + _PROB_CHUNK)
         flat[chunk] += np.square(im[chunk])
     return out
-
-
-def bitstring(index: int, num_qubits: int, qubits: Sequence[int] | None = None) -> str:
-    """Readout of ``index`` over ``qubits`` in the given order (default: all)."""
-    bits = format(index, f"0{num_qubits}b")
-    return bits if qubits is None else "".join(bits[q] for q in qubits)
 
 
 @functools.lru_cache(maxsize=1)
@@ -369,14 +292,6 @@ def sample_two_levels(
     return _histogram(outcomes, num_qubits)
 
 
-def _tree_sum(sums: list[float]) -> float:
-    """The total of a power-of-two count of chunk sums, added as a binary
-    tree: the order in which numpy's pairwise sum adds the halves of an array."""
-    while len(sums) > 1:
-        sums = [x + y for x, y in zip(sums[::2], sums[1::2])]
-    return sums[0]
-
-
 def _histogram(
     outcomes: np.ndarray, num_qubits: int, qubits: Sequence[int] | None = None
 ) -> Histogram:
@@ -391,61 +306,92 @@ def _histogram(
     return Histogram(counts)
 
 
-# numpy's default_rng(seed) is PCG64 (XSL-RR 128/64; O'Neill, "PCG: A Family of
-# Simple Fast Space-Efficient Statistically Good Algorithms for Random Number
-# Generation", HMC-CS-2014-0905) seeded by SeedSequence(seed).  NEP 19 fixes a
-# BitGenerator's stream across numpy versions.  Drawing it here keeps
-# numpy.random, and the libcrypto its import loads, out of every solve.
+# bit j of word ``_LOW_BIT_WORDS[p]`` is bit p of j, for the index bits inside a word
+_LOW_BIT_WORDS = tuple(sum(1 << j for j in range(64) if j >> p & 1) for p in range(6))
+_WORD = np.dtype("<u8")  # little-endian, so a word's bytes unpack in assignment order
+_ONES = np.uint64((1 << 64) - 1)
 
-_M32 = 0xFFFFFFFF
-_M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
+
+def sign_table(ops: Sequence, layout: QubitLayout) -> np.ndarray:
+    """The packed sign table: bit j of little-endian ``uint64`` word w is set
+    exactly when the compute block ``ops``, X gates with any controls, sets
+    every flag of search assignment 64w + j (a register under 6 bits fills
+    part of one word, the rest 0).  The ops run bit-sliced, on
+    ``layout.table_block`` words at a time: each qubit is a column of 64-bit
+    words, bit j of word w holding its value on assignment 64w + j, and only
+    the AND of the flag columns is kept."""
+    s = layout.search_width
+    words, block = layout.mask_words, layout.table_block
+    mask = np.zeros((words,), _WORD)
+    columns = [np.zeros((block,), _WORD) for _ in range(layout.num_qubits)]
+    acc = np.empty_like(columns[0])
+    for start in range(0, words, block):
+        for q in layout.search_qubits:
+            column, p = columns[q], s - 1 - q  # the index bit of qubit q: qubit 0 is the MSB
+            if p < 6:
+                column[...] = _LOW_BIT_WORDS[p]
+            elif 1 << (p - 6) < block:
+                halves = column.reshape(-1, 2, 1 << (p - 6))
+                halves[:, 0] = 0
+                halves[:, 1] = _ONES
+            else:  # the bit is the same on every assignment of the block
+                column[...] = _ONES if start >> (p - 6) & 1 else 0
+        for column in columns[s:]:
+            column[...] = 0
+        for op in ops:
+            target = columns[op.targets[0]]
+            controls = [columns[c] for c in op.controls]
+            if not controls:
+                target ^= _ONES  # not np.invert: XOR reuses the loops the PCG64 draws run
+            elif len(controls) == 1:
+                target ^= controls[0]
+            else:
+                np.bitwise_and(controls[0], controls[1], out=acc)
+                for c in controls[2:]:
+                    acc &= c
+                target ^= acc
+        marked = mask[start : start + block]
+        marked[...] = columns[layout.flag_qubits[0]]
+        for f in layout.flag_qubits[1:]:
+            marked &= columns[f]
+    if s < 6:
+        mask &= np.uint64((1 << (1 << s)) - 1)
+    return mask
+
+
+def count_marked(mask: np.ndarray) -> int:
+    return int(np.bitwise_count(mask).sum())  # not mask.any(), a loop nothing else runs
+
+
+def phase_readouts(
+    angles: Sequence[Sequence[float]], ops: Sequence, shots: int, seed: int
+) -> list[tuple[int, float]]:
+    """One batch row of ``len(angles[0])`` precision qubits per list of
+    kickback angles: uniform, turned by each angle on its qubit, then run
+    through ``ops``.  Each row reads out ``(raw, probability)``, its modal
+    outcome over ``shots`` draws at ``seed`` and that outcome's probability."""
+    m = len(angles[0])
+    batch = uniform((len(angles), 1 << m))
+    # the kickback, with the phase kernel's np.exp and rotate, so rows match bit for bit
+    amps = batch.reshape((-1,) + (2,) * m)
+    factors = np.exp(1j * np.array(angles))
+    for j in range(m):
+        rotate(amps[(slice(None),) * (j + 1) + (1,)], factors[:, j].reshape((-1,) + (1,) * (m - 1)))
+    for op in ops:
+        apply_unchecked(batch, op.gate, op.controls, op.targets)
+    draws = sorted_draws(shots, seed)
+    readouts = []
+    for row in batch:
+        # the draws below each CDF step, differenced, count each outcome's draws (as
+        # sample would assign them); argmax takes the first maximum, the lowest bitstring
+        raw = int(np.diff(draws.searchsorted(outcome_cdf(probabilities(row))), prepend=0).argmax())
+        readouts.append((raw, float(probabilities(row[raw]))))
+    return readouts
+
+
 _LOW32, _32 = np.uint64(_M32), np.uint64(32)
-_PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
 # most states advanced per pass of numpy ops: memory beyond the output is O(block)
 _DRAW_BLOCK = 1 << 14
-
-
-def _pcg64_seed(seed: int) -> tuple[int, int]:
-    """(state, increment) of ``PCG64(seed)`` before its first draw.
-
-    ``SeedSequence(seed).generate_state(4, uint64)`` in 32-bit words: the
-    seed's little-endian words hashed into a pool of 4, then 8 output words.
-    """
-    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    const = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * 0x931E8875 & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const = 0x8B51F9DD
-    words = []
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * 0x58F38DED & _M32
-        value = value * const & _M32
-        words.append(value ^ value >> 16)
-    u64 = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
-    initstate, initseq = u64[0] << 64 | u64[1], u64[2] << 64 | u64[3]
-    inc = (initseq << 1 | 1) & _M128
-    # a step from 0 gives inc; add initstate and step again
-    return ((inc + initstate) * _PCG_MULT + inc) & _M128, inc
 
 
 def _advance(hi: np.ndarray, lo: np.ndarray, mult: int, add: int, scratch) -> None:

@@ -133,15 +133,16 @@ def test_search_circuit_ops_are_validated_once(operand_checks, monkeypatch):
     assert 0 < operand_checks[0] == adds[0] < len(circ.ops)
 
 
-def test_tsp_solve_validates_each_executed_op_once(operand_checks, monkeypatch):
+def test_tsp_solve_validates_each_executed_op_once(operand_checks, monkeypatch, numpy_kernels):
+    # numpy kernels: the pure-Python rows execute no op to count
     executed = [0]
-    real_apply = qc.apply_unchecked
+    real_apply = sv.apply_unchecked
 
     def counting_apply(*args):
         executed[0] += 1
         return real_apply(*args)
 
-    monkeypatch.setattr(qc, "apply_unchecked", counting_apply)
+    monkeypatch.setattr(sv, "apply_unchecked", counting_apply)
     rows = [[0, 3, 4, 2, 7], [3, 0, 4, 6, 3], [4, 4, 0, 5, 8], [2, 6, 5, 0, 6], [7, 3, 8, 6, 0]]
     qpe_tsp.solve(instance_from_rows(rows))
     assert 0 < operand_checks[0] == executed[0]
@@ -198,7 +199,7 @@ def test_execute_zero_shots_skips_sampler(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("sampler must not run for shots=0")
 
-    monkeypatch.setattr(qc, "sample", boom)
+    monkeypatch.setattr(sv, "sample", boom)
     state, hist = qc.execute(Circuit(2).h(0))
     assert hist is None
     assert state.dtype == np.complex128 and state.shape == (4,)

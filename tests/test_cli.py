@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from checkout import CROSS_SUMS, EIGHT_CITIES, PROBLEMS, TSP, UNIT_KAKURO, python, traced_peak
 from qsolve import cli, grover_sat, qpe_tsp
+from qsolve import problems as model
 from qsolve.problems import AlgorithmMismatchError, NotEqual, ProblemFileError, SumEquals
 from test_refusals import SAT_66, TSP_59
 
@@ -221,7 +222,10 @@ def test_shots_within_the_state_budget_are_solved(capsys, problem):
     [(CROSS_SUMS, np.uint64), (TSP, np.complex128)],
     ids=["sat", "tsp"],
 )
-def test_out_of_memory_exits_two_without_traceback(capsys, monkeypatch, problem, refused):
+def test_out_of_memory_exits_two_without_traceback(
+    capsys, monkeypatch, numpy_kernels, problem, refused
+):
+    # numpy kernels: the pure-Python ones allocate no numpy array to refuse
     real_zeros = np.zeros
 
     def refuse_states(shape, dtype=float, **kwargs):
@@ -234,6 +238,30 @@ def test_out_of_memory_exits_two_without_traceback(capsys, monkeypatch, problem,
     assert code == 2
     assert out == ""
     assert err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize(
+    "problem, calls",
+    [
+        (CROSS_SUMS, ("validate_problem", "qubit_layout")),
+        (TSP, ("validate_instance", "precision_plan")),
+    ],
+    ids=["sat", "tsp"],
+)
+def test_a_solve_validates_and_plans_its_problem_once(capsys, monkeypatch, problem, calls):
+    """parse_problem validates the problem, the CLI plans it, and the solver
+    takes that plan: nothing validates or plans again."""
+    made = []
+    for name in calls:
+        def counting(*args, real=getattr(model, name), name=name, **kwargs):
+            made.append(name)
+            return real(*args, **kwargs)
+
+        for module in (model, cli, grover_sat, qpe_tsp):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    assert run_cli(capsys, "solve", "--input", str(problem))[0] == 0
+    assert sorted(made) == sorted(calls)
 
 
 @pytest.mark.parametrize(

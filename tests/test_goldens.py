@@ -1,7 +1,7 @@
 """Every pinned CLI report, exit code and ``--dump-circuit`` file, as one
 table of cases run through one runner: natively, with numpy's SIMD loops
-held to the x86-64 baseline, and with the smallest sign-table blocks and
-CDF chunks. A new golden is one row of ``CASES``; generate its files with
+held to the x86-64 baseline (on the kernels each row plans, then on the
+numpy kernels), and with the smallest sign-table blocks and CDF chunks. A new golden is one row of ``CASES``; generate its files with
 the code as it was before the change under test, never with the change."""
 
 import contextlib
@@ -114,20 +114,29 @@ needs_baseline_dispatch = pytest.mark.skipif(
 )
 
 BASELINE_ROWS = """
+import sys
+import pytest
 from numpy._core._multiarray_umath import __cpu_features__
 assert not __cpu_features__["X86_V3"], "AVX2/FMA loops are still dispatched"
+from checkout import ROOT
+from qsolve import problems
 from test_goldens import CASES, golden, row_id, run
-for case in CASES:
-    if case.seed == 0:
-        assert run(case) == golden(case), row_id(case)
+for bound in (problems.SCALAR_WORK, 0):  # as planned, then every row on numpy
+    problems.SCALAR_WORK = bound
+    for case in CASES:
+        if case.seed == 0:
+            assert run(case) == golden(case), (bound, row_id(case))
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests" / "test_scalar.py")]))
 """
 
 
 @needs_baseline_dispatch
 def test_seed_0_rows_hold_at_the_baseline_simd_level():
-    """The same seed prints the same bytes whichever SIMD loops numpy runs."""
+    """The same seed prints the same bytes whichever SIMD loops numpy runs,
+    whichever kernels a row runs on, and the pure-Python kernels equal the
+    numpy ones there too (tests/test_scalar.py)."""
     result = python("-c", BASELINE_ROWS, env=BASELINE_DISPATCH, text=True)
-    assert result.returncode == 0, result.stderr
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def small_sat_json(case: Case) -> bool:
@@ -142,13 +151,15 @@ def small_sat_json(case: Case) -> bool:
 @pytest.mark.parametrize("seed", [0, 7, 123])
 @pytest.mark.parametrize("case", [case for case in CASES if small_sat_json(case)], ids=row_id)
 def test_sat_output_holds_with_the_smallest_blocks_and_chunks(monkeypatch, case, seed):
-    """Sign-table blocks of 2 words and CDF chunks of 2**7 outcomes change no
-    byte of the JSON report, histogram included: the row's own seed against
-    its golden, seeds 7 and 123 against an unpatched run. The carries and
-    edges between them are crossed, and a register under 6 bits keeps its
-    unused mask bits clear."""
+    """The numpy kernels, with sign-table blocks of 2 words and CDF chunks of
+    2**7 outcomes, change no byte of the JSON report, histogram included: the
+    row's own seed against its golden, seeds 7 and 123 against a run as
+    planned, which takes the pure-Python kernels for a small problem. The
+    carries and edges between blocks and chunks are crossed, and a register
+    under 6 bits keeps its unused mask bits clear."""
     reseeded = case._replace(seed=seed)
     expected = golden(case) if seed == case.seed else run(reseeded)
+    monkeypatch.setattr(problems, "SCALAR_WORK", 0)
     monkeypatch.setattr(problems, "TABLE_BLOCK", 2)
     monkeypatch.setattr(sv, "_CDF_CHUNK", 1 << 7)
     assert run(reseeded) == expected

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from checkout import traced_peak
 from problem_gen import generate_corpus
-import qsolve.circuit as qc
-from qsolve import cli, grover_sat
+from qsolve import cli, grover_sat, scalar
 from qsolve import statevector as sv
 from qsolve.circuit import Circuit, execute
 from qsolve.grover_sat import (
@@ -432,10 +431,15 @@ def test_sign_table_marks_exactly_the_brute_force_solutions(bits):
     if bits == 8:  # the one answer that the golden report of the bundled problem prints
         assert problem == cli.parse_problem(PROBLEMS / "kakuro_cross_sums.json").sat
         assert oracles.enumerate_satisfying(widths, specs) == [{"a": 3, "b": 1, "c": 2, "d": 3}]
-    mask = grover_sat._marked(problem, qubit_layout(problem))
+    layout = qubit_layout(problem)
+    ops = grover_sat._compute(problem, layout).ops
+    mask = sv.sign_table(ops, layout)
     assert mask.dtype == np.dtype("<u8")
     assert mask.shape == (max(1, 1 << bits >> 6),)
     assert np.array_equal(unpack(mask, bits), expected)
+    assert sv.count_marked(mask) == expected.sum()
+    # the pure-Python table, one int, holds the same bits
+    assert scalar.sign_table(ops, layout) == int.from_bytes(mask.tobytes(), "little")
 
 
 def test_sign_table_of_a_20_bit_register_peaks_under_8_mib():
@@ -445,8 +449,8 @@ def test_sign_table_of_a_20_bit_register_peaks_under_8_mib():
     problem = problem_from_specs(dict.fromkeys(names, 4), specs)
     layout = qubit_layout(problem)  # 20 search + 5 flags + 7 scratch
     assert layout.search_width == 20
-    mask, peak = traced_peak(grover_sat._marked, problem, layout)
-    assert int(np.bitwise_count(mask).sum()) == 31134
+    mask, peak = traced_peak(sv.sign_table, grover_sat._compute(problem, layout).ops, layout)
+    assert sv.count_marked(mask) == 31134
     assert peak < 8 << 20
 
 
@@ -595,16 +599,16 @@ def test_solve_exhausts_schedule_on_contradiction():
     assert report.schedule_trace == [(1, 0), (2, 0)]
 
 
-def test_solve_draws_once_over_the_whole_schedule(monkeypatch):
+def test_solve_draws_once_over_the_whole_schedule(monkeypatch, kernels):
     calls = []
-    real_doubles = sv._pcg64_doubles
+    real_doubles = kernels._pcg64_doubles
 
     def counting_doubles(shots, seed):
         calls.append((shots, seed))
         return real_doubles(shots, seed)
 
-    monkeypatch.setattr(sv, "_pcg64_doubles", counting_doubles)
-    sv.sorted_draws.cache_clear()
+    monkeypatch.setattr(kernels, "_pcg64_doubles", counting_doubles)
+    kernels.sorted_draws.cache_clear()
     # nothing reaches a threshold of 1, so all four steps sample
     report = solve(UNIT_KAKURO, shots=1000, seed=5, frequency_threshold=1.0)
     assert not report.found
@@ -612,13 +616,13 @@ def test_solve_draws_once_over_the_whole_schedule(monkeypatch):
     assert calls == [(1000, 5)]
 
 
-def test_solve_samples_an_unchanged_level_once(monkeypatch):
+def test_solve_samples_an_unchanged_level_once(monkeypatch, kernels):
     # with nothing marked, a round maps the miss level b to exactly -b, so
     # unsat_pair's second step reads the levels its first step sampled
     sampled = []
-    real_sample = grover_sat.sample_two_levels
+    real_sample = kernels.sample_two_levels
     monkeypatch.setattr(
-        grover_sat, "sample_two_levels", lambda *args: sampled.append(args) or real_sample(*args)
+        kernels, "sample_two_levels", lambda *args: sampled.append(args) or real_sample(*args)
     )
     report = solve(cli.parse_problem(PROBLEMS / "unsat_pair.json").sat)
     assert report.schedule_trace == [(1, 0), (2, 0)]
@@ -640,22 +644,22 @@ def test_solve_synthesizes_the_oracle_once(monkeypatch):
     assert calls[0] == 1
 
 
-def test_solve_applies_the_largest_round_count_not_the_sum(monkeypatch):
+def test_solve_applies_the_largest_round_count_not_the_sum(monkeypatch, kernels):
     # a != a never holds, so nothing is marked and each round negates the
     # uniform amplitude 1/2: the whole schedule [1, 2] ends at +1/2 after 2
     # rounds, at -1/2 after 1 + 2; and the walk runs no gate kernel
     problem = SatProblem((VarDecl("a", 2),), (NotEqual("a", "a"),))
     applied = [0]
-    real_apply = qc.apply_unchecked
+    real_apply = sv.apply_unchecked
 
     def counting_apply(*args):
         applied[0] += 1
         return real_apply(*args)
 
-    monkeypatch.setattr(qc, "apply_unchecked", counting_apply)
+    monkeypatch.setattr(sv, "apply_unchecked", counting_apply)
     report = solve(problem)
     assert report.schedule_trace == [(1, 0), (2, 0)]
-    walk = list(schedule_states(problem, qubit_layout(problem)))
+    walk = list(schedule_states(problem, qubit_layout(problem), sv))
     assert [(t, int(unpack(mask, 2).sum()), b) for t, mask, _, b in walk] == [
         (1, 0, -0.5),
         (2, 0, 0.5),
@@ -663,10 +667,10 @@ def test_solve_applies_the_largest_round_count_not_the_sum(monkeypatch):
     assert applied[0] == 0
 
 
-def test_solve_refuses_a_compute_block_that_is_not_only_x(monkeypatch):
+def test_solve_refuses_a_compute_block_that_is_not_only_x(monkeypatch, kernels):
     real_synth = grover_sat.synth_not_equal
     sampled = [0]
-    real_sample = grover_sat.sample_two_levels
+    real_sample = kernels.sample_two_levels
 
     def synth_with_h(frag, layout, a, b, flag):
         real_synth(frag, layout, a, b, flag)
@@ -676,7 +680,7 @@ def test_solve_refuses_a_compute_block_that_is_not_only_x(monkeypatch):
         sampled[0] += 1
         return real_sample(*args)
 
-    monkeypatch.setattr(grover_sat, "sample_two_levels", counting_sample)
+    monkeypatch.setattr(kernels, "sample_two_levels", counting_sample)
     solve(UNIT_KAKURO)
     assert sampled[0] == 1
     sampled[0] = 0
@@ -718,7 +722,7 @@ def assert_walk_matches_fresh_circuits(problem, steps=None):
     histograms at seeds 0, 7 and 123; every other column is exactly 0."""
     layout = qubit_layout(problem)
     s = layout.search_width
-    for t, mask, a, b in itertools.islice(schedule_states(problem, layout), steps):
+    for t, mask, a, b in itertools.islice(schedule_states(problem, layout, sv), steps):
         fresh, _ = execute(build_search_circuit(problem, layout, t))
         table = fresh.reshape(1 << s, -1)
         column = np.ascontiguousarray(table[:, 0])
@@ -759,7 +763,7 @@ def test_a_full_20_bit_schedule_follows_the_closed_form():
     solutions = int(expected_marked.sum())
     assert 0 < solutions < expected_marked.size == 1 << 20
     steps = []
-    for t, mask, a, b in schedule_states(problem, qubit_layout(problem)):
+    for t, mask, a, b in schedule_states(problem, qubit_layout(problem), sv):
         if not steps:
             assert np.array_equal(unpack(mask, 20), expected_marked)
         expected = oracles.amplification_probability(20, solutions, t)
@@ -793,7 +797,7 @@ def test_a_whole_24_bit_schedule_stays_on_the_closed_form():
     solutions = marked_count_by_dp(4, 42)
     assert solutions == 426_636
     steps = []
-    for t, mask, a, b in schedule_states(problem, qubit_layout(problem)):
+    for t, mask, a, b in schedule_states(problem, qubit_layout(problem), sv):
         if not steps:
             assert int(np.bitwise_count(mask).sum()) == solutions
         mass = solutions * a * a

@@ -1,8 +1,8 @@
 """What a fresh interpreter loads, and in what order: importing qsolve loads
-OpenBLAS single-threaded unless told otherwise, a solve leaves numpy.random
-and dataclasses out, every qsolve module compiles before numpy loads, and a
-solve process freezes its objects out of the exit-time collections yet runs
-atexit hooks.
+OpenBLAS single-threaded unless told otherwise, a small solve loads neither
+numpy nor the simulator, a wide one leaves numpy.random and dataclasses out,
+every qsolve module compiles before numpy loads, and a solve process freezes
+its objects out of the exit-time collections yet runs atexit hooks.
 
 Each case runs in a fresh interpreter whose environment is built here
 without OPENBLAS_NUM_THREADS: this process has imported qsolve, so its own
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from checkout import ROOT, python
+from checkout import CROSS_SUMS, EIGHT_CITIES, GOLDEN, ROOT, TSP, UNSAT, python
 
 needs_task_list = pytest.mark.skipif(
     not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task to count threads"
@@ -57,17 +57,28 @@ SOLVE_THEN_REPORT = """\
 import contextlib, io, sys
 from qsolve import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(["solve", "--input", f"problems/{name}.json"])
-             for name in ("kakuro_cross_sums", "unsat_pair", "tsp_four_cities")]
-print(*codes, "numpy" in sys.modules)
-print(*(m for m in ("numpy.random", "secrets", "_hashlib", "dataclasses") if m in sys.modules))
+    code = cli.main(["solve", "--input", sys.argv[1]])
+watched = ("numpy", "qsolve.statevector", "numpy.random", "secrets", "_hashlib", "dataclasses")
+print(code, *(m for m in watched if m in sys.modules))
 """
 
+# one solution of 2**20: a search too wide for the pure-Python kernels
+NEEDLE = GOLDEN / "needle20.json"
 
-def test_a_solve_loads_numpy_but_not_numpy_random_or_dataclasses():
+
+@pytest.mark.parametrize(
+    "problem, code",
+    [(CROSS_SUMS, "0"), (UNSAT, "1"), (TSP, "0"), (EIGHT_CITIES, "0")],
+    ids=lambda value: getattr(value, "stem", None),
+)
+def test_a_small_solve_loads_neither_numpy_nor_the_simulator(problem, code):
+    assert run_child(SOLVE_THEN_REPORT, str(problem)) == [code]
+
+
+def test_a_wide_solve_loads_numpy_but_not_numpy_random_or_dataclasses():
     # numpy.random imports secrets, whose hmac import loads libcrypto; numpy
     # does not import dataclasses, so only a qsolve record could
-    assert run_child(SOLVE_THEN_REPORT) == ["0", "1", "0", "True"]
+    assert run_child(SOLVE_THEN_REPORT, str(NEEDLE)) == ["0", "numpy", "qsolve.statevector"]
 
 
 COMPILE_ORDER = """\
@@ -92,20 +103,14 @@ print(code, *(f"{name}={loaded}" for name, loaded in sorted(numpy_loaded.items()
 """
 
 
-@pytest.mark.parametrize(
-    "problem, solver",
-    [("kakuro_cross_sums", "grover_sat"), ("tsp_four_cities", "qpe_tsp")],
-    ids=["sat", "tsp"],
-)
-def test_every_qsolve_module_compiles_before_numpy_loads(tmp_path, problem, solver):
+def test_every_qsolve_module_compiles_before_numpy_loads(tmp_path):
     # an empty bytecode cache makes every module compile from source, even
-    # where __pycache__ directories hold bytecode from an earlier run
-    modules = ("qsolve", "qsolve.circuit", "qsolve.cli", "qsolve.problems",
-               f"qsolve.{solver}", "qsolve.statevector")
-    output = run_child(
-        COMPILE_ORDER, f"problems/{problem}.json", PYTHONPYCACHEPREFIX=str(tmp_path)
-    )
-    assert output == ["0", *(f"{name}=False" for name in sorted(modules))]
+    # where __pycache__ directories hold bytecode from an earlier run; a wide
+    # search is the solve that loads numpy, and every module but qpe_tsp
+    modules = ("qsolve", "qsolve.circuit", "qsolve.cli", "qsolve.grover_sat",
+               "qsolve.problems", "qsolve.scalar", "qsolve.statevector")
+    output = run_child(COMPILE_ORDER, str(NEEDLE), PYTHONPYCACHEPREFIX=str(tmp_path))
+    assert output == ["0", *(f"{name}=False" for name in modules)]
 
 
 EXIT_HOOK = """\

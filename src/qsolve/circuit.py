@@ -28,10 +28,10 @@ class CircuitOp(NamedTuple):
 class Circuit:
     """An ordered tuple of operations on ``num_qubits`` qubits.
 
-    An op is validated once, when it enters a circuit through ``add``;
-    ``extend`` of a circuit no wider than this one, ``inverse`` and
-    ``execute`` rely on that and do not check again.  The builder methods
-    return ``self`` so constructions chain.
+    An op is validated once: by ``add``, or in the SAT compute block by
+    ``grover_sat._compute``; ``extend`` of a circuit no wider than this one,
+    ``inverse`` and ``execute`` rely on that and do not check again.  The
+    builder methods return ``self`` so constructions chain.
     """
 
     def __init__(self, num_qubits: int, registers: Iterable[QubitRegister] = ()):
@@ -82,9 +82,6 @@ class Circuit:
 
     def swap(self, a: int, b: int) -> "Circuit":
         return self.add(SWAP, targets=(a, b))
-
-    def mcx(self, controls: Iterable[int], target: int) -> "Circuit":
-        return self.add(X, controls=controls, targets=(target,))
 
     def phase_on(
         self, lam: float, qubit: int, controls: Iterable[int] = ()

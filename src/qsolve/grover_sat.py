@@ -15,7 +15,6 @@ import itertools
 import math
 from typing import Iterator, NamedTuple, Sequence
 
-from .circuit import Circuit, h_layer, inverse
 from .problems import (  # qubit_layout and iteration_schedule are reached from here too
     DEFAULT_QUBIT_CAP,
     EqualConst,
@@ -27,7 +26,7 @@ from .problems import (  # qubit_layout and iteration_schedule are reached from 
     qubit_layout,
     request_error,
 )
-from .scalar import Histogram, X, Z
+from .scalar import Histogram, X, Z, check_operands
 
 Assignment = dict[str, int]
 
@@ -51,8 +50,9 @@ def classical_check(assignment: Assignment, problem: SatProblem) -> bool:
 # --- constraint synthesis ------------------------------------------------------
 
 
-def synth_not_equal(frag: Circuit, layout: QubitLayout, a: str, b: str, flag: int) -> None:
-    """Append the flag flip for a != b to ``frag``.
+def synth_not_equal(ops: list, layout: QubitLayout, a: str, b: str, flag: int) -> None:
+    """Append the flag flip for a != b to ``ops``, as X gates: unchecked
+    ``(controls, target)`` pairs, like every synthesis function here.
 
     XORs a into b, detects the all-zeros pattern (equality) onto the flag,
     inverts the flag, then undoes the XOR.  The same variable on both sides
@@ -60,30 +60,26 @@ def synth_not_equal(frag: Circuit, layout: QubitLayout, a: str, b: str, flag: in
     """
     if a == b:
         return
-    pairs = tuple(zip(layout.var_qubits(a), layout.var_qubits(b)))
-    for qa, qb in pairs:
-        frag.mcx((qa,), qb)
-    _match_constant(frag, layout.var_qubits(b), 0, flag)
-    frag.x(flag)
-    for qa, qb in pairs:
-        frag.mcx((qa,), qb)
+    xors = [((qa,), qb) for qa, qb in zip(layout.var_qubits(a), layout.var_qubits(b))]
+    ops += xors
+    _match_constant(ops, layout.var_qubits(b), 0, flag)
+    ops.append(((), flag))
+    ops += xors
 
 
-def _match_constant(frag: Circuit, qubits: Sequence[int], value: int, flag: int) -> None:
+def _match_constant(ops: list, qubits: Sequence[int], value: int, flag: int) -> None:
     """Flip ``flag`` exactly when ``qubits`` (MSB-first) hold ``value``:
     X-conjugate the zero bits of the pattern so an all-ones detection fires
     on the constant alone."""
     k = len(qubits)
-    zero_positions = [q for i, q in enumerate(qubits) if not (value >> (k - 1 - i)) & 1]
-    for q in zero_positions:
-        frag.x(q)
-    frag.mcx(qubits, flag)
-    for q in zero_positions:
-        frag.x(q)
+    flips = [((), q) for i, q in enumerate(qubits) if not (value >> (k - 1 - i)) & 1]
+    ops += flips
+    ops.append((tuple(qubits), flag))
+    ops += flips
 
 
 def _controlled_add_power(
-    frag: Circuit, control: int, weight: int, sum_qubits: Sequence[int]
+    ops: list, control: int, weight: int, sum_qubits: Sequence[int]
 ) -> None:
     """Add 2**weight into the scratch accumulator when ``control`` is set.
 
@@ -93,64 +89,72 @@ def _controlled_add_power(
     k = len(sum_qubits)
     for j in range(k - 1, weight - 1, -1):  # bit significance j, descending
         lower = tuple(sum_qubits[k - 1 - i] for i in range(weight, j))
-        frag.mcx((control, *lower), sum_qubits[k - 1 - j])
+        ops.append(((control, *lower), sum_qubits[k - 1 - j]))
 
 
 def synth_sum_equals(
-    frag: Circuit, layout: QubitLayout, names: Sequence[str], value: int, flag: int
+    ops: list, layout: QubitLayout, names: Sequence[str], value: int, flag: int
 ) -> None:
-    """Append the flag flip for sum(names) == value to ``frag``.
+    """Append the flag flip for sum(names) == value to ``ops``.
 
     Accumulates every operand bit into the shared scratch register with
     controlled ripple increments, compares the accumulator against the
-    constant onto the flag, then uncomputes so scratch returns to zero.
+    constant onto the flag, then uncomputes so scratch returns to zero: the
+    increments in reverse order, as each X is its own inverse.
     """
     sum_qubits = layout.scratch_qubits
-    accumulate = Circuit(layout.num_qubits)
+    start = len(ops)
     for name in names:
         vq = tuple(layout.var_qubits(name))
         width = len(vq)
         for i, q in enumerate(vq):
-            _controlled_add_power(accumulate, q, width - 1 - i, sum_qubits)
-    frag.extend(accumulate)
-    _match_constant(frag, sum_qubits, value, flag)
-    frag.extend(inverse(accumulate))
+            _controlled_add_power(ops, q, width - 1 - i, sum_qubits)
+    accumulate = reversed(ops[start:])
+    _match_constant(ops, sum_qubits, value, flag)
+    ops += accumulate
 
 
 # --- oracle, diffuser, schedule ---------------------------------------------
 
 
-def _compute(problem: SatProblem, layout: QubitLayout) -> Circuit:
-    """Every constraint's flag flip, in constraint order."""
-    compute = Circuit(layout.num_qubits)
+def _compute(problem: SatProblem, layout: QubitLayout) -> list[tuple]:
+    """Every constraint's flag flip, in constraint order: the compute block's
+    X gates as ``(controls, targets)`` pairs, each distinct pair checked once
+    by :func:`qsolve.scalar.check_operands` (an uncompute repeats pairs)."""
+    ops: list = []
     for c, flag in zip(problem.constraints, layout.flag_qubits):
         if isinstance(c, NotEqual):
-            synth_not_equal(compute, layout, c.a, c.b, flag)
+            synth_not_equal(ops, layout, c.a, c.b, flag)
         elif isinstance(c, EqualConst):
-            _match_constant(compute, layout.var_qubits(c.a), c.value, flag)
+            _match_constant(ops, layout.var_qubits(c.a), c.value, flag)
         else:
-            synth_sum_equals(compute, layout, c.vars, c.value, flag)
-    return compute
+            synth_sum_equals(ops, layout, c.vars, c.value, flag)
+    n = layout.num_qubits
+    checked = {(c, t): check_operands(n, X, c, (t,)) for c, t in dict.fromkeys(ops)}
+    return [checked[pair] for pair in ops]
 
 
-def build_oracle(problem: SatProblem, layout: QubitLayout) -> Circuit:
+def build_oracle(problem: SatProblem, layout: QubitLayout) -> "Circuit":
     """Phase oracle: -1 on search states satisfying every constraint, +1
     elsewhere, with all flags and scratch restored to zero.
 
-    Compute every flag, phase-flip on the all-flags-set subspace, uncompute.
-    With a single constraint the phase flip is a plain Z on its flag.
+    Compute every flag, phase-flip on the all-flags-set subspace, run the
+    compute block backwards.  With one constraint the flip is a plain Z.
     """
-    oracle = _compute(problem, layout)
-    uncompute = inverse(oracle)
+    from .circuit import Circuit, CircuitOp
     flags = layout.flag_qubits
-    oracle.add(Z, controls=flags[:-1], targets=(flags[-1],))
-    return oracle.extend(uncompute)
+    oracle = Circuit(layout.num_qubits).add(Z, controls=flags[:-1], targets=(flags[-1],))
+    # _compute checked every pair, so they enter without ``add``, as ``inverse`` does
+    compute = [CircuitOp(X, *pair) for pair in _compute(problem, layout)]
+    oracle.ops = (*compute, *oracle.ops, *reversed(compute))
+    return oracle
 
 
-def build_diffuser(search_width: int) -> Circuit:
+def build_diffuser(search_width: int) -> "Circuit":
     """Reflection about the uniform superposition of the search register
     (up to a global phase): H X on every search qubit, a search-wide
     controlled Z, then X H back."""
+    from .circuit import h_layer
     frag = h_layer(search_width)
     for q in range(search_width):
         frag.x(q)
@@ -160,9 +164,10 @@ def build_diffuser(search_width: int) -> Circuit:
     return frag.extend(h_layer(search_width))
 
 
-def build_search_circuit(problem: SatProblem, layout: QubitLayout, iterations: int) -> Circuit:
+def build_search_circuit(problem: SatProblem, layout: QubitLayout, iterations: int) -> "Circuit":
     """Uniform state preparation on the search register followed by
     ``iterations`` oracle + diffuser rounds."""
+    from .circuit import Circuit, h_layer
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
     circ = Circuit(layout.num_qubits, registers=layout.registers)
@@ -183,9 +188,10 @@ def schedule_states(problem: SatProblem, layout: QubitLayout, kernels) -> Iterat
     """Yield ``(t, mask, a, b)`` for each round count t of :func:`iteration_schedule`.
 
     ``mask`` is the sign table of ``kernels``, :mod:`qsolve.statevector` or
-    :mod:`qsolve.scalar`.  The compute block is X gates, which
-    permute basis states, so on |x, 0> the oracle is the sign -1 exactly
-    where it sets every flag, and resets every ancilla.  After t rounds
+    :mod:`qsolve.scalar`, read from the pairs of :func:`_compute`.  The
+    compute block is X gates, which permute basis states, so on |x, 0> the
+    oracle is the sign -1 exactly where it sets every flag, and resets every
+    ancilla.  After t rounds
     every assignment the mask sets has amplitude ``a`` and every other one ``b``: spread
     over the search register, these are within 1e-12 of the
     flags-and-scratch-0 column of ``build_search_circuit(problem, layout,
@@ -193,12 +199,8 @@ def schedule_states(problem: SatProblem, layout: QubitLayout, kernels) -> Iterat
     This is Grover's two-dimensional subspace: a round negates ``a``, then
     inverts about the mean, as H(I - 2|0><0|)H = I - 2|u><u| maps v to
     v - 2 mean(v)."""
-    ops = _compute(problem, layout).ops
-    for op in ops:
-        if op.gate != X:
-            raise ValueError(f"the compute block must be X gates only, got {op.gate.name!r}")
     s = layout.search_width
-    mask = kernels.sign_table(ops, layout)
+    mask = kernels.sign_table(_compute(problem, layout), layout)
     k, n = kernels.count_marked(mask), 1 << s
     a = b = math.sqrt(1.0 / n)
     done = 0

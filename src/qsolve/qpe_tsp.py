@@ -212,8 +212,8 @@ def solve(
     kernels = pick_kernels(len(distinct) * (m * m << m), shots)
     estimates: dict[int, PhaseEstimate] = {}
     for start in range(0, len(distinct), chunk):
-        rows = distinct[start : start + chunk]
-        estimates.update(zip(rows, estimate_phases(rows, scale, m, shots, seed, kernels)))
+        batch = distinct[start : start + chunk]
+        estimates.update(zip(batch, estimate_phases(batch, scale, m, shots, seed, kernels)))
     decoded = {e: decode_phase(estimate, scale) for e, estimate in estimates.items()}
     lengths = [decoded[e] for e in exponents]
     # tours are in lexicographic order, so the first minimum breaks ties

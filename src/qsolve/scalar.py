@@ -223,7 +223,7 @@ def sample_two_levels(
 def sign_table(ops: Sequence, layout) -> int:
     """:func:`qsolve.statevector.sign_table` as one int, bit i for assignment
     i.  Each qubit is a column, one int whose bit i holds its value on
-    assignment i; an op XORs the AND of its controls into its target."""
+    assignment i; an X pair XORs the AND of its controls into its target."""
     s, size = layout.search_width, 1 << layout.search_width
     ones, columns = (1 << size) - 1, [0] * layout.num_qubits
     for q in layout.search_qubits:
@@ -234,11 +234,11 @@ def sign_table(ops: Sequence, layout) -> int:
             column |= column << width
             width *= 2
         columns[q] = column
-    for op in ops:
+    for controls, (target,) in ops:
         acc = ones
-        for c in op.controls:
+        for c in controls:
             acc &= columns[c]
-        columns[op.targets[0]] ^= acc
+        columns[target] ^= acc
     marked = ones
     for f in layout.flag_qubits:
         marked &= columns[f]

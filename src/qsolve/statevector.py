@@ -314,12 +314,12 @@ _ONES = np.uint64((1 << 64) - 1)
 
 def sign_table(ops: Sequence, layout: QubitLayout) -> np.ndarray:
     """The packed sign table: bit j of little-endian ``uint64`` word w is set
-    exactly when the compute block ``ops``, X gates with any controls, sets
-    every flag of search assignment 64w + j (a register under 6 bits fills
-    part of one word, the rest 0).  The ops run bit-sliced, on
-    ``layout.table_block`` words at a time: each qubit is a column of 64-bit
-    words, bit j of word w holding its value on assignment 64w + j, and only
-    the AND of the flag columns is kept."""
+    exactly when the compute block ``ops``, X gates given as checked
+    ``(controls, (target,))`` pairs, sets every flag of search assignment
+    64w + j (a register under 6 bits fills part of one word, the rest 0).
+    The ops run bit-sliced, on ``layout.table_block`` words at a time: each
+    qubit is a column of 64-bit words, bit j of word w holding its value on
+    assignment 64w + j, and only the AND of the flag columns is kept."""
     s = layout.search_width
     words, block = layout.mask_words, layout.table_block
     mask = np.zeros((words,), _WORD)
@@ -338,9 +338,9 @@ def sign_table(ops: Sequence, layout: QubitLayout) -> np.ndarray:
                 column[...] = _ONES if start >> (p - 6) & 1 else 0
         for column in columns[s:]:
             column[...] = 0
-        for op in ops:
-            target = columns[op.targets[0]]
-            controls = [columns[c] for c in op.controls]
+        for control_qubits, (target_qubit,) in ops:
+            target = columns[target_qubit]
+            controls = [columns[c] for c in control_qubits]
             if not controls:
                 target ^= _ONES  # not np.invert: XOR reuses the loops the PCG64 draws run
             elif len(controls) == 1:

@@ -10,7 +10,7 @@ import oracles
 from problem_gen import instance_from_rows
 import qsolve.circuit as qc
 import qsolve.statevector as sv
-from qsolve import cli, qpe_tsp
+from qsolve import cli, grover_sat, qpe_tsp
 from qsolve.circuit import Circuit, CircuitOp, QubitRegister
 from qsolve.grover_sat import build_search_circuit, qubit_layout
 from qsolve.problems import EqualConst, SatProblem, VarDecl, validate_problem
@@ -48,7 +48,7 @@ def test_builder_methods_record_ops_in_order():
     circ = (
         Circuit(3)
         .h(0)
-        .mcx((0,), 1)
+        .add(X, controls=(0,), targets=(1,))
         .add(Z, controls=(0, 1), targets=(2,))
         .swap(1, 2)
         .phase_on(0.25, 0)
@@ -83,7 +83,7 @@ def test_register_names_follow_the_variable_name_rule(name):
 
 
 def test_extend_appends_fragment_ops():
-    frag = Circuit(2).h(0).mcx((0,), 1)
+    frag = Circuit(2).h(0).add(X, controls=(0,), targets=(1,))
     circ = Circuit(3).x(2)
     circ.extend(frag)
     assert len(circ.ops) == 3
@@ -104,7 +104,8 @@ def test_extend_is_all_or_nothing():
 
 @pytest.fixture
 def operand_checks(monkeypatch):
-    """Counts every check_operands call made by the circuit and simulator modules."""
+    """Counts every check_operands call made by the circuit, SAT synthesis
+    and simulator modules."""
     calls = [0]
     real = sv.check_operands
 
@@ -113,12 +114,14 @@ def operand_checks(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(qc, "check_operands", counting)
+    monkeypatch.setattr(grover_sat, "check_operands", counting)
     monkeypatch.setattr(sv, "check_operands", counting)
     return calls
 
 
 def test_search_circuit_ops_are_validated_once(operand_checks, monkeypatch):
-    # every op is built by ``add``; extending, inverting and executing reuse it
+    # an op is built by ``add`` or checked as a distinct pair of the compute
+    # block; the pair's repeats, extending, repeating and executing reuse it
     adds = [0]
     real_add = Circuit.add
 
@@ -128,9 +131,15 @@ def test_search_circuit_ops_are_validated_once(operand_checks, monkeypatch):
 
     monkeypatch.setattr(Circuit, "add", counting_add)
     problem = cli.parse_problem(PROBLEMS / "kakuro_cross_sums.json").sat
-    circ = build_search_circuit(problem, qubit_layout(problem), 2)
+    layout = qubit_layout(problem)
+    circ = build_search_circuit(problem, layout, 2)
     qc.execute(circ)
-    assert 0 < operand_checks[0] == adds[0] < len(circ.ops)
+    checks = operand_checks[0]
+    pairs = grover_sat._compute(problem, layout)
+    distinct = len({id(pair) for pair in pairs})
+    assert distinct == len(set(pairs)) < len(pairs)
+    assert 0 < adds[0] < distinct
+    assert checks == distinct + adds[0]
 
 
 def test_tsp_solve_validates_each_executed_op_once(operand_checks, monkeypatch, numpy_kernels):
@@ -152,7 +161,7 @@ def test_tsp_solve_validates_each_executed_op_once(operand_checks, monkeypatch, 
 
 
 def test_inverse_reverses_and_negates():
-    circ = Circuit(2).h(0).phase_on(0.3, 1).mcx((0,), 1)
+    circ = Circuit(2).h(0).phase_on(0.3, 1).add(X, controls=(0,), targets=(1,))
     inv = qc.inverse(circ)
     assert [op.gate.name for op in inv.ops] == ["x", "phase", "h"]
     assert inv.ops[1].gate.lam == -0.3
@@ -212,7 +221,7 @@ def test_execute_rejects_negative_shots():
 
 
 def test_execute_is_deterministic():
-    circ = Circuit(3).h(0).h(1).mcx((1,), 2)
+    circ = Circuit(3).h(0).h(1).add(X, controls=(1,), targets=(2,))
     _, first = qc.execute(circ, shots=500, seed=9)
     _, second = qc.execute(circ, shots=500, seed=9)
     assert first == second
@@ -226,8 +235,8 @@ def test_export_text_golden():
     assert float(f"{lam:.16g}") != lam  # its repr needs all 17 digits
     registers = (QubitRegister("v", 0, 2), QubitRegister("anc", 2, 1), QubitRegister("é", 3, 7))
     circ = Circuit(10, registers=registers)
-    circ.h(0).mcx((0, 1), 2).phase_on(0.5, 1).swap(0, 1)
-    circ.mcx((8, 1), 9).phase_on(lam, 3)
+    circ.h(0).add(X, controls=(0, 1), targets=(2,)).phase_on(0.5, 1).swap(0, 1)
+    circ.add(X, controls=(8, 1), targets=(9,)).phase_on(lam, 3)
     circ.extend(qc.inverse(Circuit(10).phase_on(lam, 3, controls=(1,))))
     assert list(circ.ops[4].controls) == [8, 1]  # a set; the line lists it sorted
     assert "".join(qc.export_text(circ)) == (

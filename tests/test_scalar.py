@@ -125,7 +125,7 @@ SMALL_SAT = [CROSS_SUMS, UNIT_KAKURO, UNSAT, GOLDEN / "readme_example.json", GOL
 def test_sign_table_is_the_numpy_table(path):
     problem = cli.parse_problem(path).sat
     layout = qubit_layout(problem)
-    ops = grover_sat._compute(problem, layout).ops
+    ops = grover_sat._compute(problem, layout)
     table, words = scalar.sign_table(ops, layout), sv.sign_table(ops, layout)
     assert table == int.from_bytes(words.tobytes(), "little")
     assert scalar.count_marked(table) == sv.count_marked(words)

@@ -1,6 +1,7 @@
 """What a fresh interpreter loads, and in what order: importing qsolve loads
 OpenBLAS single-threaded unless told otherwise, a small solve loads neither
-numpy nor the simulator, a wide one leaves numpy.random and dataclasses out,
+numpy nor the simulator, a SAT solve loads qsolve.circuit only to dump its
+circuit, a wide one leaves numpy.random and dataclasses out,
 every qsolve module compiles before numpy loads, and a solve process freezes
 its objects out of the exit-time collections yet runs atexit hooks.
 
@@ -9,11 +10,12 @@ without OPENBLAS_NUM_THREADS: this process has imported qsolve, so its own
 environment would pass the package's default down to the child.
 """
 
+import os
 from pathlib import Path
 
 import pytest
 
-from checkout import CROSS_SUMS, EIGHT_CITIES, GOLDEN, ROOT, TSP, UNSAT, python
+from checkout import CROSS_SUMS, EIGHT_CITIES, GOLDEN, ROOT, TSP, UNIT_KAKURO, UNSAT, python
 
 needs_task_list = pytest.mark.skipif(
     not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task to count threads"
@@ -57,8 +59,9 @@ SOLVE_THEN_REPORT = """\
 import contextlib, io, sys
 from qsolve import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["solve", "--input", sys.argv[1]])
-watched = ("numpy", "qsolve.statevector", "numpy.random", "secrets", "_hashlib", "dataclasses")
+    code = cli.main(["solve", "--input", *sys.argv[1:]])
+watched = ("numpy", "qsolve.circuit", "qsolve.statevector", "numpy.random", "secrets", "_hashlib",
+           "dataclasses")
 print(code, *(m for m in watched if m in sys.modules))
 """
 
@@ -67,12 +70,22 @@ NEEDLE = GOLDEN / "needle20.json"
 
 
 @pytest.mark.parametrize(
-    "problem, code",
-    [(CROSS_SUMS, "0"), (UNSAT, "1"), (TSP, "0"), (EIGHT_CITIES, "0")],
-    ids=lambda value: getattr(value, "stem", None),
+    "args, output",
+    [
+        # a SAT solve builds no circuit but the one it dumps; a TSP solve
+        # runs the inverse Fourier transform that qsolve.circuit builds
+        pytest.param((CROSS_SUMS,), ["0"], id="kakuro_cross_sums-0"),
+        pytest.param((UNSAT,), ["1"], id="unsat_pair-1"),
+        pytest.param(
+            (UNIT_KAKURO, "--dump-circuit", os.devnull), ["0", "qsolve.circuit"],
+            id="kakuro_unit_sums-dump-0",
+        ),
+        pytest.param((TSP,), ["0", "qsolve.circuit"], id="tsp_four_cities-0"),
+        pytest.param((EIGHT_CITIES,), ["0", "qsolve.circuit"], id="tsp_n8_seed0-0"),
+    ],
 )
-def test_a_small_solve_loads_neither_numpy_nor_the_simulator(problem, code):
-    assert run_child(SOLVE_THEN_REPORT, str(problem)) == [code]
+def test_a_small_solve_loads_neither_numpy_nor_the_simulator(args, output):
+    assert run_child(SOLVE_THEN_REPORT, *map(str, args)) == output
 
 
 def test_a_wide_solve_loads_numpy_but_not_numpy_random_or_dataclasses():
@@ -106,9 +119,9 @@ print(code, *(f"{name}={loaded}" for name, loaded in sorted(numpy_loaded.items()
 def test_every_qsolve_module_compiles_before_numpy_loads(tmp_path):
     # an empty bytecode cache makes every module compile from source, even
     # where __pycache__ directories hold bytecode from an earlier run; a wide
-    # search is the solve that loads numpy, and every module but qpe_tsp
-    modules = ("qsolve", "qsolve.circuit", "qsolve.cli", "qsolve.grover_sat",
-               "qsolve.problems", "qsolve.scalar", "qsolve.statevector")
+    # search is the solve that loads numpy, and every module but circuit and qpe_tsp
+    modules = ("qsolve", "qsolve.cli", "qsolve.grover_sat", "qsolve.problems", "qsolve.scalar",
+               "qsolve.statevector")
     output = run_child(COMPILE_ORDER, str(NEEDLE), PYTHONPYCACHEPREFIX=str(tmp_path))
     assert output == ["0", *(f"{name}=False" for name in modules)]
 

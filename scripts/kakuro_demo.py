@@ -6,9 +6,7 @@ option or when stdout cannot take the report (closed, or on a full disk)."""
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from qsolve import statevector
+import qsolve.scalar
 from qsolve.cli import HelpParser, parse_problem, report_to_stdout
 from qsolve.grover_sat import (
     classical_check,
@@ -35,9 +33,8 @@ def amplification_table(problem, layout):
     print(f"  search qubits: {n}, total qubits: {layout.num_qubits}, "
           f"satisfying assignments: {len(satisfying)}")
     print(f"  {'iterations':>10}  {'p(all solutions)':>16}  {'p(best single)':>15}")
-    for iterations, mask, a, b in schedule_states(problem, layout, statevector):
-        marked = np.unpackbits(mask.view(np.uint8), bitorder="little")  # one byte per assignment
-        per_solution = [a * a if marked[i] else b * b for i in satisfying]
+    for iterations, mask, a, b in schedule_states(problem, layout, qsolve.scalar):
+        per_solution = [a * a if mask >> i & 1 else b * b for i in satisfying]
         total = sum(per_solution)
         best = max(per_solution, default=0.0)
         print(f"  {iterations:>10}  {total:>16.6f}  {best:>15.6f}")

@@ -9,8 +9,8 @@ import itertools
 import sys
 from pathlib import Path
 
-from qsolve.cli import HelpParser, parse_problem, report_to_stdout
-from qsolve.problems import ProblemFileError, QsolveError, request_error
+from qsolve.cli import HelpParser, parse_problem, plan_problem, report_to_stdout
+from qsolve.problems import DEFAULT_QUBIT_CAP, ProblemFileError, QsolveError, request_error
 from qsolve.qpe_tsp import display_tour, encode_eigenstate, solve, tour_length
 
 DEFAULT_INPUT = Path(__file__).resolve().parents[1] / "problems" / "tsp_four_cities.json"
@@ -59,7 +59,8 @@ def main():
         parsed = parse_problem(args.input)
         if parsed.kind != "tsp":
             raise ProblemFileError(f"{args.input}: a {parsed.kind!r} problem, not a tour problem")
-        report = solve(parsed.tsp, shots=args.shots, seed=args.seed)
+        plan = plan_problem(parsed, args.input, DEFAULT_QUBIT_CAP)
+        report = solve(parsed.tsp, shots=args.shots, seed=args.seed, plan=plan)
         with report_to_stdout():
             agrees = print_report(parsed.tsp, report)
     except (QsolveError, OSError) as exc:

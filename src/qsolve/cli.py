@@ -27,6 +27,7 @@ from .problems import (
     EqualConst,
     NotEqual,
     ProblemFileError,
+    ProblemValidationError,
     QsolveError,
     SatProblem,
     SumEquals,
@@ -35,9 +36,6 @@ from .problems import (
     precision_plan,
     qubit_layout,
     request_error,
-    solver_option_error,
-    validate_instance,
-    validate_problem,
 )
 
 
@@ -94,8 +92,9 @@ def _parse_constraint(raw, where: str):
 
 
 def parse_problem(path) -> ParsedProblem:
-    """Read and validate a problem file; any defect raises ProblemFileError
-    with a message locating the offending element."""
+    """Read a problem file and check its form: JSON types, required fields
+    and argument counts.  Any defect raises ProblemFileError with a message
+    locating the offending element; :func:`plan_problem` checks the meaning."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -124,23 +123,30 @@ def parse_problem(path) -> ParsedProblem:
             _parse_constraint(raw, f"{where}.constraints[{i}]")
             for i, raw in enumerate(_field(obj, "constraints", list, where))
         )
-        parsed = ParsedProblem("sat", sat=SatProblem(tuple(decls), constraints))
-        diags = validate_problem(parsed.sat)
+        return ParsedProblem("sat", sat=SatProblem(tuple(decls), constraints))
     elif kind == "tsp":
         rows = []
         for i, raw in enumerate(_field(obj, "adjacency", list, where)):
             rwhere = f"{where}.adjacency[{i}]"
             row = _expect(raw, list, rwhere)
             rows.append(tuple(_expect(x, int, f"{rwhere}[{k}]") for k, x in enumerate(row)))
-        parsed = ParsedProblem("tsp", tsp=TspInstance(tuple(rows)))
-        diags = validate_instance(parsed.tsp)
-    else:
-        raise ProblemFileError(
-            f"{where}.type: unknown problem type {kind!r} (expected 'sat' or 'tsp')"
-        )
-    if diags:
-        raise ProblemFileError("\n".join(f"{where}: {d}" for d in diags))
-    return parsed
+        return ParsedProblem("tsp", tsp=TspInstance(tuple(rows)))
+    raise ProblemFileError(
+        f"{where}.type: unknown problem type {kind!r} (expected 'sat' or 'tsp')"
+    )
+
+
+def plan_problem(parsed: ParsedProblem, path, max_qubits: int):
+    """The size plan of a parsed problem, which validates it first: the
+    :func:`qubit_layout` of a constraint problem or the :func:`precision_plan`
+    of a tour instance.  A semantic violation refuses the file at ``path``,
+    one ``path: diagnostic`` line each, as a ProblemFileError."""
+    try:
+        if parsed.kind == "sat":
+            return qubit_layout(parsed.sat, max_qubits)
+        return precision_plan(parsed.tsp, max_qubits)
+    except ProblemValidationError as exc:
+        raise ProblemFileError("\n".join(f"{Path(path)}: {d}" for d in exc.diagnostics)) from None
 
 
 _COMPATIBLE = {"sat": "grover", "tsp": "qpe"}
@@ -295,11 +301,12 @@ class HelpParser(argparse.ArgumentParser):
 
 def _run_solve(args) -> int:
     _stdout()  # refused before any work
-    fault = request_error(
-        args.shots, args.seed, args.max_qubits, args.threshold, args.dump_circuit
-    )
+    fault = request_error(args.shots, args.seed, args.max_qubits, args.threshold)
     if fault:
         raise QsolveError(fault)
+    if args.dump_circuit == "":
+        # an empty path would write nothing without a word
+        raise QsolveError("--dump-circuit needs a file path")
     if args.dump_circuit:
         # a dump into a missing directory is refused before the solve, with
         # the error ``open`` would raise; ``open`` still refuses what gets past
@@ -308,24 +315,23 @@ def _run_solve(args) -> int:
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, args.dump_circuit) from None
     parsed = parse_problem(args.input)
+    plan = plan_problem(parsed, args.input, args.max_qubits)
     algorithm = select_algorithm(parsed.kind, args.algorithm)
-    fault = solver_option_error(algorithm, args.threshold)
-    if fault:
-        raise QsolveError(fault)
+    if args.threshold is not None and algorithm != "grover":
+        # the one option a solver would ignore: it tunes the search alone
+        raise QsolveError(f"--threshold applies to the grover solver only, not to {algorithm}")
     common = {"shots": args.shots, "seed": args.seed, "max_qubits": args.max_qubits}
 
     if algorithm == "grover":
-        layout = qubit_layout(parsed.sat, args.max_qubits, validated=True)
         from . import grover_sat
 
         report = grover_sat.solve(
-            parsed.sat, frequency_threshold=args.threshold, layout=layout, **common
+            parsed.sat, frequency_threshold=args.threshold, layout=plan, **common
         )
         if args.dump_circuit:
-            circuit = grover_sat.build_search_circuit(parsed.sat, layout, report.iterations_used)
+            circuit = grover_sat.build_search_circuit(parsed.sat, plan, report.iterations_used)
         render, code = _render_sat, 0 if report.found else 1
     else:
-        plan = precision_plan(parsed.tsp, args.max_qubits, validated=True)
         from . import qpe_tsp
 
         report = qpe_tsp.solve(parsed.tsp, plan=plan, **common)

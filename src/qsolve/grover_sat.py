@@ -172,12 +172,7 @@ def build_search_circuit(problem: SatProblem, layout: QubitLayout, iterations: i
         raise ValueError(f"iterations must be non-negative, got {iterations}")
     circ = Circuit(layout.num_qubits, registers=layout.registers)
     rounds = build_oracle(problem, layout).extend(build_diffuser(layout.search_width))
-    # the op tuple is built once, where extending would hold the rounds twice;
-    # so the width check of ``Circuit.extend`` is made here
-    if rounds.num_qubits > circ.num_qubits:
-        raise ValueError(
-            f"a {rounds.num_qubits}-qubit round does not fit in {circ.num_qubits} qubits"
-        )
+    # the op tuple is built once, where extending would hold the rounds twice
     circ.ops = tuple(
         itertools.chain(h_layer(layout.search_width).ops, *itertools.repeat(rounds.ops, iterations))
     )

@@ -61,12 +61,10 @@ def request_error(
     seed: int,
     max_qubits: int = DEFAULT_QUBIT_CAP,
     threshold: float | None = None,
-    dump_path: str | None = None,
 ) -> str | None:
     """The first refusal of a request's ``--shots``, ``--max-qubits``,
-    ``--seed``, ``--threshold`` and ``--dump-circuit``, or None, by the CLI
-    and both solvers.  Draws take 8 bytes a shot, held to :func:`state_budget`.
-    An empty dump path would write nothing without a word, so it is refused."""
+    ``--seed`` and ``--threshold``, or None, by the CLI and both solvers.
+    Draws take 8 bytes a shot, held to :func:`state_budget`."""
     if shots < 1:
         return f"--shots must be positive, got {shots}"
     try:
@@ -79,16 +77,6 @@ def request_error(
         return f"--seed must be non-negative, got {seed}"
     if threshold is not None and not 0.0 < threshold <= 1.0:
         return f"--threshold must be in (0, 1], got {threshold}"
-    if dump_path == "":
-        return "--dump-circuit needs a file path"
-    return None
-
-
-def solver_option_error(algorithm: str, threshold: float | None) -> str | None:
-    """The refusal of an option that ``algorithm``, the solver chosen for the
-    problem, would ignore, or None: ``--threshold`` tunes the search alone."""
-    if threshold is not None and algorithm != "grover":
-        return f"--threshold applies to the grover solver only, not to {algorithm}"
     return None
 
 
@@ -305,14 +293,13 @@ def iteration_schedule(search_width: int) -> list[int]:
     return steps
 
 
-def precision_plan(
-    instance: TspInstance, max_qubits: int, *, validated: bool = False
-) -> tuple[int, int, int]:
+def precision_plan(instance: TspInstance, max_qubits: int) -> tuple[int, int, int]:
     """``(scale, m, rows)``: :func:`phase_scale` of a valid instance whose
     precision register fits the cap, and how many of its complex128 batch
-    rows, 16 * 2**m bytes each, the budget holds at once; validated first unless ``validated``."""
+    rows, 16 * 2**m bytes each, the budget holds at once.  An invalid
+    instance raises :class:`ProblemValidationError` with every diagnostic."""
     budget = state_budget(max_qubits)
-    diags = [] if validated else validate_instance(instance)
+    diags = validate_instance(instance)
     if diags:
         raise ProblemValidationError(diags)
     scale, m = phase_scale(instance)
@@ -371,14 +358,12 @@ class QubitLayout(NamedTuple):
         return range(self.num_qubits - self.scratch_width, self.num_qubits)
 
 
-def qubit_layout(
-    problem: SatProblem, max_qubits: int = DEFAULT_QUBIT_CAP, *, validated: bool = False
-) -> QubitLayout:
+def qubit_layout(problem: SatProblem, max_qubits: int = DEFAULT_QUBIT_CAP) -> QubitLayout:
     """The layout of a valid problem whose search register fits the cap and whose
-    sign table, its mask and one block of a column per qubit and one more, fits the budget;
-    validated first unless ``validated`` (as ``cli.parse_problem`` validates)."""
+    sign table, its mask and one block of a column per qubit and one more, fits the budget.
+    An invalid problem raises :class:`ProblemValidationError` with every diagnostic."""
     budget = state_budget(max_qubits)
-    diags = [] if validated else validate_problem(problem)
+    diags = validate_problem(problem)
     if diags:
         raise ProblemValidationError(diags)
     search_width = problem.search_width

@@ -143,15 +143,6 @@ def test_parse_invalid_json_reports_location(tmp_path):
             id="arg_not_a_string",
         ),
         pytest.param(
-            {
-                "type": "sat",
-                "variables": [{"name": "a", "bits": 1}],
-                "constraints": [{"kind": "equal_const", "args": ["z"], "value": 0}],
-            },
-            "undeclared variable 'z'",
-            id="undeclared_variable",
-        ),
-        pytest.param(
             {"type": "tsp"},
             "missing required field 'adjacency'",
             id="tsp_without_adjacency",
@@ -160,11 +151,6 @@ def test_parse_invalid_json_reports_location(tmp_path):
             {"type": "tsp", "adjacency": [[0, 1.5], [1.5, 0]]},
             "expected an integer, got float",
             id="float_weight",
-        ),
-        pytest.param(
-            {"type": "tsp", "adjacency": [[0, 1, 2], [1, 0, 3], [9, 3, 0]]},
-            "symmetric",
-            id="asymmetric_weights",
         ),
     ],
 )
@@ -249,8 +235,8 @@ def test_out_of_memory_exits_two_without_traceback(
     ids=["sat", "tsp"],
 )
 def test_a_solve_validates_and_plans_its_problem_once(capsys, monkeypatch, problem, calls):
-    """parse_problem validates the problem, the CLI plans it, and the solver
-    takes that plan: nothing validates or plans again."""
+    """The CLI plans the problem, and the plan validates it; the solver takes
+    that plan: nothing validates or plans again."""
     made = []
     for name in calls:
         def counting(*args, real=getattr(model, name), name=name, **kwargs):

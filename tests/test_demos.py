@@ -11,6 +11,7 @@ import pytest
 
 from checkout import GOLDEN, PROBLEMS, ROOT, python
 from test_goldens import BASELINE_DISPATCH, CASES, needs_baseline_dispatch
+from test_refusals import ASYMMETRIC
 
 # tsp_demo.py on the 8-node golden problem prints 2,520 rows (146 KB)
 TSP_N8_DEMO_SHA256 = "098f4639de3df51c21abfd1036234c51f79d9e5a0d8b27619cd26a601b1d29b3"
@@ -30,6 +31,20 @@ def run_demo(script, *args, env=()) -> bytes:
 def test_demo_prints_its_golden_report(script):
     golden = GOLDEN / script.replace(".py", ".out")
     assert run_demo(script) == golden.read_bytes()
+
+
+# runs a script with ``import numpy`` raising ImportError
+NO_NUMPY = (
+    'import runpy, sys; sys.modules["numpy"] = None; sys.argv = sys.argv[1:]; '
+    'runpy.run_path(sys.argv[0], run_name="__main__")'
+)
+
+
+def test_kakuro_demo_prints_its_golden_report_without_numpy():
+    """The walk's sign table is qsolve.scalar's int, so the demo loads no numpy."""
+    result = python("-c", NO_NUMPY, str(ROOT / "scripts" / "kakuro_demo.py"))
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == (GOLDEN / "kakuro_demo.out").read_bytes()
 
 
 @needs_baseline_dispatch
@@ -60,6 +75,12 @@ def test_tsp_demo_on_eight_nodes_prints_its_pinned_report():
             "a 'sat' problem, not a tour problem",
         ),
         ("tsp_demo.py", ["--input", str(PROBLEMS / "missing.json")], "missing.json"),
+        # the plan's diagnostics, each prefixed with the file's path as the CLI's are
+        (
+            "tsp_demo.py",
+            ["--input", ASYMMETRIC],
+            "error: {problem}: adjacency[0][2]: matrix must be symmetric",
+        ),
         # 8 TB of draws, past a state at the default cap
         ("tsp_demo.py", ["--shots", str(10**12)], "needs more memory than a 26-qubit state"),
         ("kakuro_demo.py", ["--shots", str(10**12)], "needs more memory than a 26-qubit state"),
@@ -80,13 +101,20 @@ def test_tsp_demo_on_eight_nodes_prints_its_pinned_report():
     ids=[
         "tsp_seed_-1", "tsp_shots_0", "tsp_shots_-5",
         "kakuro_seed_-1", "kakuro_shots_0", "kakuro_shots_-5",
-        "tsp_sat_file", "tsp_missing_file",
+        "tsp_sat_file", "tsp_missing_file", "tsp_asymmetric_file",
         "tsp_shots_1e12", "kakuro_shots_1e12",
         "tsp_shots_0_seed_-1", "kakuro_shots_0_seed_-1",
         "tsp_shots_1e12_seed_-1", "kakuro_shots_1e12_seed_-1",
     ],
 )
-def test_demo_refuses_bad_input_before_any_output(script, args, message):
+def test_demo_refuses_bad_input_before_any_output(tmp_path, script, args, message):
+    # a payload in ``args`` is written to a problem file that stands in its place
+    problem = tmp_path / "problem.json"
+    for arg in args:
+        if isinstance(arg, dict):
+            problem.write_text(json.dumps(arg))
+    args = [str(problem) if isinstance(arg, dict) else arg for arg in args]
+    message = message.replace("{problem}", str(problem))
     result = demo_process(script, *args)
     assert result.returncode == 2
     assert result.stdout == b""

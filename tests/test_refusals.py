@@ -35,6 +35,8 @@ def sat(*widths, kind="equal_const", value=5) -> dict:
 # mask would: neither fits the widest cap, 58, whose state numpy can address
 TSP_59 = {"type": "tsp", "adjacency": [[0, 2**58, 1], [2**58, 0, 1], [1, 1, 0]]}
 SAT_66 = sat(66)
+# one weight that breaks the symmetry: a well-formed file the plan refuses
+ASYMMETRIC = {"type": "tsp", "adjacency": [[0, 1, 2], [1, 0, 3], [9, 3, 0]]}
 # a 58-qubit precision register with three distinct tour lengths, whose
 # 2**62-byte rows run one to a batch at the widest cap
 B = 2**56
@@ -127,6 +129,13 @@ ROWS = [
                                                                   [1, 1, 0]]}), (), NO_INT),
     Refusal("bool_bits", sat(True), (),
             "error: {problem}.variables[0].bits: expected an integer, got bool"),
+    # its meaning, which the size plan checks first, one line per diagnostic
+    Refusal("undeclared_variable", {**sat(1), "constraints": [
+        {"kind": "equal_const", "args": ["z"], "value": 0}]}, (),
+            "error: {problem}: constraints[0]: undeclared variable 'z'"),
+    Refusal("asymmetric_weights", ASYMMETRIC, (),
+            "error: {problem}: adjacency[0][2]: matrix must be symmetric, "
+            "got 2 vs adjacency[2][0] = 9"),
     Refusal("one_node", {"type": "tsp", "adjacency": [[0]]}, (),
             "error: {problem}: node count 1 outside the supported range 3..8"),
     # a width below 1 skips the range checks
@@ -142,7 +151,7 @@ ROWS = [
               "error: {problem}: constraints[0]: value -1 outside the achievable sum range "
               f"(0..2**{bits}+2**2-2)")
       for bits in (20_000, 200_000_000)),
-    # the algorithm, and an option the chosen solver would ignore
+    # the algorithm, and an option the chosen solver would ignore, once the plan is made
     Refusal("sat_by_qpe", CROSS_SUMS, ("--algorithm", "qpe"),
             MISMATCH.format("qpe", "sat", "grover")),
     Refusal("tsp_by_grover", TSP, ("--algorithm", "grover"),
@@ -154,6 +163,9 @@ ROWS = [
     Refusal("two_1e8_bit_variables", TWO_1E8, (), SEARCH.format(200_000_000, 26)),
     # registers past the widest cap, whose arrays numpy could not allocate or address
     *(Refusal(f"sat_{bits}", sat(bits), CAP_58, SEARCH.format(bits, 58)) for bits in (60, 65, 66)),
+    # the plan comes before the algorithm, so a request too large for any
+    # solver is refused for its size, not for its algorithm
+    Refusal("sat_66_by_qpe", SAT_66, ("--algorithm", "qpe", *CAP_58), SEARCH.format(66, 58)),
     # a search register within the cap whose sign table is not
     Refusal("sign_table_past_the_cap", THREE_FLAGS, ("--max-qubits", "1", "--shots", "4"),
             "error: the sign table needs 48 bytes (a mask of 8 and 5 columns of 8) but a "

@@ -40,8 +40,8 @@ def amplification_table(problem, layout):
         print(f"  {iterations:>10}  {total:>16.6f}  {best:>15.6f}")
 
 
-def report_solutions(problem, shots, seed):
-    report = solve(problem, shots=shots, seed=seed)
+def report_solutions(problem, layout, shots, seed):
+    report = solve(problem, shots=shots, seed=seed, layout=layout)
     if not report.found:
         print("  no solution found")
         return
@@ -67,9 +67,10 @@ def main():
         with report_to_stdout():
             for name in ("kakuro_unit_sums.json", "kakuro_cross_sums.json"):
                 problem = parse_problem(PROBLEMS / name).sat
+                layout = qubit_layout(problem)
                 print(f"== {name} ==")
-                amplification_table(problem, qubit_layout(problem))
-                report_solutions(problem, args.shots, args.seed)
+                amplification_table(problem, layout)
+                report_solutions(problem, layout, args.shots, args.seed)
                 print()
     except (QsolveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,14 +1,13 @@
-"""Circuit representation: named registers, an ordered gate list, structural
-inversion, H-layer and Fourier-transform builders, execution, and export to a
-line-oriented text format.  Only execution imports the simulator, and numpy."""
+"""Circuit representation: named registers, an ordered gate list, an H-layer
+builder, execution, and export to a line-oriented text format.  A solve loads
+it only to dump a circuit; only execution imports the simulator, and numpy."""
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .problems import QubitRegister
-from .scalar import Gate, H, Histogram, SWAP, X, check_operands, phase
+from .scalar import Gate, H, Histogram, X, check_operands, phase
 
 if TYPE_CHECKING:
     import numpy as np
@@ -21,17 +20,15 @@ class CircuitOp(NamedTuple):
     controls: frozenset[int] = frozenset()
     targets: tuple[int, ...] = ()
 
-    def inverse(self) -> "CircuitOp":
-        return CircuitOp(self.gate.inverse(), self.controls, self.targets)
-
 
 class Circuit:
     """An ordered tuple of operations on ``num_qubits`` qubits.
 
     An op is validated once: by ``add``, or in the SAT compute block by
-    ``grover_sat._compute``; ``extend`` of a circuit no wider than this one,
-    ``inverse`` and ``execute`` rely on that and do not check again.  The
-    builder methods return ``self`` so constructions chain.
+    ``grover_sat._compute`` and in the inverse Fourier transform by
+    ``qpe_tsp.inverse_qft``; ``extend`` of a circuit no wider than this one
+    and ``execute`` rely on that and do not check again.  The builder
+    methods return ``self`` so constructions chain.
     """
 
     def __init__(self, num_qubits: int, registers: Iterable[QubitRegister] = ()):
@@ -80,20 +77,8 @@ class Circuit:
     def x(self, qubit: int) -> "Circuit":
         return self.add(X, targets=(qubit,))
 
-    def swap(self, a: int, b: int) -> "Circuit":
-        return self.add(SWAP, targets=(a, b))
-
-    def phase_on(
-        self, lam: float, qubit: int, controls: Iterable[int] = ()
-    ) -> "Circuit":
-        return self.add(phase(lam), controls=controls, targets=(qubit,))
-
-
-def inverse(circuit: Circuit) -> Circuit:
-    """The exact inverse: each op inverted, order reversed."""
-    inv = Circuit(circuit.num_qubits, circuit.registers)
-    inv.ops = tuple(op.inverse() for op in reversed(circuit.ops))
-    return inv
+    def phase_on(self, lam: float, qubit: int) -> "Circuit":
+        return self.add(phase(lam), targets=(qubit,))
 
 
 def h_layer(num_qubits: int) -> Circuit:
@@ -101,24 +86,6 @@ def h_layer(num_qubits: int) -> Circuit:
     frag = Circuit(num_qubits)
     for q in range(num_qubits):
         frag.h(q)
-    return frag
-
-
-def build_qft(num_qubits: int) -> Circuit:
-    """Fourier transform on qubits 0..m-1: basis input j maps to amplitudes
-    exp(2*pi*i*j*l / 2**m) / sqrt(2**m) at index l.
-
-    The trailing swap layer is included, so with qubit 0 as the most
-    significant bit the output reads in the same order as input.
-    """
-    m = num_qubits
-    frag = Circuit(m)
-    for i in range(m):
-        frag.h(i)
-        for j in range(i + 1, m):
-            frag.phase_on(math.pi / 2 ** (j - i), i, controls=(j,))
-    for i in range(m // 2):
-        frag.swap(i, m - 1 - i)
     return frag
 
 

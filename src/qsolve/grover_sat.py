@@ -11,6 +11,7 @@ solution count is unknown up front.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterator, NamedTuple, Sequence
@@ -117,10 +118,12 @@ def synth_sum_equals(
 # --- oracle, diffuser, schedule ---------------------------------------------
 
 
-def _compute(problem: SatProblem, layout: QubitLayout) -> list[tuple]:
+@functools.lru_cache(maxsize=1)
+def _compute(problem: SatProblem, layout: QubitLayout) -> tuple[tuple, ...]:
     """Every constraint's flag flip, in constraint order: the compute block's
     X gates as ``(controls, targets)`` pairs, each distinct pair checked once
-    by :func:`qsolve.scalar.check_operands` (an uncompute repeats pairs)."""
+    by :func:`qsolve.scalar.check_operands` (an uncompute repeats pairs), and
+    kept for the next call: a dump and its solve synthesize the block once."""
     ops: list = []
     for c, flag in zip(problem.constraints, layout.flag_qubits):
         if isinstance(c, NotEqual):
@@ -131,7 +134,7 @@ def _compute(problem: SatProblem, layout: QubitLayout) -> list[tuple]:
             synth_sum_equals(ops, layout, c.vars, c.value, flag)
     n = layout.num_qubits
     checked = {(c, t): check_operands(n, X, c, (t,)) for c, t in dict.fromkeys(ops)}
-    return [checked[pair] for pair in ops]
+    return tuple(checked[pair] for pair in ops)
 
 
 def build_oracle(problem: SatProblem, layout: QubitLayout) -> "Circuit":
@@ -144,7 +147,7 @@ def build_oracle(problem: SatProblem, layout: QubitLayout) -> "Circuit":
     from .circuit import Circuit, CircuitOp
     flags = layout.flag_qubits
     oracle = Circuit(layout.num_qubits).add(Z, controls=flags[:-1], targets=(flags[-1],))
-    # _compute checked every pair, so they enter without ``add``, as ``inverse`` does
+    # _compute checked every pair, so they enter without ``add``
     compute = [CircuitOp(X, *pair) for pair in _compute(problem, layout)]
     oracle.ops = (*compute, *oracle.ops, *reversed(compute))
     return oracle

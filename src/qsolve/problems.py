@@ -203,9 +203,6 @@ class TspInstance(NamedTuple):
     def n_nodes(self) -> int:
         return len(self.weights)
 
-    def weight(self, a: int, b: int) -> int:
-        return self.weights[a - 1][b - 1]
-
 
 def validate_instance(instance: TspInstance) -> list[str]:
     """Every semantic violation as a readable diagnostic; empty means valid."""

@@ -14,7 +14,6 @@ import itertools
 import math
 from typing import NamedTuple, Sequence
 
-from .circuit import Circuit, QubitRegister, build_qft, h_layer, inverse
 from .problems import (  # phase_scale and validate_instance are reached from here too
     DEFAULT_QUBIT_CAP,
     MAX_NODES,
@@ -26,6 +25,7 @@ from .problems import (  # phase_scale and validate_instance are reached from he
     request_error,
     validate_instance,
 )
+from .scalar import SWAP, H, check_operands, phase
 
 Tour = tuple[int, ...]
 
@@ -51,8 +51,12 @@ def display_tour(tour: Sequence[int]) -> Tour:
 
 
 def tour_length(instance: TspInstance, tour: Sequence[int]) -> int:
-    closed = (*tour, tour[0])
-    return sum(instance.weight(a, b) for a, b in zip(closed, closed[1:]))
+    """The closed walk's weight, summed in a plain loop: no generator per tour."""
+    weights, a, length = instance.weights, tour[-1], 0
+    for b in tour:
+        length += weights[a - 1][b - 1]
+        a = b
+    return length
 
 
 def bits_per_node(n_nodes: int) -> int:
@@ -135,15 +139,31 @@ def kickback_angles(exponent: int, scale: int, precision_bits: int) -> list[floa
     return [2.0 * math.pi * math.fmod(theta * (1 << k), 1.0) for k in powers]
 
 
-def qpe_circuit(unitary: WeightPhaseDiagonal, eigenstate: int, precision_bits: int) -> Circuit:
+def inverse_qft(precision_bits: int) -> list[tuple]:
+    """The inverse Fourier transform on qubits 0..m-1 as ``(gate, controls,
+    targets)`` triples in the order they run, each checked once by
+    :func:`qsolve.scalar.check_operands`: the swap layer, then from the last
+    qubit to the first, its phases controlled by every later qubit and an H.
+    Basis input l maps to amplitudes exp(-2*pi*i*j*l / 2**m) / sqrt(2**m) at
+    index j, with qubit 0 the most significant bit."""
+    m = precision_bits
+    ops = [(SWAP, (), (i, m - 1 - i)) for i in range(m // 2 - 1, -1, -1)]
+    for i in range(m - 1, -1, -1):
+        ops += [(phase(-math.pi / 2 ** (j - i)), (j,), (i,)) for j in range(m - 1, i, -1)]
+        ops.append((H, (), (i,)))
+    return [(gate, *check_operands(m, gate, c, t)) for gate, c, t in ops]
+
+
+def qpe_circuit(unitary: WeightPhaseDiagonal, eigenstate: int, precision_bits: int) -> "Circuit":
     """Phase-estimation circuit over the precision register alone: an H layer,
-    the phases of :func:`kickback_angles`, and the inverse Fourier transform
-    as the structural inverse of :func:`build_qft`."""
+    the phases of :func:`kickback_angles`, and :func:`inverse_qft`."""
+    from .circuit import Circuit, CircuitOp, QubitRegister, h_layer
     m = precision_bits
     circ = Circuit(m, registers=(QubitRegister("precision", 0, m),)).extend(h_layer(m))
     for j, angle in enumerate(kickback_angles(unitary.exponent(eigenstate), unitary.scale, m)):
         circ.phase_on(angle, j)
-    circ.extend(inverse(build_qft(m)))
+    # inverse_qft checked every triple, so they enter without ``add``
+    circ.ops += tuple(CircuitOp(*op) for op in inverse_qft(m))
     return circ
 
 
@@ -156,7 +176,7 @@ def estimate_phases(
     over ``shots`` draws at ``seed`` (count ties broken by bitstring)."""
     m = precision_bits
     angles = [kickback_angles(e, scale, m) for e in exponents]
-    readouts = kernels.phase_readouts(angles, inverse(build_qft(m)).ops, shots, seed)
+    readouts = kernels.phase_readouts(angles, inverse_qft(m), shots, seed)
     return [PhaseEstimate(raw, m, raw / (1 << m), p) for raw, p in readouts]
 
 
@@ -196,16 +216,7 @@ def solve(
         raise ValueError(fault)
     scale, m, chunk = plan or precision_plan(instance, max_qubits)
     tours = enumerate_cycles(instance.n_nodes)
-    # each cycle's closed walk, summed in a plain loop: no numpy table of the
-    # cycles, and no generator per tour
-    rows = [(), *((0, *row) for row in instance.weights)]  # rows[a][b]: edge a-b, 1-based
-    exponents = []
-    for tour in tours:
-        a, length = tour[-1], 0
-        for b in tour:
-            length += rows[a][b]
-            a = b
-        exponents.append(length)
+    exponents = [tour_length(instance, tour) for tour in tours]
     # a cycle's seeded readout depends only on its exponent: estimate and decode
     # each distinct exponent once, in batches of as many rows as the budget holds
     distinct = list(dict.fromkeys(exponents))

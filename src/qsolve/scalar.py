@@ -39,11 +39,6 @@ class Gate(NamedTuple("_Fields", [("name", str), ("lam", float)])):
     def num_targets(self) -> int:
         return 2 if self.name == "swap" else 1
 
-    def inverse(self) -> "Gate":
-        if self.name == "phase":
-            return Gate("phase", -self.lam)
-        return self  # h, x, z and swap are their own inverses
-
 
 H = Gate("h")
 X = Gate("x")
@@ -264,14 +259,14 @@ def phase_readouts(
         return "phase", indices, (math.cos(lam), math.sin(lam))
 
     steps = []  # (gate, the indices it changes, the partner offset or the phase factor)
-    for op in ops:
-        controls, t = sum(bit[q] for q in op.controls), bit[op.targets[0]]
-        if op.gate.name == "h":
+    for gate, controls, targets in ops:
+        controls, t = sum(bit[q] for q in controls), bit[targets[0]]
+        if gate.name == "h":
             steps.append(("h", where(controls, t), t))
-        elif op.gate.name == "swap":
-            steps.append(("swap", where(controls | t, bit[op.targets[1]]), bit[op.targets[1]] - t))
+        elif gate.name == "swap":
+            steps.append(("swap", where(controls | t, bit[targets[1]]), bit[targets[1]] - t))
         else:
-            steps.append(turn(where(controls | t), op.gate.lam))
+            steps.append(turn(where(controls | t), gate.lam))
     kickback = [where(b) for b in bit]
     amp = functools.reduce(operator.mul, [_INV_SQRT2] * m, 1.0)  # as uniform scales it
     draws = sorted_draws(shots, seed)

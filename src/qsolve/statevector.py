@@ -368,8 +368,9 @@ def phase_readouts(
 ) -> list[tuple[int, float]]:
     """One batch row of ``len(angles[0])`` precision qubits per list of
     kickback angles: uniform, turned by each angle on its qubit, then run
-    through ``ops``.  Each row reads out ``(raw, probability)``, its modal
-    outcome over ``shots`` draws at ``seed`` and that outcome's probability."""
+    through ``ops``, checked ``(gate, controls, targets)`` triples.  Each row
+    reads out ``(raw, probability)``, its modal outcome over ``shots`` draws
+    at ``seed`` and that outcome's probability."""
     m = len(angles[0])
     batch = uniform((len(angles), 1 << m))
     # the kickback, with the phase kernel's np.exp and rotate, so rows match bit for bit
@@ -378,7 +379,7 @@ def phase_readouts(
     for j in range(m):
         rotate(amps[(slice(None),) * (j + 1) + (1,)], factors[:, j].reshape((-1,) + (1,) * (m - 1)))
     for op in ops:
-        apply_unchecked(batch, op.gate, op.controls, op.targets)
+        apply_unchecked(batch, *op)
     draws = sorted_draws(shots, seed)
     readouts = []
     for row in batch:

@@ -250,6 +250,25 @@ def test_a_solve_validates_and_plans_its_problem_once(capsys, monkeypatch, probl
     assert sorted(made) == sorted(calls)
 
 
+def test_a_dump_and_its_solve_synthesize_the_compute_block_once(capsys, monkeypatch, tmp_path):
+    """The solve's sign table and the dumped oracle read one synthesis: each
+    distinct pair of the compute block is checked once per ``main``."""
+    checks = [0]
+    real_check = grover_sat.check_operands
+
+    def counting_check(*args):
+        checks[0] += 1
+        return real_check(*args)
+
+    monkeypatch.setattr(grover_sat, "check_operands", counting_check)
+    grover_sat._compute.cache_clear()  # an earlier test may have synthesized this block
+    dump = tmp_path / "cross_sums.txt"
+    assert run_cli(capsys, "solve", "--input", str(CROSS_SUMS), "--dump-circuit", str(dump))[0] == 0
+    synthesized = checks[0]
+    problem = cli.parse_problem(CROSS_SUMS).sat
+    assert synthesized == len(set(grover_sat._compute(problem, model.qubit_layout(problem))))
+
+
 @pytest.mark.parametrize(
     "problems, options, error",
     [

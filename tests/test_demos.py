@@ -6,10 +6,13 @@ replay against the CLI's golden reports."""
 import hashlib
 import json
 import os
+import runpy
+import sys
 
 import pytest
 
 from checkout import GOLDEN, PROBLEMS, ROOT, python
+from qsolve import problems
 from test_goldens import BASELINE_DISPATCH, CASES, needs_baseline_dispatch
 from test_refusals import ASYMMETRIC
 
@@ -45,6 +48,24 @@ def test_kakuro_demo_prints_its_golden_report_without_numpy():
     result = python("-c", NO_NUMPY, str(ROOT / "scripts" / "kakuro_demo.py"))
     assert (result.returncode, result.stderr) == (0, b"")
     assert result.stdout == (GOLDEN / "kakuro_demo.out").read_bytes()
+
+
+def test_kakuro_demo_plans_each_riddle_once(monkeypatch, capsys):
+    """The layout the demo prints from is the one its solve runs on: each
+    riddle is validated and laid out once."""
+    validated = []
+    real_validate = problems.validate_problem
+
+    def counting_validate(problem):
+        validated.append(problem)
+        return real_validate(problem)
+
+    monkeypatch.setattr(problems, "validate_problem", counting_validate)
+    monkeypatch.setattr(sys, "argv", ["kakuro_demo.py"])
+    demo = runpy.run_path(str(ROOT / "scripts" / "kakuro_demo.py"))
+    assert demo["main"]() == 0
+    assert capsys.readouterr().out == (GOLDEN / "kakuro_demo.out").read_text(encoding="utf-8")
+    assert len(validated) == 2
 
 
 @needs_baseline_dispatch

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from checkout import EIGHT_CITIES, TSP
 from problem_gen import instance_from_rows
+from qsolve import cli
 from qsolve import statevector as sv
 from qsolve.qpe_tsp import (
     PhaseEstimate,
@@ -19,13 +21,14 @@ from qsolve.qpe_tsp import (
     encode_eigenstate,
     enumerate_cycles,
     estimate_phases,
+    inverse_qft,
     phase_scale,
     qpe_circuit,
     solve,
     tour_length,
 )
 from qsolve.problems import ProblemValidationError, QubitBudgetError, validate_instance
-from qsolve.circuit import build_qft, execute, inverse
+from qsolve.circuit import CircuitOp, execute
 from qsolve.statevector import probabilities
 
 FOUR_CITIES = instance_from_rows(
@@ -211,6 +214,27 @@ def test_qpe_circuit_shape():
         qpe_circuit(diag, 0, 0)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_inverse_qft_is_the_inverse_dft(m):
+    # applied gate by gate: W^dagger[j, l] = exp(-2*pi*i*j*l / 2**m) / sqrt(2**m)
+    matrix = np.eye(1 << m, dtype=complex)
+    for gate, controls, targets in inverse_qft(m):
+        matrix = oracles.embedded_op(m, gate.name, gate.lam, controls, targets) @ matrix
+    assert np.max(np.abs(matrix - oracles.dft_matrix(m).conj().T)) < 1e-12
+
+
+@pytest.mark.parametrize("path", [TSP, EIGHT_CITIES], ids=lambda p: p.stem)
+def test_the_dumped_tour_circuit_ends_with_the_transform_the_batch_runs(path):
+    # the H layer, one kickback phase per precision qubit, then inverse_qft's triples
+    instance = cli.parse_problem(path).tsp
+    scale, m = phase_scale(instance)
+    unitary = build_phase_unitary(instance, scale)
+    eigenstate = encode_eigenstate(enumerate_cycles(instance.n_nodes)[0], instance.n_nodes)
+    ops = qpe_circuit(unitary, eigenstate, m).ops
+    assert [op.gate.name for op in ops[: 2 * m]] == ["h"] * m + ["phase"] * m
+    assert ops[2 * m :] == tuple(CircuitOp(*op) for op in inverse_qft(m))
+
+
 @pytest.mark.parametrize(
     "instance", [FOUR_CITIES, instance_from_rows([[0 if i == j else 1 for j in range(4)] for i in range(4)])]
 )
@@ -386,7 +410,7 @@ def test_solve_runs_one_estimate_per_distinct_exponent(
     # the inverse Fourier transform, once, however many rows; the uniform
     # start is built by value and the kickback runs on views; the
     # pure-Python rows run no numpy kernel
-    assert calls[0] == (len(inverse(build_qft(m)).ops) if kernels is sv else 0)
+    assert calls[0] == (len(inverse_qft(m)) if kernels is sv else 0)
     assert report.tours == tours
     assert report.estimates == expected
     assert report.lengths == [decode_phase(estimate, scale) for estimate in expected]
